@@ -25,7 +25,12 @@ from .persuasion import (
     persuasion_policy,
 )
 from .polarization import max_polarization, search_max_polarization
-from .product import SymmetricProduct, product_feasible, threshold_curve
+from .product import (
+    SymmetricProduct,
+    binary_marginal,
+    product_feasible,
+    threshold_curve,
+)
 from .rationals import format_decimal, format_rational, parse_rational
 from .structures import expand_scheme, induced_population_law, simulate, synthesize
 
@@ -157,14 +162,7 @@ def _cmd_product_check(args) -> int:
     else:
         if args.a is None or args.b is None:
             raise InvariantError("provide either --q or both --a and --b")
-        a, b = parse_rational(args.a), parse_rational(args.b)
-        mu = parse_rational(args.mu)
-        if not 0 <= a < mu < b <= 1:
-            raise InvariantError(f"need a < mu < b, got a={a}, mu={mu}, b={b}")
-        high = (mu - a) / (b - a)
-        marginal = DiscreteMeasure(
-            [(Belief.binary(a), 1 - high), (Belief.binary(b), high)]
-        )
+        marginal = binary_marginal(args.mu, args.a, args.b)
     verdict = product_feasible(SymmetricProduct(marginal, args.n), prior)
     _emit(jsonio.verdict_to_json(verdict, _formatter(args)))
     return 0
@@ -248,7 +246,8 @@ input schemas (rationals: ints, "p/q" strings, or decimal literals, all exact):
   scheme     {"n": N, "mu": belief, "state_laws": [{"state": S, "law": law}, ...]}
   structure  {"n": N, "m": M, "mu": belief, "signal_sets": [[label, ...], ...],
               "kernel": [{"state": S, "profiles": [{"signals": [...], "prob": P}]}]}
-environment: POPLAW_MAX_PROFILES caps enumerated profiles (default 1000000).
+environment: POPLAW_MAX_PROFILES caps enumerated profiles and grid kernel pairs
+  (default 1000000).
 exit codes: 0 ok, 1 resource bound exceeded, 2 invalid input.
 """
 

@@ -39,6 +39,9 @@ def loads(text: str):
         return json.loads(text, parse_float=Fraction, parse_int=int)
     except json.JSONDecodeError as exc:
         raise InvariantError(f"malformed JSON: {exc}") from exc
+    except ValueError as exc:
+        # int() and Fraction() refuse digit strings past sys.get_int_max_str_digits()
+        raise InvariantError("JSON number literal has too many digits") from exc
 
 
 def dumps(payload) -> str:

@@ -13,11 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import InvariantError, ResourceLimitError
-from .feasibility import FeasibilityVerdict, check_feasible
+from .feasibility import FeasibilityVerdict, binary_base, check_feasible
 from .measures import (
+    Belief,
     DiscreteMeasure,
     EmpiricalDistribution,
     PopulationLaw,
@@ -26,7 +26,7 @@ from .measures import (
     quantile_distribution,
 )
 from .rationals import parse_rational
-from .structures import max_profiles_bound
+from .structures import compositions, max_profiles_bound
 
 ZERO = Fraction(0)
 
@@ -59,7 +59,7 @@ def multinomial_law(
             f"multinomial support {support_size} exceeds the bound {bound}"
         )
     law_atoms = []
-    for counts in _count_vectors(n, k):
+    for counts in compositions(n, k):
         weight = Fraction(math.factorial(n))
         for c, (_, prob) in zip(counts, atoms):
             weight = weight / math.factorial(c) * prob**c
@@ -68,18 +68,6 @@ def multinomial_law(
         )
         law_atoms.append((empirical, weight))
     return PopulationLaw(n, law_atoms)
-
-
-def _count_vectors(n: int, k: int):
-    # stars and bars over the k support atoms
-    for dividers in combinations(range(n + k - 1), k - 1):
-        prev = -1
-        counts = []
-        for d in dividers:
-            counts.append(d - prev - 1)
-            prev = d
-        counts.append(n + k - 1 - prev - 1)
-        yield tuple(counts)
 
 
 def product_feasible(product: SymmetricProduct, prior: Prior) -> FeasibilityVerdict:
@@ -116,19 +104,31 @@ def binomial_quantile_expectation(n: int, p, alpha) -> Fraction:
     return quantile_distribution(binomial_measure(n, p), alpha).mean()
 
 
+def binary_marginal(mu, a, b) -> DiscreteMeasure:
+    """The marginal on beliefs {a, b} whose mean is the prior's mu."""
+    mu, a, b = parse_rational(mu), parse_rational(a), parse_rational(b)
+    if not 0 <= a < mu < b <= 1:
+        raise InvariantError(f"need a < mu < b, got a={a}, mu={mu}, b={b}")
+    high = _weight_on_high(mu, a, b)
+    return DiscreteMeasure([(Belief.binary(a), 1 - high), (Belief.binary(b), high)])
+
+
+def _weight_on_high(mu: Fraction, a: Fraction, b: Fraction) -> Fraction:
+    return (mu - a) / (b - a)
+
+
 def binary_product_feasible_quantile(n: int, mu, a, b) -> bool:
     """One-dimensional criterion for a binary-supported marginal on {a, b}.
 
-    With the marginal pinned by the prior (weight (mu - a)/(b - a) on b), the
-    product is feasible iff the mean of the (1 - mu)-quantile slice of the
-    binomial is at most the low atom of the base,
-    (mu - a) * (1 - b) / ((b - a) * (1 - mu)).
+    With the marginal pinned by the prior (`binary_marginal`), the product is
+    feasible iff the mean of the (1 - mu)-quantile slice of the binomial is at
+    most the low atom of the closed-form base (`feasibility.binary_base`).
     """
     mu, a, b = parse_rational(mu), parse_rational(a), parse_rational(b)
     if not 0 < a < mu < b < 1:
         raise InvariantError(f"need 0 < a < mu < b < 1, got a={a}, mu={mu}, b={b}")
-    low_atom = (mu - a) * (1 - b) / ((b - a) * (1 - mu))
-    return binomial_quantile_expectation(n, (mu - a) / (b - a), 1 - mu) <= low_atom
+    p = _weight_on_high(mu, a, b)
+    return binomial_quantile_expectation(n, p, 1 - mu) <= binary_base(mu, a, b).a
 
 
 def symmetric_threshold(n: int) -> Fraction:

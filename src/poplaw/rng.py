@@ -1,6 +1,6 @@
 """Seeded, portable randomness for Monte-Carlo simulation.
 
-The generator is SplitMix64 (Steele, Lea and Flood's 64-bit mixer), chosen
+The generator is Steele, Lea and Flood's SplitMix with 64-bit state, chosen
 because it is tiny, well known, and defined purely over 64-bit integer
 arithmetic, so the same seed produces the same stream on every platform.
 
@@ -9,15 +9,17 @@ seed s is
 
     mix(mix(s + (i + 1) * PHI) + (j + 1) * PHI)  mod 2**64
 
-where PHI = 0x9E3779B97F4A7C15 and mix is the SplitMix64 finalizer. Each
+where PHI = 0x9E3779B97F4A7C15 and mix is SplitMix's output finalizer. Each
 sample owns an independent substream keyed only by (seed, index), so any
 partition of the sample indices across workers reproduces the single-threaded
 result exactly.
+
+`structures.simulate` applies the rule inline: draw 0 picks the state and
+draw 1 the empirical distribution, each as the first item whose cumulative
+weight w satisfies u < ceil(w * 2**64) for the 64-bit draw u.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 MASK64 = (1 << 64) - 1
 PHI = 0x9E3779B97F4A7C15
@@ -25,39 +27,8 @@ TWO64 = 1 << 64
 
 
 def mix64(z: int) -> int:
-    """The SplitMix64 output finalizer."""
+    """SplitMix's 64-bit output finalizer."""
     z &= MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
     return z ^ (z >> 31)
-
-
-class SplitMix64:
-    """SplitMix64 stream: state advances by PHI, outputs are mix64(state)."""
-
-    def __init__(self, seed: int):
-        self._state = seed & MASK64
-
-    def next_uint64(self) -> int:
-        self._state = (self._state + PHI) & MASK64
-        return mix64(self._state)
-
-    def next_fraction(self) -> Fraction:
-        """A uniform draw from {0, 1/2**64, ..., (2**64 - 1)/2**64}."""
-        return Fraction(self.next_uint64(), TWO64)
-
-
-def sample_stream(seed: int, index: int) -> SplitMix64:
-    """The independent substream for one sample index (see module docstring)."""
-    return SplitMix64(mix64((seed + (index + 1) * PHI) & MASK64))
-
-
-def pick(atoms, u: Fraction):
-    """Select an atom from (item, weight) pairs by a uniform draw in [0, 1)."""
-    acc = Fraction(0)
-    item = None
-    for item, weight in atoms:
-        acc += weight
-        if u < acc:
-            return item
-    return item

@@ -1,7 +1,7 @@
 """Self-contained exact linear programming over rationals.
 
-Solves `A x = b, x >= 0` feasibility (with a Farkas refutation on failure)
-and small equality-constrained optimizations. The tableau is kept as scaled
+Solves `A x = b, x >= 0` feasibility with phase 1 of the simplex method,
+returning a Farkas refutation on failure. The tableau is kept as scaled
 integers (fraction-free pivoting): every entry equals `det` times the true
 rational value, where `det` is the determinant of the current basis, so each
 pivot costs integer multiplications plus one exact division per cell and no
@@ -9,8 +9,9 @@ gcd normalization. Bland's smallest-index rule picks both the entering column
 and the leaving row, which rules out cycling; ties in the ratio test go to the
 smallest basic variable index, so runs are deterministic.
 
-Artificial variables never re-enter the basis once they leave. Redundant
-(rank-deficient) constraint rows are detected after phase 1 and dropped.
+Artificial variables never re-enter the basis once they leave. A redundant
+(rank-deficient) constraint row keeps its artificial basic at value zero,
+which the extracted solution ignores.
 """
 
 from __future__ import annotations
@@ -20,21 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import PoplawError
-
 ZERO = Fraction(0)
-
-
-class InfeasibleProgram(PoplawError):
-    """Raised by `maximize` when the constraints admit no solution."""
-
-    def __init__(self, farkas):
-        self.farkas = farkas
-        super().__init__("linear program is infeasible")
-
-
-class UnboundedProgram(PoplawError):
-    """Raised by `maximize` when the objective is unbounded above."""
 
 
 @dataclass(frozen=True)
@@ -177,47 +164,6 @@ class _Simplex:
                 x[var] = Fraction(self.rows[i][-1], det)
         return x
 
-    def drop_artificials(self) -> None:
-        """Pivot basic artificials out; delete rows that turn out redundant."""
-        for i in range(len(self.rows)):
-            if self.basis[i] < self.n:
-                continue
-            row = self.rows[i]
-            c = next((j for j in range(self.n) if row[j] != 0), None)
-            if c is not None:
-                self._pivot(i, c)
-        keep = [i for i, var in enumerate(self.basis) if var < self.n]
-        self.rows = [self.rows[i][: self.n] + [self.rows[i][-1]] for i in keep]
-        self.basis = [self.basis[i] for i in keep]
-        self.obj = self.obj[: self.n] + [self.obj[-1]]
-        self.m = len(self.rows)
-        self.width = self.n + 1
-
-    def minimize(self, costs: Sequence[Fraction]) -> tuple[Fraction, list[Fraction]]:
-        """Phase 2 over the original columns. Call after phase1 + drop_artificials."""
-        denlcm = 1
-        for v in costs:
-            denlcm = denlcm * v.denominator // math.gcd(denlcm, v.denominator)
-        cint = [int(Fraction(v) * denlcm) for v in costs]
-        det = self.det
-        obj = [0] * self.width
-        for j in range(self.n):
-            obj[j] = det * cint[j] - sum(
-                cint[self.basis[i]] * self.rows[i][j] for i in range(self.m)
-            )
-        obj[-1] = -sum(cint[self.basis[i]] * self.rows[i][-1] for i in range(self.m))
-        self.obj = obj
-        while True:
-            c = self._entering()
-            if c is None:
-                break
-            r = self._leaving(c)
-            if r is None:
-                raise UnboundedProgram("objective is unbounded")
-            self._pivot(r, c)
-        value = -Fraction(self.obj[-1], self.det * denlcm)
-        return value, self.solution()
-
 
 def solve_equalities(
     rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
@@ -239,24 +185,6 @@ def solve_equalities(
     return FeasibilityResult(
         solution=None, farkas=tuple(scales[i] * y[i] for i in range(len(y)))
     )
-
-
-def maximize(
-    objective: Sequence[Fraction],
-    rows: Sequence[Sequence[Fraction]],
-    rhs: Sequence[Fraction],
-) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """max objective @ x over x >= 0, rows @ x == rhs. Returns (value, solution)."""
-    if not rows:
-        raise ValueError("maximize needs at least one constraint row")
-    int_rows, scales = _integerize(rows, rhs)
-    sx = _Simplex(int_rows)
-    if not sx.phase1():
-        y = sx.farkas()
-        raise InfeasibleProgram(tuple(scales[i] * y[i] for i in range(len(y))))
-    sx.drop_artificials()
-    value, solution = sx.minimize([-Fraction(v) for v in objective])
-    return -value, tuple(solution)
 
 
 def farkas_refutes(

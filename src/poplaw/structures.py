@@ -20,8 +20,9 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, product
 from math import factorial
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable
 
 from .errors import InvariantError, ResourceLimitError
 from .feasibility import base_law
@@ -339,40 +340,63 @@ def enumerate_grid_structures(
     """Yield every structure whose kernels put multiples of 1/denominator on profiles.
 
     Exhaustive over both states independently, so the count is the square of
-    the number of weight vectors; keep n, signals_per_agent and denominator
-    small.
+    the number of weight vectors; `weight_grid` refuses grids past the bound.
     """
     if prior.dimension != 2:
         raise InvariantError("grid enumeration is implemented for two states")
-    signal_set = tuple(f"s{k}" for k in range(signals_per_agent))
-    profiles = list(_profiles(signal_set, n))
-    vectors = list(_compositions(denominator, len(profiles)))
-    for w0 in vectors:
-        kernel0 = tuple(
-            (profiles[i], Fraction(w, denominator)) for i, w in enumerate(w0) if w
-        )
-        for w1 in vectors:
-            kernel1 = tuple(
-                (profiles[i], Fraction(w, denominator)) for i, w in enumerate(w1) if w
-            )
+    signal_set, profiles, vectors = weight_grid(n, signals_per_agent, denominator)
+    kernels = [grid_kernel(signal_set, profiles, vec, denominator) for vec in vectors]
+    for kernel0 in kernels:
+        for kernel1 in kernels:
             yield InformationStructure(
                 n, prior, [signal_set] * n, [kernel0, kernel1]
             )
 
 
-def _profiles(signal_set: Sequence, n: int):
-    if n == 0:
-        yield ()
-        return
-    for head in signal_set:
-        for tail in _profiles(signal_set, n - 1):
-            yield (head,) + tail
+def weight_grid(n: int, signals_per_agent: int, denominator: int):
+    """Signal labels, profiles (tuples of label indices) and all weight vectors.
+
+    A weight vector gives each profile a multiple of 1/denominator. Raises
+    `ResourceLimitError`, before enumerating anything, when the number of
+    kernel pairs C(d + s**n - 1, s**n - 1)**2 exceeds the profile bound.
+    """
+    if n < 1 or signals_per_agent < 1 or denominator < 1:
+        raise InvariantError("population, signal and grid sizes must be positive")
+    parts = signals_per_agent**n
+    bound = max_profiles_bound()
+    # C(d + p - 1, p - 1) = C(high + low, low) one factor at a time, so that a
+    # hopeless grid is refused without computing its full size
+    low, high = sorted((denominator, parts - 1))
+    vectors = 1
+    for i in range(1, low + 1):
+        vectors = vectors * (high + i) // i
+        if vectors * vectors > bound:
+            raise ResourceLimitError(
+                f"grid enumeration needs more than {bound} kernel pairs; "
+                "raise the bound or shrink the grid"
+            )
+    signal_set = tuple(f"s{k}" for k in range(signals_per_agent))
+    profiles = list(product(range(signals_per_agent), repeat=n))
+    return signal_set, profiles, list(compositions(denominator, parts))
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+def grid_kernel(signal_set, profiles, vector, denominator: int):
+    """One state's kernel: weight w/denominator on profile i for each nonzero w = vector[i]."""
+    return tuple(
+        (tuple(signal_set[s] for s in profiles[i]), Fraction(w, denominator))
+        for i, w in enumerate(vector)
+        if w
+    )
+
+
+def compositions(total: int, parts: int):
+    """All tuples of `parts` non-negative integers summing to `total`, lexicographically."""
+    # stars and bars: the parts - 1 bars sit among total + parts - 1 slots
+    for bars in combinations(range(total + parts - 1), parts - 1):
+        prev = -1
+        counts = []
+        for bar in bars:
+            counts.append(bar - prev - 1)
+            prev = bar
+        counts.append(total + parts - 2 - prev)
+        yield tuple(counts)

@@ -1,4 +1,4 @@
-"""Random known-feasible instances for round-trip tests.
+"""Random known-feasible instances for round-trip tests, plus one LP oracle.
 
 Each law is assembled from an explicit per-state decomposition (multinomial,
 public-signal, or a mixture of the two around prescribed conditional belief
@@ -130,3 +130,22 @@ def random_binary_posterior_law(rng: random.Random, max_n: int = 6, max_denomina
     if not consistent:
         mu = Fraction(rng.randint(1, 9), 10)
     return law, Prior.binary(mu), a, b, consistent
+
+
+def grid_lp_maximum(values, y):
+    """max sum(q_i u_i) over distributions q on the grid {i/n} with mean y.
+
+    The LP has two equality rows, so its optimum sits at a basic solution
+    supported on one grid point equal to y or on two points bracketing y.
+    Enumerating those is exact and shares no code with the hull routine.
+    """
+    n = len(values) - 1
+    best = None
+    for i in range(n + 1):
+        for j in range(i + 1, n + 1):
+            lo, hi = Fraction(i, n), Fraction(j, n)
+            if lo <= y <= hi:
+                lam = (y - lo) / (hi - lo)
+                value = (1 - lam) * values[i] + lam * values[j]
+                best = value if best is None else max(best, value)
+    return best

@@ -14,7 +14,11 @@ import time
 from fractions import Fraction as F
 from pathlib import Path
 
-from _lawgen import random_binary_posterior_law, random_feasible_instance
+from _lawgen import (
+    grid_lp_maximum,
+    random_binary_posterior_law,
+    random_feasible_instance,
+)
 from poplaw import (
     Belief,
     DiscreteMeasure,
@@ -47,7 +51,6 @@ from poplaw import (
     threshold_curve,
 )
 from poplaw.cli import main as cli_main
-from poplaw.simplex import maximize
 from poplaw.structures import InformationStructure
 
 DATA = Path(__file__).parent / "data"
@@ -209,9 +212,7 @@ def test_criterion_8_persuasion():
         utility = SenderUtility(values)
         y = F(rng.randint(0, 48), 48)
         value, witness = grid_concavification(utility, y)
-        rows = [[F(1)] * (n + 1), [F(i, n) for i in range(n + 1)]]
-        lp_value, _ = maximize(list(utility.values), rows, [F(1), y])
-        assert value == lp_value
+        assert value == grid_lp_maximum(utility.values, y)
         assert witness.mean() == y
     # expanded optimal policies: posteriors exactly tau and 0, and feasibility holds
     for n, mu, tau in ((2, F(3, 10), F(1, 2)), (3, F(1, 5), F(2, 5)), (4, F(2, 5), F(3, 5))):

@@ -224,6 +224,23 @@ def test_resource_bound_exits_one(capsys, monkeypatch, tmp_path):
     assert "resource limit" in err
 
 
+def test_oversized_json_integer_exits_two(capsys, tmp_path):
+    bad = tmp_path / "huge.json"
+    bad.write_text('{"mu": ["1/2", "1/2"], "law": ' + "1" * 5000 + "}")
+    code, out, err = run(capsys, "feasible", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("poplaw: invalid input:") and err.count("\n") == 1
+
+
+def test_oversized_grid_search_exits_one(capsys):
+    args = ("polarize", "--n", "6", "--mu", "1/2", "--search-denominator", "10")
+    code, out, err = run(capsys, *args)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("poplaw: resource limit:") and err.count("\n") == 1
+
+
 def test_byte_identical_reruns(capsys):
     code1, out1, _ = run(capsys, "feasible", str(DATA / "uniform9.json"))
     code2, out2, _ = run(capsys, "feasible", str(DATA / "uniform9.json"))

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from _lawgen import grid_lp_maximum
 from poplaw import (
     Belief,
     EmpiricalDistribution,
@@ -21,7 +22,6 @@ from poplaw import (
     persuasion_policy,
     persuasion_value,
 )
-from poplaw.simplex import maximize
 
 
 # ----------------------------------------------------------- sender utility
@@ -85,12 +85,7 @@ def test_hull_matches_lp_maximum_random():
         u = SenderUtility(values)
         y = F(rng.randint(0, 24), 24)
         value, witness = grid_concavification(u, y)
-        rows = [
-            [F(1)] * (n + 1),
-            [F(i, n) for i in range(n + 1)],
-        ]
-        lp_value, _ = maximize(list(u.values), rows, [F(1), y])
-        assert value == lp_value
+        assert value == grid_lp_maximum(u.values, y)
         assert witness.mean() == y
         assert len(witness.atoms) <= 2
 

@@ -9,6 +9,7 @@ from poplaw import (
     InvariantError,
     PopulationLaw,
     Prior,
+    ResourceLimitError,
     expected_polarization,
     induced_population_law,
     max_polarization,
@@ -92,7 +93,11 @@ def test_pol_norm_equivalence_random():
         for b in beliefs:
             counts[b] = counts.get(b, 0) + 1
         h = EmpiricalDistribution(n, counts.items())
-        pol(h)  # raises internally if the two computations disagree
+        center = [sum(b.coords[i] for b in beliefs) / n for i in range(3)]
+        by_distance = sum(
+            sum((c - m) ** 2 for c, m in zip(b.coords, center)) for b in beliefs
+        ) / n
+        assert pol(h) == by_distance
 
 
 # ----------------------------------------------------------- expectations
@@ -109,12 +114,28 @@ def test_expected_polarization_point_mass_zero():
     assert expected_polarization(law) == 0
 
 
-@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("n", [2, 4, 6, 1, 3, 5])
 @pytest.mark.parametrize("mu", [F(1, 4), F(1, 2), F(2, 3)])
 def test_reveal_half_attains_bound_even(n, mu):
+    """mu(1-mu)/4 for even n, the bracket's lower end (1 - 1/n^2) mu(1-mu)/4 for odd n."""
     prior = Prior.binary(mu)
     law = induced_population_law(reveal_half_structure(n, prior))
-    assert expected_polarization(law) == mu * (1 - mu) / 4
+    bound = mu * (1 - mu) / 4
+    closed_form = bound if n % 2 == 0 else (1 - F(1, n * n)) * bound
+    assert expected_polarization(law) == closed_form
+    report = max_polarization(n, prior)
+    assert report.value == closed_form
+    assert expected_polarization(induced_population_law(report.structure)) == closed_form
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_reveal_half_attains_closed_form_three_states(n):
+    prior = Prior([F(1, 2), F(1, 3), F(1, 6)])
+    bound = sum(c * (1 - c) for c in prior.coords) / 4
+    closed_form = bound if n % 2 == 0 else (1 - F(1, n * n)) * bound
+    report = max_polarization(n, prior)
+    law = induced_population_law(report.structure)
+    assert expected_polarization(law) == report.value == closed_form
 
 
 # ----------------------------------------------------------- reports
@@ -176,3 +197,20 @@ def test_search_three_agents_denominator_three():
     best, structure = search_max_polarization(3, HALF, denominator=3)
     assert best == F(1, 16)
     assert expected_polarization(induced_population_law(structure)) == F(1, 16)
+
+
+def test_grid_size_checked_before_enumeration():
+    # C(10 + 63, 63)**2 is about 3.9e23 kernel pairs
+    with pytest.raises(ResourceLimitError):
+        search_max_polarization(6, HALF, denominator=10)
+    with pytest.raises(ResourceLimitError):
+        next(enumerate_grid_structures(6, HALF, 2, 10))
+
+
+def test_grid_bound_follows_the_environment(monkeypatch):
+    # n = 2, denominator 2: C(5, 3) = 10 weight vectors, so 100 kernel pairs
+    monkeypatch.setenv("POPLAW_MAX_PROFILES", "99")
+    with pytest.raises(ResourceLimitError):
+        search_max_polarization(2, HALF, denominator=2)
+    monkeypatch.setenv("POPLAW_MAX_PROFILES", "100")
+    assert len(list(enumerate_grid_structures(2, HALF, 2, 2))) == 100

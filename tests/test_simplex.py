@@ -1,14 +1,6 @@
 from fractions import Fraction as F
 
-import pytest
-
-from poplaw.simplex import (
-    InfeasibleProgram,
-    UnboundedProgram,
-    farkas_refutes,
-    maximize,
-    solve_equalities,
-)
+from poplaw.simplex import farkas_refutes, solve_equalities
 
 
 def test_feasible_system_solution_is_exact():
@@ -53,36 +45,6 @@ def test_farkas_vector_of_zeros_refutes_nothing():
     rows = [[F(1)]]
     rhs = [F(1)]
     assert not farkas_refutes(rows, rhs, [F(0)])
-
-
-def test_maximize_over_simplex():
-    # max 2x1 + x2 over x1 + x2 = 1
-    value, x = maximize([F(2), F(1)], [[F(1), F(1)]], [F(1)])
-    assert value == 2
-    assert x == (F(1), F(0))
-
-
-def test_maximize_with_mean_constraint():
-    # max u over distributions on {0, 1/2, 1} with mean 1/2, u = (0, 1/4, 1)
-    rows = [[F(1), F(1), F(1)], [F(0), F(1, 2), F(1)]]
-    rhs = [F(1), F(1, 2)]
-    value, x = maximize([F(0), F(1, 4), F(1)], rows, rhs)
-    assert value == F(1, 2)  # chord through (0,0) and (1,1)
-    assert x == (F(1, 2), F(0), F(1, 2))
-
-
-def test_maximize_infeasible_raises_with_farkas():
-    rows = [[F(1)], [F(1)]]
-    rhs = [F(1), F(2)]
-    with pytest.raises(InfeasibleProgram) as err:
-        maximize([F(1)], rows, rhs)
-    assert farkas_refutes(rows, rhs, err.value.farkas)
-
-
-def test_maximize_unbounded_raises():
-    # x1 - x2 = 0 leaves the ray (t, t); objective x1 diverges
-    with pytest.raises(UnboundedProgram):
-        maximize([F(1), F(0)], [[F(1), F(-1)]], [F(0)])
 
 
 def test_determinism_of_solutions():

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -25,6 +27,7 @@ from poplaw import (
     simulate,
     synthesize,
 )
+from poplaw.rng import mix64
 
 HALF = Prior.binary(F(1, 2))
 
@@ -326,6 +329,52 @@ def test_simulate_sharding_invariance(shards):
     scheme = synthesize(law, HALF, verdict.decomposition)
     single = simulate(scheme, 999, seed=77)
     assert simulate(scheme, 999, seed=77, shards=shards) == single
+
+
+def test_splitmix64_reference_outputs():
+    # the published SplitMix64 stream for seed 0: state advances by PHI, output is mix64
+    state, outputs = 0, []
+    for _ in range(3):
+        state = (state + 0x9E3779B97F4A7C15) % 2**64
+        outputs.append(mix64(state))
+    assert outputs == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+
+def test_simulate_follows_the_substream_rule():
+    """Rebuild simulate's counts from the rule in `rng`'s docstring."""
+    lo, hi = Belief.binary(F(1, 4)), Belief.binary(F(3, 4))
+    all_lo = EmpiricalDistribution.constant(2, lo)
+    mixed = EmpiricalDistribution(2, [(lo, 1), (hi, 1)])
+    all_hi = EmpiricalDistribution.constant(2, hi)
+    prior = Prior.binary(F(2, 5))
+    scheme = SymmetricScheme(
+        prior,
+        [
+            PopulationLaw(2, [(all_lo, F(2, 3)), (mixed, F(1, 3))]),
+            PopulationLaw(2, [(mixed, F(1, 7)), (all_hi, F(6, 7))]),
+        ],
+    )
+    seed, samples = 20240917, 400
+
+    def draw(i, j):
+        phi = 0x9E3779B97F4A7C15
+        return mix64((mix64((seed + (i + 1) * phi) % 2**64) + (j + 1) * phi) % 2**64)
+
+    def pick(atoms, u):
+        acc = F(0)
+        for item, weight in atoms:
+            acc += weight
+            if u < math.ceil(acc * 2**64):
+                return item
+
+    counts = Counter()
+    for i in range(samples):
+        state = pick(enumerate(prior.coords), draw(i, 0))
+        counts[pick(scheme.state_laws[state].atoms, draw(i, 1))] += 1
+    assert len(counts) == 3
+    expected = PopulationLaw(2, [(e, F(c, samples)) for e, c in counts.items()])
+    assert simulate(scheme, samples, seed) == expected
+    assert simulate(scheme, samples, seed, shards=3) == expected
 
 
 def test_simulate_converges_to_law():
