@@ -135,7 +135,7 @@ def _cmd_polarize(args) -> int:
         "upper_bound": fmt(report.upper_bound),
         "structure": jsonio.structure_to_json(report.structure, fmt),
     }
-    if args.search_denominator:
+    if args.search_denominator is not None:
         best, structure = search_max_polarization(
             args.n, prior, denominator=args.search_denominator
         )

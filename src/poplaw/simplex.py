@@ -1,13 +1,15 @@
 """Self-contained exact linear programming over rationals.
 
 Solves `A x = b, x >= 0` feasibility with phase 1 of the simplex method,
-returning a Farkas refutation on failure. The tableau is kept as scaled
-integers (fraction-free pivoting): every entry equals `det` times the true
-rational value, where `det` is the determinant of the current basis, so each
-pivot costs integer multiplications plus one exact division per cell and no
-gcd normalization. Bland's smallest-index rule picks both the entering column
-and the leaving row, which rules out cycling; ties in the ratio test go to the
-smallest basic variable index, so runs are deterministic.
+returning a Farkas refutation on failure. Each tableau row, the objective
+row included, is a sparse map from column to integer plus one positive
+integer denominator of its own, kept coprime with the row's entries
+(Bareiss-style fraction-free elimination applied row by row). A pivot
+rewrites only the rows with a nonzero in the pivot column, over the union of
+their keys and the pivot row's; every other row's true values do not change.
+Bland's smallest-index rule picks both the entering column and the leaving
+row, which rules out cycling; ties in the ratio test go to the smallest basic
+variable index, so runs are deterministic.
 
 Artificial variables never re-enter the basis once they leave. A redundant
 (rank-deficient) constraint row keeps its artificial basic at value zero,
@@ -45,63 +47,59 @@ def _integerize(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     int_rows = []
     scales = []
     for row, b in zip(rows, rhs):
-        ext = [Fraction(v) for v in row] + [Fraction(b)]
-        denlcm = 1
-        for v in ext:
-            denlcm = denlcm * v.denominator // math.gcd(denlcm, v.denominator)
-        ints = [int(v * denlcm) for v in ext]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, v)
-        if g == 0:
-            g = 1
+        ext = [*row, b]
+        # a list, not a generator: CPython sizes a generator's argument tuple
+        # by resizing, and each such call leaves one more tuple on a free list
+        denlcm = math.lcm(*[v.denominator for v in ext])
+        ints = [v.numerator * (denlcm // v.denominator) for v in ext]
+        g = math.gcd(*ints) or 1
         sign = -1 if ints[-1] < 0 else 1
         int_rows.append([sign * v // g for v in ints])
         scales.append(Fraction(sign * denlcm, g))
     return int_rows, scales
 
 
-class _Simplex:
+class _Tableau:
+    """Sparse phase-1 tableau; row `m` is the objective (reduced costs).
+
+    Row i is the map `rows[i]` from column to integer plus the positive
+    integer `dens[i]`: its true entry in column j is `rows[i].get(j, 0) /
+    dens[i]`. Columns are the n structural variables, then the m artificials,
+    then the rhs at column `n + m`.
+    """
+
     def __init__(self, int_rows: list[list[int]]):
         m = len(int_rows)
-        n = len(int_rows[0]) - 1 if m else 0
-        self.m = m
-        self.n = n
-        self.width = n + m + 1
+        n = len(int_rows[0]) - 1
+        self.m, self.n, self.rhs = m, n, n + m
         self.rows = []
+        obj: dict[int, int] = {}
         for i, r in enumerate(int_rows):
-            row = r[:-1] + [0] * m + [r[-1]]
+            row = {j: v for j, v in enumerate(r[:-1]) if v}
+            if r[-1]:
+                row[n + m] = r[-1]
+            for j, v in row.items():
+                obj[j] = obj.get(j, 0) - v
             row[n + i] = 1
             self.rows.append(row)
-        self.basis = list(range(n, n + m))
-        self.det = 1
         # phase-1 objective: minimize the sum of the artificials
-        obj = [0] * self.width
-        for j in range(n):
-            obj[j] = -sum(row[j] for row in self.rows)
-        obj[-1] = -sum(row[-1] for row in self.rows)
-        self.obj = obj
-
-    def _sign(self) -> int:
-        return 1 if self.det > 0 else -1
+        self.rows.append({j: v for j, v in obj.items() if v})
+        self.dens = [1] * (m + 1)
+        self.basis = list(range(n, n + m))
 
     def _entering(self) -> int | None:
-        s = self._sign()
-        obj = self.obj
-        for j in range(self.n):
-            if s * obj[j] < 0:
-                return j
-        return None
+        n = self.n
+        return min((j for j, v in self.rows[-1].items() if j < n and v < 0), default=None)
 
     def _leaving(self, c: int) -> int | None:
-        s = self._sign()
         best = None
         best_num = best_den = 0
-        for i, row in enumerate(self.rows):
-            den = row[c]
-            if s * den <= 0:
+        for i in range(self.m):
+            row = self.rows[i]
+            den = row.get(c, 0)
+            if den <= 0:
                 continue
-            num = row[-1]
+            num = row.get(self.rhs, 0)
             if best is None:
                 best, best_num, best_den = i, num, den
                 continue
@@ -112,36 +110,39 @@ class _Simplex:
         return best
 
     def _pivot(self, r: int, c: int) -> None:
-        det = self.det
-        prow = self.rows[r]
-        p = prow[c]
-        width = self.width
-        for row in self.rows:
-            if row is prow:
+        rows, dens = self.rows, self.dens
+        # normalise the pivot row: coprime integers over its pivot entry p > 0
+        prow = rows[r]
+        g = math.gcd(*prow.values())
+        if prow[c] < 0:
+            g = -g
+        prow = rows[r] = {j: v // g for j, v in prow.items()}
+        p = dens[r] = prow[c]
+        for i, row in enumerate(rows):
+            f = row.get(c)
+            if f is None or i == r:
                 continue
-            f = row[c]
-            if f == 0 and p == det:
-                continue
-            for j in range(width):
-                q, rem = divmod(row[j] * p - f * prow[j], det)
-                if rem:
-                    raise ArithmeticError("inexact division in integer pivot")
-                row[j] = q
-        obj = self.obj
-        f = obj[c]
-        if not (f == 0 and p == det):
-            for j in range(width):
-                q, rem = divmod(obj[j] * p - f * prow[j], det)
-                if rem:
-                    raise ArithmeticError("inexact division in integer pivot")
-                obj[j] = q
-        self.det = p
+            # true row minus f/d times the true pivot row, over denominator d*p
+            new = {j: v * p for j, v in row.items()}
+            for j, v in prow.items():
+                w = new.get(j, 0) - f * v
+                if w:
+                    new[j] = w
+                else:
+                    del new[j]
+            d = dens[i] * p
+            g = math.gcd(d, *new.values())
+            if g > 1:
+                new = {j: v // g for j, v in new.items()}
+                d //= g
+            rows[i] = new
+            dens[i] = d
         self.basis[r] = c
 
     def phase1(self) -> bool:
         """Drive the artificial sum to zero. True means the system is feasible."""
         while True:
-            if self.obj[-1] == 0:
+            if self.rhs not in self.rows[-1]:
                 return True
             c = self._entering()
             if c is None:
@@ -153,15 +154,14 @@ class _Simplex:
 
     def farkas(self) -> list[Fraction]:
         """Dual vector at an infeasible phase-1 optimum: y.A <= 0, y.b > 0."""
-        det = self.det
-        return [1 - Fraction(self.obj[self.n + i], det) for i in range(self.m)]
+        obj, den = self.rows[-1], self.dens[-1]
+        return [1 - Fraction(obj.get(self.n + i, 0), den) for i in range(self.m)]
 
     def solution(self) -> list[Fraction]:
         x = [ZERO] * self.n
-        det = self.det
         for i, var in enumerate(self.basis):
             if var < self.n:
-                x[var] = Fraction(self.rows[i][-1], det)
+                x[var] = Fraction(self.rows[i].get(self.rhs, 0), self.dens[i])
         return x
 
 
@@ -178,7 +178,7 @@ def solve_equalities(
     if not rows:
         return FeasibilityResult(solution=(), farkas=None)
     int_rows, scales = _integerize(rows, rhs)
-    sx = _Simplex(int_rows)
+    sx = _Tableau(int_rows)
     if sx.phase1():
         return FeasibilityResult(solution=tuple(sx.solution()), farkas=None)
     y = sx.farkas()

@@ -292,6 +292,7 @@ def simulate(
         [_selection_table(law.atoms) for law in scheme.state_laws],
     )
     counts: Counter[EmpiricalDistribution] = Counter()
+    shards = min(shards, samples)
     bounds = [samples * k // shards for k in range(shards + 1)]
     for shard in range(shards):
         counts.update(_simulate_range(tables, seed, bounds[shard], bounds[shard + 1]))

@@ -1,10 +1,11 @@
-"""Random known-feasible instances for round-trip tests, plus one LP oracle.
+"""Random known-feasible instances for round-trip tests, plus two LP oracles.
 
 Each law is assembled from an explicit per-state decomposition (multinomial,
 public-signal, or a mixture of the two around prescribed conditional belief
 measures), so feasibility holds by construction and the checker has no excuse.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from poplaw import (
     mix_laws,
     multinomial_law,
 )
+from poplaw.simplex import FeasibilityResult
 
 
 def _binary_belief_pool():
@@ -149,3 +151,74 @@ def grid_lp_maximum(values, y):
                 value = (1 - lam) * values[i] + lam * values[j]
                 best = value if best is None else max(best, value)
     return best
+
+
+def reference_integerize(rows, rhs):
+    """Each row with its rhs appended, scaled to coprime integers with rhs >= 0.
+
+    Returns the integer rows and, per row, the factor that maps the original
+    row to its integer row. Plain `Fraction` arithmetic, one cell at a time.
+    """
+    int_rows, scales = [], []
+    for row, b in zip(rows, rhs):
+        ext = [Fraction(v) for v in row] + [Fraction(b)]
+        denlcm = 1
+        for v in ext:
+            denlcm = denlcm * v.denominator // math.gcd(denlcm, v.denominator)
+        ints = [int(v * denlcm) for v in ext]
+        g = 0
+        for v in ints:
+            g = math.gcd(g, v)
+        g = g or 1
+        sign = -1 if ints[-1] < 0 else 1
+        int_rows.append([sign * v // g for v in ints])
+        scales.append(Fraction(sign * denlcm, g))
+    return int_rows, scales
+
+
+def reference_phase1(rows, rhs):
+    """Textbook phase 1 on a dense `Fraction` tableau, as a `FeasibilityResult`.
+
+    One artificial per integerized row, cost 1 on each. Bland's rule: the
+    entering column is the smallest structural index with a negative reduced
+    cost, and the leaving row has the smallest ratio rhs / entry over positive
+    entries, ties going to the smallest basic variable index. At an infeasible
+    optimum the Farkas vector is the phase-1 dual, mapped back through the
+    row scales.
+    """
+    if not rows:
+        return FeasibilityResult(solution=(), farkas=None)
+    int_rows, scales = reference_integerize(rows, rhs)
+    m, n = len(int_rows), len(int_rows[0]) - 1
+    tableau = [
+        [Fraction(v) for v in r[:-1]]
+        + [Fraction(int(k == i)) for k in range(m)]
+        + [Fraction(r[-1])]
+        for i, r in enumerate(int_rows)
+    ]
+    cost = [-sum(col) for col in zip(*tableau)]
+    for i in range(m):
+        cost[n + i] = Fraction(0)
+    basis = list(range(n, n + m))
+    while cost[-1] != 0:
+        c = next((j for j in range(n) if cost[j] < 0), None)
+        if c is None:
+            dual = [1 - cost[n + i] for i in range(m)]
+            return FeasibilityResult(
+                solution=None, farkas=tuple(s * y for s, y in zip(scales, dual))
+            )
+        r = min(
+            (i for i in range(m) if tableau[i][c] > 0),
+            key=lambda i: (tableau[i][-1] / tableau[i][c], basis[i]),
+        )
+        pivot = [v / tableau[r][c] for v in tableau[r]]
+        tableau[r] = pivot
+        for row in tableau[:r] + tableau[r + 1 :] + [cost]:
+            f = row[c]
+            row[:] = [a - f * b for a, b in zip(row, pivot)]
+        basis[r] = c
+    x = [Fraction(0)] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            x[var] = tableau[i][-1]
+    return FeasibilityResult(solution=tuple(x), farkas=None)

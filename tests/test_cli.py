@@ -2,6 +2,8 @@ import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import pytest
+
 from poplaw import jsonio
 from poplaw.cli import main
 
@@ -239,6 +241,15 @@ def test_oversized_grid_search_exits_one(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("poplaw: resource limit:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("denominator", ["0", "-1"])
+def test_nonpositive_search_denominator_exits_two(capsys, denominator):
+    args = ("polarize", "--n", "2", "--mu", "1/2", f"--search-denominator={denominator}")
+    code, out, err = run(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert err == "poplaw: invalid input: population, signal and grid sizes must be positive\n"
 
 
 def test_byte_identical_reruns(capsys):

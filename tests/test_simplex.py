@@ -1,6 +1,18 @@
+import random
 from fractions import Fraction as F
 
-from poplaw.simplex import farkas_refutes, solve_equalities
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from _lawgen import (
+    random_binary_posterior_law,
+    random_feasible_instance,
+    reference_integerize,
+    reference_phase1,
+)
+from poplaw import base_law
+from poplaw.mps import decomposition_lp
+from poplaw.simplex import _integerize, farkas_refutes, solve_equalities
 
 
 def test_feasible_system_solution_is_exact():
@@ -63,3 +75,56 @@ def test_big_denominators_stay_exact():
     assert out.feasible
     for row, b in zip(rows, rhs):
         assert sum(r * v for r, v in zip(row, out.solution)) == b
+
+
+# ------------------------------------------- pivot path against the reference
+# Equal solutions and Farkas vectors mean the same Bland pivots: both solvers
+# start from the same integer rows, and the rational tableau after each pivot
+# depends only on the pivots taken so far.
+
+SMALL = st.sampled_from([F(0), F(0), F(0), F(1), F(-1), F(2), F(1, 2), F(-1, 3), F(3, 2)])
+
+
+@st.composite
+def small_systems(draw):
+    """Few small values, many zeros: ratio ties at zero and between equal rows."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 4))
+    rows = [[draw(SMALL) for _ in range(n)] for _ in range(m)]
+    rhs = [draw(SMALL) for _ in range(m)]
+    if draw(st.booleans()):  # a redundant row: a multiple of another
+        i = draw(st.integers(0, m - 1))
+        k = draw(st.sampled_from([F(1), F(-2), F(1, 3)]))
+        rows.append([k * v for v in rows[i]])
+        rhs.append(k * rhs[i])
+    if draw(st.booleans()):  # a zero row, consistent or not
+        rows.append([F(0)] * n)
+        rhs.append(draw(st.sampled_from([F(0), F(1)])))
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[i] for i in order], [rhs[i] for i in order]
+
+
+def assert_matches_reference(rows, rhs):
+    assert _integerize(rows, rhs) == reference_integerize(rows, rhs)
+    out = solve_equalities(rows, rhs)
+    assert out == reference_phase1(rows, rhs)
+    if not out.feasible:
+        assert farkas_refutes(rows, rhs, out.farkas)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_systems())
+def test_small_systems_follow_reference_pivots(system):
+    assert_matches_reference(*system)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32))
+def test_decomposition_lps_follow_reference_pivots(seed):
+    rng = random.Random(seed)
+    law, prior = random_feasible_instance(rng, max_n=3, max_atoms=3)
+    assert_matches_reference(*decomposition_lp(law, base_law(law, prior))[:2])
+    consistent = False
+    while not consistent:  # the base law needs the prior to be the law's mean
+        law, prior, _, _, consistent = random_binary_posterior_law(rng, max_n=5, max_denominator=8)
+    assert_matches_reference(*decomposition_lp(law, base_law(law, prior))[:2])

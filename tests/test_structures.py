@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction as F
 
@@ -329,6 +330,16 @@ def test_simulate_sharding_invariance(shards):
     scheme = synthesize(law, HALF, verdict.decomposition)
     single = simulate(scheme, 999, seed=77)
     assert simulate(scheme, 999, seed=77, shards=shards) == single
+
+
+def test_simulate_more_shards_than_samples():
+    law, _, _ = footnote_law()
+    verdict = check_feasible(law, HALF)
+    scheme = synthesize(law, HALF, verdict.decomposition)
+    start = time.perf_counter()
+    sharded = simulate(scheme, 3, seed=77, shards=10**6)
+    assert time.perf_counter() - start < 0.5
+    assert sharded == simulate(scheme, 3, seed=77)
 
 
 def test_splitmix64_reference_outputs():
