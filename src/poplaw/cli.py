@@ -3,7 +3,7 @@
 Commands take JSON problem files (see README for the schemas), print JSON
 results on stdout, and write CSV/SVG plot data on request. Exit codes: 0 on
 success, 2 for malformed input or violated invariants, 1 when an enumeration
-would exceed the resource bound.
+or an output would exceed a resource bound, 3 when a library self-check fails.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import jsonio, svg
-from .errors import InvariantError, PoplawError, ResourceLimitError
+from .errors import InternalError, InvariantError, PoplawError, ResourceLimitError
 from .feasibility import check_feasible
 from .measures import Belief, DiscreteMeasure, Prior
 from .persuasion import (
@@ -248,7 +248,7 @@ input schemas (rationals: ints, "p/q" strings, or decimal literals, all exact):
               "kernel": [{"state": S, "profiles": [{"signals": [...], "prob": P}]}]}
 environment: POPLAW_MAX_PROFILES caps enumerated profiles and grid kernel pairs
   (default 1000000).
-exit codes: 0 ok, 1 resource bound exceeded, 2 invalid input.
+exit codes: 0 ok, 1 resource bound exceeded, 2 invalid input, 3 internal error.
 """
 
 
@@ -346,6 +346,9 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"poplaw: resource limit: {exc}", file=sys.stderr)
         return 1
+    except InternalError as exc:
+        print(f"poplaw: internal error: {exc}", file=sys.stderr)
+        return 3
     except (InvariantError, PoplawError) as exc:
         print(f"poplaw: invalid input: {exc}", file=sys.stderr)
         return 2

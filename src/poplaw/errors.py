@@ -23,3 +23,7 @@ class PriorInconsistencyError(PoplawError):
 
 class ResourceLimitError(PoplawError):
     """An enumeration would exceed the configured explosion bound."""
+
+
+class InternalError(PoplawError):
+    """A self-check inside the library failed: a bug in poplaw, not in the input."""

@@ -29,19 +29,26 @@ from .mps import (
     SpreadDecomposition,
     SpreadTarget,
 )
-from .rationals import format_rational, parse_rational
+from .rationals import check_exponent, format_rational, parse_rational
 from .structures import InformationStructure, SymmetricScheme
 
 
 def loads(text: str):
     """Parse JSON with exact number handling (decimal literals become Fractions)."""
     try:
-        return json.loads(text, parse_float=Fraction, parse_int=int)
+        return json.loads(text, parse_float=_parse_float, parse_int=int)
     except json.JSONDecodeError as exc:
         raise InvariantError(f"malformed JSON: {exc}") from exc
+    except InvariantError:
+        raise
     except ValueError as exc:
         # int() and Fraction() refuse digit strings past sys.get_int_max_str_digits()
         raise InvariantError("JSON number literal has too many digits") from exc
+
+
+def _parse_float(text: str) -> Fraction:
+    check_exponent(text)
+    return Fraction(text)
 
 
 def dumps(payload) -> str:

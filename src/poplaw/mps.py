@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .errors import InvariantError
+from .errors import InternalError, InvariantError
 from .measures import (
     Belief,
     DiscreteMeasure,
@@ -182,7 +182,7 @@ def _scalar_split(measure: ScalarMeasure, base: BinaryBase) -> tuple[ScalarMeasu
     for value, weight in measure.atoms:
         leftover = weight - alpha * low_atoms.get(value, ZERO)
         if leftover < 0:
-            raise ArithmeticError("quantile split produced negative mass")
+            raise InternalError("quantile split produced negative mass")
         high_atoms[value] = leftover / (1 - alpha)
     return low, ScalarMeasure(high_atoms.items())
 

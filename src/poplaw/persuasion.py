@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .errors import InvariantError
+from .errors import InternalError, InvariantError
 from .measures import Belief, EmpiricalDistribution, PopulationLaw, Prior, ScalarMeasure
 from .rationals import parse_rational
 from .structures import SymmetricScheme
@@ -173,7 +173,7 @@ def persuasion_policy(instance: PersuasionInstance) -> PersuasionSolution:
     target = instance.adoption_target()
     cav_value, witness = grid_concavification(instance.utility, target)
     if witness.mean() != target:
-        raise ArithmeticError("concavification witness missed the target mean")
+        raise InternalError("concavification witness missed the target mean")
     n = instance.n
     adopt = Belief.binary(instance.tau)
     reject = Belief.binary(0)

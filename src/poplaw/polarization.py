@@ -5,7 +5,9 @@ Polarization of a population snapshot is the variance of the agents' beliefs
 in general). Revealing the state to half of the agents and nothing to the
 rest attains the maximum mu*(1-mu)/4 for even populations; odd populations
 get a bracket plus the structure that achieves its lower end. An exhaustive
-grid search over small structures is available for probing the odd case.
+grid search over small structures probes the odd case: it scores kernel pairs
+in integers over one common denominator per pair and returns the first
+maximizer in enumeration order.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import InvariantError
 from .measures import EmpiricalDistribution, PopulationLaw, Prior
@@ -107,74 +110,71 @@ def search_max_polarization(
 ) -> tuple[Fraction, InformationStructure]:
     """Exhaustive search over two-state kernels with probabilities on a 1/denominator grid.
 
-    Enumerates every pair of per-state weight vectors over all signal
-    profiles. Intended for small n; the result is a certified lower bound for
-    the true maximum on that grid, not a claim about all structures.
+    Scores every pair (v0, v1) of per-state weight vectors over all signal
+    profiles and returns the best value with the first maximizing pair in
+    (v0, v1) enumeration order, the structure `enumerate_grid_structures`
+    yields first among the maximizers. Intended for small n; the result is a
+    certified lower bound for the true maximum on that grid, not a claim
+    about all structures.
+
+    The arithmetic is integral. With prior weights w0, w1 over their common
+    denominator q, let A = w0*marg0 and B = w1*marg1 be the two states' weight
+    on one (agent, signal) slot; the posterior there is B/T with T = A + B.
+    With L the lcm of the nonzero T, X = B*(L/T) is an integer and a
+    profile's variance is (n*sum(X^2) - sum(X)^2) / (n^2 L^2), so a pair
+    scores num / (q*denominator*n^2*L^2) with, since mass*X^2 summed over
+    the profiles through a slot is T*X^2 = L*B*X,
+    num = n*L*sum(B*X over slots) - sum(mass*sum(X)^2 over profiles).
+    X depends on a vector only through its margins, and mass = mass0 + mass1
+    is linear, so within a pair of margin groups each state's vector is the
+    first one minimizing its own mass term. Values compare by
+    cross-multiplication, ties go to the earlier pair, and the Fraction is
+    built once.
     """
     if prior.dimension != 2:
         raise InvariantError("grid search is implemented for two states")
     signal_set, profiles, vectors = weight_grid(n, signals_per_agent, denominator)
     p0 = prior.coordinate(0)
     p1 = prior.coordinate(1)
-    # integer prior weights over a common denominator keep the hot loop integral
-    q = p0.denominator * p1.denominator // math.gcd(p0.denominator, p1.denominator)
-    w0_prior = int(p0 * q)
-    w1_prior = int(p1 * q)
-    marginal_tables = [
-        _marginal_table(vec, profiles, n, signals_per_agent) for vec in vectors
+    q = math.lcm(p0.denominator, p1.denominator)
+    w0 = int(p0 * q)
+    w1 = int(p1 * q)
+    # each agent's flat (agent, signal) slot index in every profile
+    columns = [
+        [agent * signals_per_agent + profile[agent] for profile in profiles]
+        for agent in range(n)
     ]
-    posterior_cache: dict[tuple[int, int], Fraction] = {}
-    variance_cache: dict[tuple, Fraction] = {}
-    best = None
-    best_pair = None
-    for i0, w0 in enumerate(vectors):
-        marg0 = marginal_tables[i0]
-        for i1, w1 in enumerate(vectors):
-            marg1 = marginal_tables[i1]
-            posts = []
-            for agent in range(n):
-                row = []
-                for s in range(signals_per_agent):
-                    key = (w0_prior * marg0[agent][s], w1_prior * marg1[agent][s])
-                    post = posterior_cache.get(key)
-                    if post is None:
-                        total = key[0] + key[1]
-                        post = None if total == 0 else Fraction(key[1], total)
-                        posterior_cache[key] = post
-                    row.append(post)
-                posts.append(row)
-            total_weight = ZERO
-            for p_idx, profile in enumerate(profiles):
-                mass = w0_prior * w0[p_idx] + w1_prior * w1[p_idx]
-                if mass == 0:
-                    continue
-                values = tuple(sorted(posts[agent][sig] for agent, sig in enumerate(profile)))
-                var = variance_cache.get(values)
-                if var is None:
-                    var = _variance_of_values(values)
-                    variance_cache[values] = var
-                total_weight += mass * var
-            value = total_weight / (q * denominator)
-            if best is None or value > best:
-                best = value
-                best_pair = (w0, w1)
-    kernel = [grid_kernel(signal_set, profiles, vec, denominator) for vec in best_pair]
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, vec in enumerate(vectors):
+        margin = [0] * (n * signals_per_agent)
+        for column in columns:
+            for slot, w in zip(column, vec):
+                margin[slot] += w
+        groups.setdefault(tuple(margin), []).append(i)
+    sides = [
+        [
+            ([w * m for m in margin], [([w * x for x in vectors[i]], i) for i in members])
+            for margin, members in groups.items()
+        ]
+        for w in (w0, w1)
+    ]
+    best_num, best_scale, best_pair = -1, 1, None
+    for a_slots, members0 in sides[0]:
+        for b_slots, members1 in sides[1]:
+            totals = [a + b or 1 for a, b in zip(a_slots, b_slots)]  # b = 0 where T = 0
+            lcm = math.lcm(*totals)
+            xs = [b * (lcm // t) for b, t in zip(b_slots, totals)]
+            # sum(X)^2 over each profile's agents
+            sums = list(map(sum, zip(*[map(xs.__getitem__, c) for c in columns])))
+            squares = list(map(mul, sums, sums))
+            cost0, i0 = min((sum(map(mul, mass, squares)), i) for mass, i in members0)
+            cost1, i1 = min((sum(map(mul, mass, squares)), i) for mass, i in members1)
+            num = n * lcm * sum(map(mul, b_slots, xs)) - cost0 - cost1
+            scale = lcm * lcm
+            # cross-multiplied; equal values keep the earlier pair
+            lhs, rhs = num * best_scale, best_num * scale
+            if lhs > rhs or lhs == rhs and (i0, i1) < best_pair:
+                best_num, best_scale, best_pair = num, scale, (i0, i1)
+    best = Fraction(best_num, q * denominator * n * n * best_scale)
+    kernel = [grid_kernel(signal_set, profiles, vectors[i], denominator) for i in best_pair]
     return best, InformationStructure(n, prior, [signal_set] * n, kernel)
-
-
-def _marginal_table(vector, profiles, n, signals_per_agent):
-    table = [[0] * signals_per_agent for _ in range(n)]
-    for p_idx, profile in enumerate(profiles):
-        w = vector[p_idx]
-        if w:
-            for agent, s in enumerate(profile):
-                table[agent][s] += w
-    return table
-
-
-def _variance_of_values(values) -> Fraction:
-    n = len(values)
-    mean = sum(values, ZERO) / n
-    second = sum((v * v for v in values), ZERO) / n
-    return second - mean * mean
-

@@ -4,13 +4,21 @@ All probabilities in this package are `fractions.Fraction` values. Accepted
 input spellings are integers, "p/q" strings, and decimal strings such as
 "0.3" (converted exactly, never through binary floating point). Floats are
 rejected: a float has already lost the author's intended value.
+
+Numbers are held to CPython's default limit of 4,300 digits for converting
+between int and str: a decimal exponent past it is refused on input, before
+`Fraction` builds 10**exponent, and output that would need longer digit
+strings raises `ResourceLimitError` instead of a bare `ValueError`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InvariantError
+from .errors import InvariantError, ResourceLimitError
+
+MAX_DIGITS = 4300
+_TOO_LONG = f"a number in the output has more than {MAX_DIGITS} digits"
 
 
 def parse_rational(value) -> Fraction:
@@ -26,6 +34,7 @@ def parse_rational(value) -> Fraction:
             f"refusing float {value!r}: pass a string like \"3/10\" or \"0.3\" for exactness"
         )
     if isinstance(value, str):
+        check_exponent(value)
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -33,24 +42,45 @@ def parse_rational(value) -> Fraction:
     raise InvariantError(f"not a rational: {value!r}")
 
 
+def check_exponent(text: str) -> None:
+    """Refuse a decimal literal whose exponent magnitude exceeds MAX_DIGITS."""
+    if "e" not in text and "E" not in text:
+        return
+    _, _, exponent = text.upper().rpartition("E")
+    try:
+        magnitude = abs(int(exponent))
+    except ValueError:
+        return  # not an exponent; the caller's parser reports the literal
+    if magnitude > MAX_DIGITS:
+        raise InvariantError(f"decimal exponent beyond +/-{MAX_DIGITS}")
+
+
 def format_rational(value: Fraction):
     """Render a Fraction as an int (when integral) or a "p/q" string."""
     if value.denominator == 1:
         return int(value)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError as exc:
+        raise ResourceLimitError(_TOO_LONG) from exc
 
 
 def format_decimal(value: Fraction, digits: int) -> str:
     """Render a Fraction as a decimal string with `digits` places, round half to even."""
     if digits < 0:
         raise InvariantError("digits must be >= 0")
+    if digits > MAX_DIGITS:
+        raise ResourceLimitError(f"at most {MAX_DIGITS} decimal places can be rendered")
     scaled = value * 10**digits
     whole = scaled.numerator // scaled.denominator
     remainder2 = 2 * (scaled.numerator - whole * scaled.denominator)
     if remainder2 > scaled.denominator or (remainder2 == scaled.denominator and whole % 2):
         whole += 1
     sign = "-" if whole < 0 else ""
-    text = str(abs(whole)).rjust(digits + 1, "0")
+    try:
+        text = str(abs(whole)).rjust(digits + 1, "0")
+    except ValueError as exc:
+        raise ResourceLimitError(_TOO_LONG) from exc
     if digits == 0:
         return sign + text
     return f"{sign}{text[:-digits]}.{text[-digits:]}"

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .errors import InternalError
+
 ZERO = Fraction(0)
 
 
@@ -149,7 +151,7 @@ class _Tableau:
                 return False
             r = self._leaving(c)
             if r is None:
-                raise ArithmeticError("phase-1 objective cannot be unbounded")
+                raise InternalError("phase-1 objective cannot be unbounded")
             self._pivot(r, c)
 
     def farkas(self) -> list[Fraction]:

@@ -252,6 +252,68 @@ def test_nonpositive_search_denominator_exits_two(capsys, denominator):
     assert err == "poplaw: invalid input: population, signal and grid sizes must be positive\n"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("product-check", "--n", "3", "--mu", "1/2", "--a", "1/" + "7" * 2201, "--b", "2/3"),
+        ("polarize", "--n", "2", "--mu", "1/2", "--decimal", "5000"),
+        ("polarize", "--n", "2", "--mu", "1/2", "--decimal", "4300"),
+    ],
+    ids=["long-denominator", "decimal-5000", "decimal-4300"],
+)
+def test_output_past_the_digit_limit_exits_one(capsys, args):
+    code, out, err = run(capsys, *args)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("poplaw: resource limit:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mu", ["1e-5000", "1E+5000", "0.5e5_000"])
+def test_long_decimal_exponent_exits_two(capsys, mu):
+    code, out, err = run(capsys, "polarize", "--n", "2", "--mu", mu)
+    assert code == 2
+    assert out == ""
+    assert err == "poplaw: invalid input: decimal exponent beyond +/-4300\n"
+
+
+def test_long_json_exponent_exits_two(capsys, tmp_path):
+    bad = tmp_path / "exponent.json"
+    bad.write_text('{"mu": [1e-5000, 1], "law": {"n": 1, "atoms": []}}')
+    code, out, err = run(capsys, "feasible", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err == "poplaw: invalid input: decimal exponent beyond +/-4300\n"
+
+
+def test_internal_error_exits_three(capsys, monkeypatch):
+    from poplaw import InternalError, cli
+
+    def broken(*args, **kwargs):
+        raise InternalError("self-check failed")
+
+    monkeypatch.setattr(cli, "check_feasible", broken)
+    code, out, err = run(capsys, "feasible", str(DATA / "uniform9.json"))
+    assert code == 3
+    assert out == ""
+    assert err == "poplaw: internal error: self-check failed\n"
+
+
+@pytest.mark.parametrize(
+    "golden,args",
+    [
+        ("polarize_n3_mu1-3_d3.txt", ("--n", "3", "--mu", "1/3", "--search-denominator", "3")),
+        (
+            "polarize_n2_mu2-5_d5_decimal30.txt",
+            ("--n", "2", "--mu", "2/5", "--search-denominator", "5", "--decimal", "30"),
+        ),
+    ],
+)
+def test_polarize_grid_search_golden(capsys, golden, args):
+    code, out, _ = run(capsys, "polarize", *args)
+    assert code == 0
+    assert out == (DATA / golden).read_text()
+
+
 def test_byte_identical_reruns(capsys):
     code1, out1, _ = run(capsys, "feasible", str(DATA / "uniform9.json"))
     code2, out2, _ = run(capsys, "feasible", str(DATA / "uniform9.json"))

@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from poplaw import (
     Belief,
@@ -214,3 +217,38 @@ def test_grid_bound_follows_the_environment(monkeypatch):
         search_max_polarization(2, HALF, denominator=2)
     monkeypatch.setenv("POPLAW_MAX_PROFILES", "100")
     assert len(list(enumerate_grid_structures(2, HALF, 2, 2))) == 100
+
+
+# ----------------------------------------------------------- search oracle
+
+# (n, signals, denominator) with at most 1,300 grid structures each
+SMALL_GRIDS = [
+    (n, s, d)
+    for n in (1, 2, 3)
+    for s in (2, 3)
+    for d in (1, 2, 3)
+    if math.comb(d + s**n - 1, s**n - 1) ** 2 <= 1300
+]
+SMALL_PRIORS = sorted({F(p, q) for q in range(2, 13) for p in range(1, q)})
+LONG_PRIOR = F(1000003, 2000000)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(SMALL_GRIDS),
+    st.one_of(st.sampled_from(SMALL_PRIORS), st.just(LONG_PRIOR)),
+)
+@example((3, 2, 2), LONG_PRIOR)
+@example((1, 3, 3), F(1, 3))
+@example((2, 3, 1), F(5, 12))
+@example((2, 2, 3), LONG_PRIOR)
+def test_search_matches_brute_force_first_maximizer(grid, mu):
+    """The best value on the grid, and the first structure in enumeration order that attains it."""
+    n, signals, denominator = grid
+    prior = Prior.binary(mu)
+    best, first = None, None
+    for structure in enumerate_grid_structures(n, prior, signals, denominator):
+        value = expected_polarization(induced_population_law(structure))
+        if best is None or value > best:
+            best, first = value, structure
+    assert search_max_polarization(n, prior, signals, denominator) == (best, first)
