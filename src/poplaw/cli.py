@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte-Carlo estimate of a scheme's law")
     p.add_argument("input", help="scheme JSON, or a {mu, law} problem to synthesize first")
     p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True, help="integer in [0, 2**64)")
     p.add_argument("--shards", type=int, default=1)
     add_decimal(p)
     p.set_defaults(func=_cmd_simulate)

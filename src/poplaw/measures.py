@@ -14,7 +14,8 @@ and no operation in this module ever rounds. The types are
 
 All types are immutable values with structural equality; measures and laws
 canonicalize their atoms (merge duplicates, drop zero weights, sort) so that
-equal distributions compare equal.
+equal distributions compare equal. `Belief` and `EmpiricalDistribution`, the
+dict keys of every enumeration, keep their hash after its first use.
 """
 
 from __future__ import annotations
@@ -61,6 +62,15 @@ class Belief:
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
+
+    def __hash__(self) -> int:
+        # the dataclass hash, kept after first use: each Fraction hash is a modular pow
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.coords,))
+            object.__setattr__(self, "_hash", value)
+            return value
 
 
 @dataclass(frozen=True)
@@ -208,6 +218,15 @@ class EmpiricalDistribution:
         for belief, count in self.counts:
             out.extend([belief] * count)
         return tuple(out)
+
+    def __hash__(self) -> int:
+        # the dataclass hash, kept after first use
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.n, self.counts))
+            object.__setattr__(self, "_hash", value)
+            return value
 
 
 @dataclass(frozen=True, order=True)

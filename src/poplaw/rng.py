@@ -9,10 +9,12 @@ seed s is
 
     mix(mix(s + (i + 1) * PHI) + (j + 1) * PHI)  mod 2**64
 
-where PHI = 0x9E3779B97F4A7C15 and mix is SplitMix's output finalizer. Each
-sample owns an independent substream keyed only by (seed, index), so any
-partition of the sample indices across workers reproduces the single-threaded
-result exactly.
+where PHI = 0x9E3779B97F4A7C15 and mix is SplitMix's output finalizer. Seeds
+are the integers in [0, 2**64); `structures.simulate` refuses any other seed,
+which the rule would silently reduce mod 2**64 onto one in range. Each sample
+owns an independent substream keyed only by (seed, index), so any partition of
+the sample indices across workers reproduces the single-threaded result
+exactly.
 
 `structures.simulate` applies the rule inline: draw 0 picks the state and
 draw 1 the empirical distribution, each as the first item whose cumulative

@@ -3,7 +3,10 @@
 An `InformationStructure` is the explicit object: per-agent signal sets plus,
 for each state, a joint distribution over signal profiles. Enumerating it
 exactly (`induced_population_law`) is the brute-force oracle everything else
-is checked against.
+is checked against. Each structure builds, on first use, one table from
+(agent, label) to the label's per-state marginals; `signal_marginal`,
+`bayes_posterior` and `induced_population_law` look labels up there by hash
+instead of scanning the kernel.
 
 A `SymmetricScheme` is the compact anonymous form produced by synthesis: per
 state, a population law over empirical distributions whose beliefs double as
@@ -20,8 +23,9 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
-from math import factorial
+from math import factorial, lcm
 from typing import Hashable, Iterable
 
 from .errors import InvariantError, ResourceLimitError
@@ -43,10 +47,6 @@ MAX_PROFILES_ENV = "POPLAW_MAX_PROFILES"
 DEFAULT_MAX_PROFILES = 10**6
 
 SignalLabel = Hashable
-
-
-def _label_key(label):
-    return str(label)
 
 
 def max_profiles_bound() -> int:
@@ -81,8 +81,11 @@ class InformationStructure:
         signal_sets = tuple(tuple(s) for s in signal_sets)
         if len(signal_sets) != n:
             raise InvariantError("need one signal set per agent")
-        if any(len(set(s)) != len(s) or not s for s in signal_sets):
+        allowed = [frozenset(s) for s in signal_sets]
+        if any(len(a) != len(s) or not s for a, s in zip(allowed, signal_sets)):
             raise InvariantError("signal sets must be non-empty without duplicates")
+        # profiles sort by their labels' str, built once per distinct label
+        sort_key = {label: str(label) for s in signal_sets for label in s}
         cleaned = []
         kernel = tuple(kernel)
         if len(kernel) != prior.dimension:
@@ -94,7 +97,7 @@ class InformationStructure:
                 if len(profile) != n:
                     raise InvariantError(f"profile length {len(profile)} != n={n}")
                 for agent, label in enumerate(profile):
-                    if label not in signal_sets[agent]:
+                    if label not in allowed[agent]:
                         raise InvariantError(
                             f"label {label!r} not in agent {agent}'s signal set"
                         )
@@ -107,7 +110,9 @@ class InformationStructure:
             if sum(merged.values()) != 1:
                 raise InvariantError("each state's kernel must sum to exactly 1")
             cleaned.append(
-                tuple(sorted(merged.items(), key=lambda kv: tuple(map(_label_key, kv[0]))))
+                tuple(
+                    sorted(merged.items(), key=lambda kv: tuple(map(sort_key.__getitem__, kv[0])))
+                )
             )
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "prior", prior)
@@ -120,29 +125,39 @@ class InformationStructure:
 
     def signal_marginal(self, agent: int, label: SignalLabel, state: int) -> Fraction:
         """Probability that the agent sees the label, conditional on the state."""
-        return sum(
-            (prob for profile, prob in self.kernel[state] if profile[agent] == label),
-            ZERO,
-        )
+        marginals = self._marginals.get((agent, label))
+        return ZERO if marginals is None else marginals[state]
 
-    def profile_probabilities(self) -> dict[tuple, Fraction]:
-        """Unconditional probability of every positive-probability profile."""
-        out: dict[tuple, Fraction] = {}
-        for state in range(self.m):
-            mu = self.prior.coordinate(state)
-            for profile, prob in self.kernel[state]:
-                out[profile] = out.get(profile, ZERO) + mu * prob
-        return out
+    @cached_property
+    def _marginals(self) -> dict[tuple[int, SignalLabel], list[Fraction]]:
+        """(agent, label) -> per-state probability of seeing it, from one kernel pass.
+
+        Each state's probabilities are summed as integers over their common
+        denominator and reduced once at the end.
+        """
+        numerators: dict[tuple[int, SignalLabel], list[int]] = {}
+        commons = []
+        for state, state_profiles in enumerate(self.kernel):
+            common = lcm(*{prob.denominator for _, prob in state_profiles})
+            commons.append(common)
+            for profile, prob in state_profiles:
+                weight = prob.numerator * (common // prob.denominator)
+                for key in enumerate(profile):
+                    row = numerators.get(key)
+                    if row is None:
+                        row = numerators[key] = [0] * self.m
+                    row[state] += weight
+        return {
+            key: [Fraction(c, d) for c, d in zip(row, commons)]
+            for key, row in numerators.items()
+        }
 
 
 def bayes_posterior(structure: InformationStructure, agent: int, label: SignalLabel) -> Belief:
     """The posterior belief of an agent after seeing one signal label."""
-    marginals = [
-        structure.signal_marginal(agent, label, state) for state in range(structure.m)
-    ]
     weighted = [
-        structure.prior.coordinate(state) * marginals[state]
-        for state in range(structure.m)
+        mu * structure.signal_marginal(agent, label, state)
+        for state, mu in enumerate(structure.prior.coords)
     ]
     total = sum(weighted, ZERO)
     if total == 0:
@@ -154,18 +169,25 @@ def bayes_posterior(structure: InformationStructure, agent: int, label: SignalLa
 
 def induced_population_law(structure: InformationStructure) -> PopulationLaw:
     """Exact enumeration of the law over empirical posterior distributions."""
-    posteriors: dict[tuple[int, SignalLabel], Belief] = {}
-    atoms: dict[EmpiricalDistribution, Fraction] = {}
-    for profile, prob in structure.profile_probabilities().items():
-        beliefs = []
-        for agent, label in enumerate(profile):
-            key = (agent, label)
-            if key not in posteriors:
-                posteriors[key] = bayes_posterior(structure, agent, label)
-            beliefs.append(posteriors[key])
-        empirical = EmpiricalDistribution(structure.n, Counter(beliefs).items())
-        atoms[empirical] = atoms.get(empirical, ZERO) + prob
-    return PopulationLaw(structure.n, atoms.items())
+    # number the distinct posteriors; every (agent, label) in the marginal
+    # table occurs in a positive-probability profile
+    numbers: dict[Belief, int] = {}
+    slot = {
+        key: numbers.setdefault(bayes_posterior(structure, *key), len(numbers))
+        for key in structure._marginals
+    }
+    # profiles with equal multisets of posteriors pool their mass
+    masses: dict[tuple[int, ...], Fraction] = {}
+    for mu, state_profiles in zip(structure.prior.coords, structure.kernel):
+        for profile, prob in state_profiles:
+            multiset = tuple(sorted(map(slot.__getitem__, enumerate(profile))))
+            masses[multiset] = masses.get(multiset, ZERO) + mu * prob
+    posteriors = list(numbers)
+    atoms = []
+    for multiset, mass in masses.items():
+        counts = Counter(map(posteriors.__getitem__, multiset))
+        atoms.append((EmpiricalDistribution(structure.n, counts.items()), mass))
+    return PopulationLaw(structure.n, atoms)
 
 
 @dataclass(frozen=True)
@@ -219,21 +241,18 @@ def _assignment_count(empirical: EmpiricalDistribution) -> int:
     return total
 
 
-def _distinct_assignments(empirical: EmpiricalDistribution):
+def _distinct_assignments(counts: list[tuple[Belief, int]], slots: int):
     """All distinct ways to deal the multiset to the agents, without the n! blowup."""
-    def rec(remaining: list[tuple[Belief, int]], slots: int):
-        if slots == 0:
-            yield ()
-            return
-        for idx, (belief, count) in enumerate(remaining):
-            if count == 0:
-                continue
-            rest = list(remaining)
-            rest[idx] = (belief, count - 1)
-            for tail in rec(rest, slots - 1):
-                yield (belief,) + tail
-
-    return rec(list(empirical.counts), empirical.n)
+    if slots == 0:
+        yield ()
+        return
+    for idx, (belief, count) in enumerate(counts):
+        if count == 0:
+            continue
+        rest = list(counts)
+        rest[idx] = (belief, count - 1)
+        for tail in _distinct_assignments(rest, slots - 1):
+            yield (belief,) + tail
 
 
 def expand_scheme(
@@ -243,8 +262,10 @@ def expand_scheme(
 
     Each distinct assignment of an empirical distribution's beliefs to the
     agents appears as one profile with the multinomial share of the weight.
-    Raises `ResourceLimitError` when the profile count would exceed the bound
-    (environment variable POPLAW_MAX_PROFILES, default one million).
+    The profiles hold the signal set's own `Belief` objects, so equal labels
+    are one object throughout. Raises `ResourceLimitError` when the profile
+    count would exceed the bound (environment variable POPLAW_MAX_PROFILES,
+    default one million).
     """
     bound = max_profiles if max_profiles is not None else max_profiles_bound()
     total = 0
@@ -255,21 +276,22 @@ def expand_scheme(
                 raise ResourceLimitError(
                     f"expansion needs more than {bound} profiles; raise the bound or simulate"
                 )
-    labels: set[Belief] = set()
+    labels: dict[Belief, Belief] = {}
     for state_law in scheme.state_laws:
         for empirical, _ in state_law.atoms:
-            labels.update(empirical.support())
-    signal_set = tuple(sorted(labels))
+            for belief in empirical.support():
+                labels.setdefault(belief, belief)
+    # distinct empirical distributions deal disjoint sets of profiles
     kernel = []
     for state_law in scheme.state_laws:
-        profiles: dict[tuple, Fraction] = {}
+        profiles = []
         for empirical, weight in state_law.atoms:
             share = weight / _assignment_count(empirical)
-            for profile in _distinct_assignments(empirical):
-                profiles[profile] = profiles.get(profile, ZERO) + share
-        kernel.append(tuple(profiles.items()))
+            counts = [(labels[belief], count) for belief, count in empirical.counts]
+            profiles.extend((p, share) for p in _distinct_assignments(counts, empirical.n))
+        kernel.append(profiles)
     return InformationStructure(
-        scheme.n, scheme.prior, [signal_set] * scheme.n, kernel
+        scheme.n, scheme.prior, [tuple(sorted(labels))] * scheme.n, kernel
     )
 
 
@@ -281,12 +303,15 @@ def simulate(
     Per sample: draw the state from the prior, then an empirical distribution
     from that state's law, each from the sample's own substream (see `rng`).
     The result depends only on (samples, seed), never on `shards`, because
-    sharding just partitions the sample indices.
+    sharding just partitions the sample indices. The seed must lie in
+    [0, 2**64).
     """
     if not isinstance(samples, int) or samples < 1:
         raise InvariantError(f"sample count must be a positive integer: {samples}")
     if not isinstance(shards, int) or shards < 1:
         raise InvariantError(f"shard count must be a positive integer: {shards}")
+    if not isinstance(seed, int) or not 0 <= seed < TWO64:
+        raise InvariantError("seed must be an integer in [0, 2**64)")
     tables = (
         _selection_table(enumerate(scheme.prior.coords)),
         [_selection_table(law.atoms) for law in scheme.state_laws],

@@ -1,8 +1,10 @@
-"""Random known-feasible instances for round-trip tests, plus two LP oracles.
+"""Random known-feasible instances for round-trip tests, plus reference oracles.
 
 Each law is assembled from an explicit per-state decomposition (multinomial,
 public-signal, or a mixture of the two around prescribed conditional belief
 measures), so feasibility holds by construction and the checker has no excuse.
+The oracles are two for LPs and a brute-force kernel scan for information
+structures.
 """
 
 import math
@@ -222,3 +224,51 @@ def reference_phase1(rows, rhs):
         if var < n:
             x[var] = tableau[i][-1]
     return FeasibilityResult(solution=tuple(x), farkas=None)
+
+
+def scan_marginal(structure, agent, label, state):
+    """P(agent sees label | state): a scan of that state's kernel, label by `==`."""
+    return sum(
+        (prob for profile, prob in structure.kernel[state] if profile[agent] == label),
+        Fraction(0),
+    )
+
+
+def scan_posterior(structure, agent, label):
+    """Bayes' rule on scanned marginals; None for a zero-probability label."""
+    weighted = [
+        mu * scan_marginal(structure, agent, label, state)
+        for state, mu in enumerate(structure.prior.coords)
+    ]
+    total = sum(weighted)
+    if total == 0:
+        return None
+    return Belief(w / total for w in weighted)
+
+
+def scan_induced_law(structure):
+    """The induced law by definition: every profile of every state, one at a time.
+
+    Each profile's posteriors are scanned afresh. Equal beliefs and equal
+    empirical distributions are merged by sorting and `==`, never by hash.
+    """
+    atoms = []
+    for state, mu in enumerate(structure.prior.coords):
+        for profile, prob in structure.kernel[state]:
+            posteriors = (
+                (scan_posterior(structure, agent, label), 1) for agent, label in enumerate(profile)
+            )
+            empirical = EmpiricalDistribution(structure.n, _merge_equal(posteriors))
+            atoms.append((empirical, mu * prob))
+    return PopulationLaw(structure.n, _merge_equal(atoms))
+
+
+def _merge_equal(pairs):
+    """Sort (item, amount) pairs by item and add up the amounts of equal items."""
+    out = []
+    for item, amount in sorted(pairs, key=lambda pair: pair[0]):
+        if out and out[-1][0] == item:
+            out[-1] = (item, out[-1][1] + amount)
+        else:
+            out.append((item, amount))
+    return out

@@ -1,3 +1,4 @@
+import gzip
 import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -312,6 +313,67 @@ def test_polarize_grid_search_golden(capsys, golden, args):
     code, out, _ = run(capsys, "polarize", *args)
     assert code == 0
     assert out == (DATA / golden).read_text()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 5)])
+def test_seed_outside_64_bits_exits_two(capsys, seed):
+    args = ("simulate", str(DATA / "uniform9.json"), "--samples", "200", "--seed", seed)
+    code, out, err = run(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert err == "poplaw: invalid input: seed must be an integer in [0, 2**64)\n"
+
+
+@pytest.mark.parametrize("seed", ["0", str(2**64 - 1)])
+def test_seed_at_the_ends_of_the_range_runs(capsys, seed):
+    args = ("simulate", str(DATA / "uniform9.json"), "--samples", "200", "--seed", seed)
+    code, out, err = run(capsys, *args)
+    assert code == 0 and err == ""
+    assert jsonio.law_from_json(json.loads(out)).n == 9
+
+
+def _synthesized_scheme(capsys, tmp_path, problem):
+    code, out, _ = run(capsys, "synthesize", str(problem))
+    assert code == 0
+    path = tmp_path / "scheme.json"
+    path.write_text(json.dumps(json.loads(out)["scheme"]))
+    return path
+
+
+def test_expand_and_oracle_golden_uniform9(capsys, tmp_path):
+    expected = gzip.decompress((DATA / "expand_uniform9.txt.gz").read_bytes()).decode()
+    scheme = _synthesized_scheme(capsys, tmp_path, DATA / "uniform9.json")
+    code, out, _ = run(capsys, "expand", str(scheme))
+    assert code == 0
+    assert out == expected
+    # the oracle on the expansion decodes every belief label separately
+    structure = tmp_path / "structure.json"
+    structure.write_text(out)
+    code, out, _ = run(capsys, "oracle", str(structure))
+    assert code == 0
+    assert out == (DATA / "oracle_uniform9.txt").read_text()
+
+
+def test_oracle_and_expand_golden_three_agents(capsys, tmp_path):
+    code, out, _ = run(capsys, "oracle", str(DATA / "three_agent_example.json"))
+    assert code == 0
+    assert out == (DATA / "oracle_three_agent.txt").read_text()
+    # synthesize a scheme for the induced law and expand it
+    mu = json.loads((DATA / "three_agent_example.json").read_text())["mu"]
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({"mu": mu, "law": json.loads(out)}))
+    scheme = _synthesized_scheme(capsys, tmp_path, problem)
+    code, out, _ = run(capsys, "expand", str(scheme))
+    assert code == 0
+    assert out == (DATA / "expand_three_agent.txt").read_text()
+
+
+@pytest.mark.parametrize("shards", ["1", "3"])
+def test_simulate_golden(capsys, shards):
+    args = ("--samples", "2000", "--seed", "31", "--shards", shards)
+    code, out, _ = run(capsys, "simulate", str(DATA / "uniform9.json"), *args)
+    assert code == 0
+    assert out == (DATA / "simulate_uniform9_n2000_seed31.txt").read_text()
 
 
 def test_byte_identical_reruns(capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -18,6 +20,7 @@ from poplaw import (
     quantile_distribution,
     upper_quantile_distribution,
 )
+from poplaw import jsonio
 
 
 def binary(x):
@@ -168,6 +171,58 @@ def test_projection_merges_collisions():
     # both beliefs share the middle coordinate, so the projection is a point mass
     assert project(m, 1) == ScalarMeasure([(F(1, 4), 1)])
     assert project(m, 0) == ScalarMeasure([(F(1, 4), F(2, 3)), (F(1, 2), F(1, 3))])
+
+
+# ---------------------------------------------------------------- cached hashes
+
+
+def test_cached_hashes_equal_the_dataclass_hashes():
+    third = Belief([F(1, 3), F(1, 3), F(1, 3)])
+    for belief in (binary(F(1, 4)), binary(0), third, Belief(["1/6", "1/2", "1/3"])):
+        assert hash(belief) == hash((belief.coords,))
+        assert hash(belief) == hash((belief.coords,))  # again, from the cache
+    lo, hi = binary(F(1, 4)), binary(F(3, 4))
+    for empirical in (
+        EmpiricalDistribution(5, [(hi, 2), (lo, 3)]),
+        EmpiricalDistribution.constant(2, lo),
+        EmpiricalDistribution(3, [(third, 3)]),
+    ):
+        assert hash(empirical) == hash((empirical.n, empirical.counts))
+        assert hash(empirical) == hash((empirical.n, empirical.counts))
+
+
+def test_equal_values_built_apart_hash_alike():
+    text = '[["1/4", "3/4"], ["0.25", "0.75"], ["2/8", "6/8"]]'
+    a, b, c = (jsonio.belief_from_json(x) for x in jsonio.loads(text))
+    d = binary(F(3, 4))
+    assert a == b == c == d and a is not b
+    assert len({hash(x) for x in (a, b, c, d)}) == 1
+    hash(a)  # a keeps its hash; b has none yet
+    e1 = EmpiricalDistribution(2, [(a, 1), (b, 1)])
+    e2 = EmpiricalDistribution(2, [(c, 2)])
+    assert e1 == e2 and hash(e1) == hash(e2)
+    assert len({a, b, c, d}) == 1 and len({e1, e2}) == 1
+    copy = pickle.loads(pickle.dumps(e1))
+    assert copy == e1 and hash(copy) == hash(e1)
+
+
+def test_cached_hash_leaves_fields_repr_and_order_alone():
+    assert [f.name for f in dataclasses.fields(Belief)] == ["coords"]
+    assert [f.name for f in dataclasses.fields(EmpiricalDistribution)] == ["n", "counts"]
+    lo, hi = binary(F(1, 4)), binary(F(3, 4))
+    empirical = EmpiricalDistribution(2, [(lo, 1), (hi, 1)])
+    for value in (lo, empirical):
+        before = repr(value)
+        hash(value)
+        assert repr(value) == before
+    assert repr(lo) == "Belief(coords=(Fraction(3, 4), Fraction(1, 4)))"
+    assert repr(empirical) == (
+        "EmpiricalDistribution(n=2, counts=((Belief(coords=(Fraction(1, 4), Fraction(3, 4))), 1),"
+        " (Belief(coords=(Fraction(3, 4), Fraction(1, 4))), 1)))"
+    )
+    assert hi < lo and sorted([lo, hi]) == [hi, lo]
+    assert EmpiricalDistribution.constant(2, hi) < EmpiricalDistribution.constant(2, lo)
+    assert EmpiricalDistribution.constant(1, lo) < EmpiricalDistribution.constant(2, hi)
 
 
 # ---------------------------------------------------------------- properties

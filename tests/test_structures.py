@@ -6,8 +6,10 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _lawgen import random_feasible_instance
+from _lawgen import random_feasible_instance, scan_induced_law, scan_marginal, scan_posterior
 from poplaw import (
     Belief,
     EmpiricalDistribution,
@@ -28,6 +30,7 @@ from poplaw import (
     simulate,
     synthesize,
 )
+from poplaw import jsonio
 from poplaw.rng import mix64
 
 HALF = Prior.binary(F(1, 2))
@@ -299,6 +302,113 @@ def test_bayes_consistency_of_synthesized_labels():
                 except InvariantError:
                     continue  # label unused by this agent
                 assert posterior == label
+
+
+def test_expansion_deals_the_signal_sets_own_beliefs():
+    rng = random.Random(7)
+    for _ in range(10):
+        law, prior = random_feasible_instance(rng, max_n=3, max_atoms=3)
+        verdict = check_feasible(law, prior)
+        scheme = synthesize(law, prior, verdict.decomposition)
+        # decoded from JSON, every atom of the scheme holds its own Belief objects
+        scheme = jsonio.scheme_from_json(jsonio.loads(jsonio.dumps(jsonio.scheme_to_json(scheme))))
+        structure = expand_scheme(scheme)
+        own = {id(label) for labels in structure.signal_sets for label in labels}
+        for state_profiles in structure.kernel:
+            for profile, _ in state_profiles:
+                assert all(id(label) in own for label in profile)
+
+
+# Labels for structures decoded from JSON: each belief has two spellings, so a
+# profile's label is equal to its signal set's entry but decoded separately.
+BELIEF_SPELLINGS = [
+    (["1/4", "3/4"], ["2/8", "6/8"]),
+    (["1/2", "1/2"], ["0.5", "2/4"]),
+    (["1", "0"], ["3/3", "0/5"]),
+    (["1/3", "2/3"], ["2/6", "4/6"]),
+]
+
+
+@st.composite
+def structure_payloads(draw):
+    """Two JSON structure payloads sharing signal sets, with string or belief labels."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    m = draw(st.integers(min_value=2, max_value=3))
+    beliefs = draw(st.booleans())
+    sizes = [draw(st.integers(min_value=1, max_value=3)) for _ in range(n)]
+    if beliefs:
+        choices = [draw(st.permutations(range(len(BELIEF_SPELLINGS))))[:k] for k in sizes]
+    else:
+        choices = [draw(st.permutations(range(3)))[:k] for k in sizes]
+
+    def spell(index, alternate):
+        if beliefs:
+            return BELIEF_SPELLINGS[index][alternate]
+        return ("s0", "s1", "s2")[index]
+
+    profiles = list(itertools.product(*choices))
+    prior = [draw(st.integers(min_value=1, max_value=5)) for _ in range(m)]
+    payloads = []
+    for _ in range(2):
+        kernel = []
+        for state in range(m):
+            weights = draw(
+                st.lists(
+                    st.integers(min_value=0, max_value=4),
+                    min_size=len(profiles),
+                    max_size=len(profiles),
+                ).filter(any)
+            )
+            total = sum(weights)
+            kernel.append(
+                {
+                    "state": state,
+                    "profiles": [
+                        {
+                            "signals": [spell(i, draw(st.integers(0, 1))) for i in profile],
+                            "prob": f"{w}/{total}",
+                        }
+                        for profile, w in zip(profiles, weights)
+                        if w
+                    ],
+                }
+            )
+        payloads.append(
+            {
+                "n": n,
+                "m": m,
+                "mu": [f"{w}/{sum(prior)}" for w in prior],
+                "signal_sets": [[spell(i, 0) for i in c] for c in choices],
+                "kernel": kernel,
+            }
+        )
+    return payloads
+
+
+@settings(max_examples=150, deadline=None)
+@given(structure_payloads())
+def test_marginals_posteriors_and_law_match_a_kernel_scan(payloads):
+    structures = [
+        jsonio.structure_from_json(jsonio.loads(jsonio.dumps(p))) for p in payloads
+    ]
+    for structure in structures:
+        own = {id(label) for labels in structure.signal_sets for label in labels}
+        for state_profiles in structure.kernel:
+            for profile, _ in state_profiles:
+                assert not any(isinstance(x, Belief) and id(x) in own for x in profile)
+        for agent, labels in enumerate(structure.signal_sets):
+            for label in labels:
+                for state in range(structure.m):
+                    assert structure.signal_marginal(agent, label, state) == scan_marginal(
+                        structure, agent, label, state
+                    )
+                expected = scan_posterior(structure, agent, label)
+                if expected is None:
+                    with pytest.raises(InvariantError):
+                        bayes_posterior(structure, agent, label)
+                else:
+                    assert bayes_posterior(structure, agent, label) == expected
+        assert induced_population_law(structure) == scan_induced_law(structure)
 
 
 # --------------------------------------------------------- simulation
