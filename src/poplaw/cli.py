@@ -73,8 +73,8 @@ def _csv_text(header, rows) -> str:
 
 
 def _problem_from_json(payload):
-    prior = jsonio.prior_from_json(payload.get("mu"))
-    law = jsonio.law_from_json(payload.get("law"))
+    prior = jsonio.prior_from_json(jsonio._require(payload, "mu", "problem"))
+    law = jsonio.law_from_json(jsonio._require(payload, "law", "problem"))
     return law, prior
 
 
@@ -105,7 +105,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _scheme_from_input(payload):
-    if "state_laws" in payload:
+    if isinstance(payload, dict) and "state_laws" in payload:
         return jsonio.scheme_from_json(payload)
     law, prior = _problem_from_json(payload)
     verdict = check_feasible(law, prior)

@@ -77,17 +77,11 @@ def check_feasible(law: PopulationLaw, prior: Prior) -> FeasibilityVerdict:
     """Decide feasibility of a population law under a prior, with evidence."""
     if law.dimension != prior.dimension:
         raise InvariantError("law and prior live on different state spaces")
-    expected = law_expected_measure(law)
-    center = barycenter(expected)
-    if center != prior.belief:
-        return FeasibilityVerdict(
-            feasible=False,
-            prior_consistent=False,
-            base=None,
-            decomposition=None,
-            certificate=MeanMismatch(center, prior.belief),
-        )
-    base = base_law(law, prior)
+    try:
+        base = base_law(law, prior)
+    except PriorInconsistencyError as exc:
+        mismatch = MeanMismatch(exc.barycenter, exc.prior)
+        return FeasibilityVerdict(False, False, None, None, mismatch)
     result = mps_decompose(law, base)
     if isinstance(result, SpreadDecomposition):
         return FeasibilityVerdict(True, True, base, result, None)

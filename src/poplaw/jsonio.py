@@ -192,6 +192,16 @@ def _require(payload, key, where):
     return payload[key]
 
 
+def _array(payload, what):
+    if not isinstance(payload, list):
+        raise InvariantError(f"{what} must be an array")
+    return payload
+
+
+def _require_array(payload, key, where):
+    return _array(_require(payload, key, where), f"{where}: field {key!r}")
+
+
 def belief_from_json(payload) -> Belief:
     if not isinstance(payload, list):
         raise InvariantError(f"belief must be an array of rationals: {payload!r}")
@@ -228,7 +238,7 @@ def scalar_measure_from_json(payload) -> ScalarMeasure:
 
 def empirical_from_json(payload) -> EmpiricalDistribution:
     n = _require(payload, "n", "empirical distribution")
-    counts = _require(payload, "counts", "empirical distribution")
+    counts = _require_array(payload, "counts", "empirical distribution")
     return EmpiricalDistribution(
         n,
         (
@@ -243,7 +253,7 @@ def empirical_from_json(payload) -> EmpiricalDistribution:
 
 def law_from_json(payload) -> PopulationLaw:
     n = _require(payload, "n", "population law")
-    atoms = _require(payload, "atoms", "population law")
+    atoms = _require_array(payload, "atoms", "population law")
     return PopulationLaw(
         n,
         (
@@ -262,7 +272,7 @@ def target_from_json(payload) -> SpreadTarget:
             parse_rational(_require(comp, "weight", "target component")),
             measure_from_json(_require(comp, "measure", "target component")),
         )
-        for comp in payload
+        for comp in _array(payload, "spread target")
     )
 
 
@@ -272,7 +282,7 @@ def decomposition_from_json(payload) -> SpreadDecomposition:
             parse_rational(_require(comp, "weight", "decomposition component")),
             law_from_json(_require(comp, "law", "decomposition component")),
         )
-        for comp in payload
+        for comp in _array(payload, "decomposition")
     )
 
 
@@ -297,7 +307,7 @@ def certificate_from_json(payload):
         )
     if kind == "farkas":
         return FarkasCertificate(
-            tuple(parse_rational(v) for v in _require(payload, "y", "certificate"))
+            tuple(parse_rational(v) for v in _require_array(payload, "y", "certificate"))
         )
     raise InvariantError(f"unknown certificate kind: {kind!r}")
 
@@ -329,40 +339,57 @@ def _label_from_json(payload):
     raise InvariantError(f"signal label must be a string or a belief array: {payload!r}")
 
 
+def _per_state(entries, dimension: int, where: str, decode) -> list:
+    """Decode an array of {"state": S, ...} entries into one value per state.
+
+    Refuses a state that is not an integer in range, repeats or is missing.
+    """
+    decoded: list = [None] * dimension
+    for entry in entries:
+        state = _require(entry, "state", where)
+        if type(state) is not int or not 0 <= state < dimension:
+            raise InvariantError(f"{where}: state {state!r} is not an integer in [0, {dimension})")
+        if decoded[state] is not None:
+            raise InvariantError(f"{where}: state {state} appears twice")
+        decoded[state] = decode(entry)
+    for state, value in enumerate(decoded):
+        if value is None:
+            raise InvariantError(f"{where}: state {state} is missing")
+    return decoded
+
+
+def _profiles_from_json(entry):
+    return tuple(
+        (
+            tuple(_label_from_json(s) for s in _require_array(p, "signals", "profile")),
+            parse_rational(_require(p, "prob", "profile")),
+        )
+        for p in _require_array(entry, "profiles", "kernel entry")
+    )
+
+
 def structure_from_json(payload) -> InformationStructure:
     n = _require(payload, "n", "information structure")
     prior = prior_from_json(_require(payload, "mu", "information structure"))
     signal_sets = [
-        tuple(_label_from_json(s) for s in signals)
-        for signals in _require(payload, "signal_sets", "information structure")
+        tuple(_label_from_json(s) for s in _array(signals, "signal set"))
+        for signals in _require_array(payload, "signal_sets", "information structure")
     ]
-    kernel_payload = _require(payload, "kernel", "information structure")
-    kernel: list = [None] * prior.dimension
-    for entry in kernel_payload:
-        state = _require(entry, "state", "kernel entry")
-        if not isinstance(state, int) or not 0 <= state < prior.dimension:
-            raise InvariantError(f"kernel state out of range: {state!r}")
-        kernel[state] = tuple(
-            (
-                tuple(_label_from_json(s) for s in _require(p, "signals", "profile")),
-                parse_rational(_require(p, "prob", "profile")),
-            )
-            for p in _require(entry, "profiles", "kernel entry")
-        )
-    if any(k is None for k in kernel):
-        raise InvariantError("kernel must cover every state")
+    kernel = _per_state(
+        _require_array(payload, "kernel", "information structure"),
+        prior.dimension,
+        "kernel entry",
+        _profiles_from_json,
+    )
     return InformationStructure(n, prior, signal_sets, kernel)
 
 
 def scheme_from_json(payload) -> SymmetricScheme:
     prior = prior_from_json(_require(payload, "mu", "scheme"))
-    laws_payload = _require(payload, "state_laws", "scheme")
-    laws: list = [None] * prior.dimension
-    for entry in laws_payload:
-        state = _require(entry, "state", "scheme state law")
-        if not isinstance(state, int) or not 0 <= state < prior.dimension:
-            raise InvariantError(f"scheme state out of range: {state!r}")
-        laws[state] = law_from_json(_require(entry, "law", "scheme state law"))
-    if any(law is None for law in laws):
-        raise InvariantError("scheme must cover every state")
+    laws = _per_state(
+        _require_array(payload, "state_laws", "scheme"),
+        prior.dimension,
+        "scheme state law",
+        lambda entry: law_from_json(_require(entry, "law", "scheme state law")),
+    )
     return SymmetricScheme(prior, laws)

@@ -184,11 +184,12 @@ class EmpiricalDistribution:
     counts: tuple[tuple[Belief, int], ...]
 
     def __init__(self, n: int, counts: Iterable) -> None:
-        if not isinstance(n, int) or n < 1:
+        # type(), not isinstance(): bool is an int, and JSON true is no count
+        if type(n) is not int or n < 1:
             raise InvariantError(f"population size must be a positive integer: {n}")
         merged: dict = {}
         for belief, count in counts:
-            if not isinstance(count, int) or count < 0:
+            if type(count) is not int or count < 0:
                 raise InvariantError(f"counts must be non-negative integers: {count}")
             if count == 0:
                 continue
@@ -237,7 +238,7 @@ class PopulationLaw:
     atoms: tuple[tuple[EmpiricalDistribution, Fraction], ...]
 
     def __init__(self, n: int, atoms: Iterable) -> None:
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise InvariantError(f"population size must be a positive integer: {n}")
         atoms = _merge_atoms(atoms, "population law")
         if any(emp.n != n for emp, _ in atoms):

@@ -187,61 +187,43 @@ def _scalar_split(measure: ScalarMeasure, base: BinaryBase) -> tuple[ScalarMeasu
     return low, ScalarMeasure(high_atoms.items())
 
 
-class _TwoPointEmbedding:
-    """Identify a law over exactly two beliefs with a scalar law (mass at the high one)."""
-
-    def __init__(self, low: Belief, high: Belief, law: PopulationLaw):
-        self.low = low
-        self.high = high
-        self.by_value = {}
-        atoms = []
-        for empirical, weight in law.atoms:
-            value = Fraction(dict(empirical.counts).get(high, 0), law.n)
-            self.by_value[value] = empirical
-            atoms.append((value, weight))
-        self.scalar_law = ScalarMeasure(atoms)
-
-    def position(self, measure: DiscreteMeasure) -> Fraction | None:
-        mass_high = ZERO
-        for belief, weight in measure.atoms:
-            if belief == self.high:
-                mass_high = weight
-            elif belief != self.low:
-                return None
-        return mass_high
-
-    def to_law(self, scalar: ScalarMeasure, n: int) -> PopulationLaw:
-        return PopulationLaw(
-            n, [(self.by_value[value], weight) for value, weight in scalar.atoms]
-        )
-
-
-def _try_two_point(law: PopulationLaw, target: SpreadTarget):
+def _beliefs(law: PopulationLaw, target: SpreadTarget) -> list[Belief]:
+    """The sorted union of the beliefs in the law and in the target."""
     beliefs = set()
     for empirical, _ in law.atoms:
         beliefs.update(empirical.support())
     for _, measure in target.components:
         beliefs.update(measure.support())
+    return sorted(beliefs)
+
+
+def _two_point(law: PopulationLaw, target: SpreadTarget):
+    """Read a law and target on exactly two beliefs as scalars (mass at the high one).
+
+    Returns None on any other support; otherwise the scalar law, the empirical
+    distribution behind each scalar value, each component's position and the
+    target weight at each distinct position.
+    """
+    beliefs = _beliefs(law, target)
     if len(beliefs) != 2:
         return None
-    low, high = sorted(beliefs)
-    embedding = _TwoPointEmbedding(low, high, law)
-    positions = []
-    for _, measure in target.components:
-        pos = embedding.position(measure)
-        if pos is None:
-            return None
-        positions.append(pos)
-    return embedding, positions
-
-
-def _decompose_two_point(law, target, embedding, positions):
+    high = beliefs[1]
+    by_value = {}
+    atoms = []
+    for empirical, weight in law.atoms:
+        value = Fraction(dict(empirical.counts).get(high, 0), law.n)
+        by_value[value] = empirical
+        atoms.append((value, weight))
+    positions = [measure.mass(high) for _, measure in target.components]
     grouped: dict[Fraction, Fraction] = {}
     for (weight, _), pos in zip(target.components, positions):
         grouped[pos] = grouped.get(pos, ZERO) + weight
-    scalar_law = embedding.scalar_law
+    return ScalarMeasure(atoms), by_value, positions, grouped
+
+
+def _decompose_two_point(law, target, scalar_law, by_value, positions, grouped):
     if len(grouped) == 1:
-        (pos, _), = grouped.items()
+        (pos,) = grouped
         if scalar_law.mean() != pos:
             return MeanMismatch(scalar_law.mean(), pos)
         part_for = {pos: law}
@@ -251,10 +233,9 @@ def _decompose_two_point(law, target, embedding, positions):
         verdict = is_mps_binary_base(scalar_law, base)
         if not verdict.is_spread:
             return verdict.certificate
-        low_part, high_part = _scalar_split(scalar_law, base)
         part_for = {
-            low_pos: embedding.to_law(low_part, law.n),
-            high_pos: embedding.to_law(high_part, law.n),
+            pos: PopulationLaw(law.n, [(by_value[v], w) for v, w in part.atoms])
+            for pos, part in zip((low_pos, high_pos), _scalar_split(scalar_law, base))
         }
     else:
         return None  # more than two distinct positions: fall back to the LP
@@ -273,12 +254,7 @@ def decomposition_lp(law: PopulationLaw, target: SpreadTarget):
     empiricals = law.support()
     law_weights = [w for _, w in law.atoms]
     comps = target.components
-    beliefs = set()
-    for empirical in empiricals:
-        beliefs.update(empirical.support())
-    for _, measure in comps:
-        beliefs.update(measure.support())
-    beliefs = sorted(beliefs)
+    beliefs = _beliefs(law, target)
     J = len(empiricals)
     ncols = len(comps) * J
     rows: list[list[Fraction]] = []
@@ -319,9 +295,9 @@ def mps_decompose(law: PopulationLaw, target: SpreadTarget, route: str = "auto")
     if target.dimension != law.dimension:
         raise InvariantError("law and target live on different state spaces")
     if route != "lp":
-        embedded = _try_two_point(law, target)
-        if embedded is not None:
-            result = _decompose_two_point(law, target, *embedded)
+        two_point = _two_point(law, target)
+        if two_point is not None:
+            result = _decompose_two_point(law, target, *two_point)
             if result is not None:
                 return result
         if route == "quantile":
@@ -365,14 +341,11 @@ def verify_certificate(law: PopulationLaw, target: SpreadTarget, certificate) ->
     if isinstance(certificate, FarkasCertificate):
         rows, rhs, _ = decomposition_lp(law, target)
         return farkas_refutes(rows, rhs, certificate.y)
-    embedded = _try_two_point(law, target)
-    if embedded is None:
+    two_point = _two_point(law, target)
+    if two_point is None:
         return False
-    embedding, positions = embedded
-    grouped: dict[Fraction, Fraction] = {}
-    for (weight, _), pos in zip(target.components, positions):
-        grouped[pos] = grouped.get(pos, ZERO) + weight
-    mean = embedding.scalar_law.mean()
+    scalar_law, _, _, grouped = two_point
+    mean = scalar_law.mean()
     if isinstance(certificate, MeanMismatch):
         base_mean = sum((pos * w for pos, w in grouped.items()), ZERO)
         return (
@@ -386,6 +359,6 @@ def verify_certificate(law: PopulationLaw, target: SpreadTarget, certificate) ->
         (low_pos, low_w), _ = sorted(grouped.items())
         if certificate.alpha != low_w or certificate.low_atom != low_pos:
             return False
-        qmean = quantile_distribution(embedding.scalar_law, low_w).mean()
+        qmean = quantile_distribution(scalar_law, low_w).mean()
         return certificate.quantile_mean == qmean and qmean > low_pos
     return False

@@ -75,7 +75,7 @@ class PersuasionInstance:
     utility: SenderUtility
 
     def __init__(self, n: int, mu, tau, utility: SenderUtility) -> None:
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise InvariantError(f"agent count must be a positive integer: {n}")
         mu = parse_rational(mu)
         tau = parse_rational(tau)
@@ -118,16 +118,13 @@ def grid_concavification(utility: SenderUtility, y) -> tuple[Fraction, ScalarMea
     y = parse_rational(y)
     if not 0 <= y <= 1:
         raise InvariantError(f"evaluation point must lie in [0, 1]: {y}")
-    hull = _upper_hull(utility.grid_points())
-    value = _hull_value(hull, y)
+    left, right = _bracket(_upper_hull(utility.grid_points()), y)
+    lam = ZERO if left == right else (y - left[0]) / (right[0] - left[0])
+    value = (1 - lam) * left[1] + lam * right[1]
     n = utility.n
     if (y * n).denominator == 1 and utility.values[int(y * n)] == value:
         # y is a grid point attaining the hull: the point mass is the minimal witness
         return value, ScalarMeasure.dirac(y)
-    left, right = _bracket(hull, y)
-    if left == right:
-        return value, ScalarMeasure.dirac(left[0])
-    lam = (y - left[0]) / (right[0] - left[0])
     return value, ScalarMeasure([(left[0], 1 - lam), (right[0], lam)])
 
 
@@ -138,14 +135,6 @@ def _bracket(hull, y):
         if hull[i][0] > y:
             return hull[i - 1], hull[i]
     return hull[-1], hull[-1]
-
-
-def _hull_value(hull, y) -> Fraction:
-    left, right = _bracket(hull, y)
-    if left == right:
-        return left[1]
-    lam = (y - left[0]) / (right[0] - left[0])
-    return (1 - lam) * left[1] + lam * right[1]
 
 
 def persuasion_value(instance: PersuasionInstance) -> Fraction:
@@ -210,7 +199,7 @@ def persuasion_limit_value(mu, tau, utility_fn: Callable, schedule: Sequence[int
     consecutive entries where the next grid refines the previous one.
     """
     schedule = list(schedule)
-    if not schedule or any(not isinstance(k, int) or k < 1 for k in schedule):
+    if not schedule or any(type(k) is not int or k < 1 for k in schedule):
         raise InvariantError("schedule must be a non-empty list of positive integers")
     rows = []
     for n in schedule:

@@ -39,20 +39,22 @@ class SymmetricProduct:
     n: int
 
     def __init__(self, marginal: DiscreteMeasure, n: int) -> None:
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise InvariantError(f"agent count must be a positive integer: {n}")
         object.__setattr__(self, "marginal", marginal)
         object.__setattr__(self, "n", n)
 
 
-def multinomial_law(
-    product: SymmetricProduct, max_support: int | None = None
-) -> PopulationLaw:
-    """The exact law of the empirical distribution of n independent draws."""
+def multinomial_law(product: SymmetricProduct) -> PopulationLaw:
+    """The exact law of the empirical distribution of n independent draws.
+
+    Raises `ResourceLimitError` when the support would exceed the bound
+    (environment variable POPLAW_MAX_PROFILES, default one million).
+    """
     atoms = product.marginal.atoms
     k = len(atoms)
     n = product.n
-    bound = max_support if max_support is not None else max_profiles_bound()
+    bound = max_profiles_bound()
     support_size = math.comb(n + k - 1, k - 1)
     if support_size > bound:
         raise ResourceLimitError(
@@ -99,7 +101,7 @@ def binomial_quantile_expectation(n: int, p, alpha) -> Fraction:
     alpha = parse_rational(alpha)
     if not 0 < p < 1:
         raise InvariantError(f"success probability must lie in (0, 1): {p}")
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise InvariantError(f"trial count must be a positive integer: {n}")
     return quantile_distribution(binomial_measure(n, p), alpha).mean()
 
@@ -137,7 +139,7 @@ def symmetric_threshold(n: int) -> Fraction:
     Closed form 1/2 - C(2m, m) * 2**-(2m+1) with m = n // 2; even n and n + 1
     share the value.
     """
-    if not isinstance(n, int) or n < 2:
+    if type(n) is not int or n < 2:
         raise InvariantError(f"need at least two agents: {n}")
     m = n // 2
     return Fraction(1, 2) - Fraction(math.comb(2 * m, m), 2 ** (2 * m + 1))
@@ -145,6 +147,6 @@ def symmetric_threshold(n: int) -> Fraction:
 
 def threshold_curve(n_max: int) -> list[tuple[int, Fraction]]:
     """Rows (n, symmetric_threshold(n)) for n = 2 .. n_max."""
-    if not isinstance(n_max, int) or n_max < 2:
+    if type(n_max) is not int or n_max < 2:
         raise InvariantError(f"need n_max >= 2: {n_max}")
     return [(n, symmetric_threshold(n)) for n in range(2, n_max + 1)]

@@ -76,7 +76,7 @@ class InformationStructure:
     kernel: tuple[tuple[tuple[tuple[SignalLabel, ...], Fraction], ...], ...]
 
     def __init__(self, n: int, prior: Prior, signal_sets: Iterable, kernel: Iterable) -> None:
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise InvariantError(f"agent count must be a positive integer: {n}")
         signal_sets = tuple(tuple(s) for s in signal_sets)
         if len(signal_sets) != n:
@@ -255,9 +255,7 @@ def _distinct_assignments(counts: list[tuple[Belief, int]], slots: int):
             yield (belief,) + tail
 
 
-def expand_scheme(
-    scheme: SymmetricScheme, max_profiles: int | None = None
-) -> InformationStructure:
+def expand_scheme(scheme: SymmetricScheme) -> InformationStructure:
     """The explicit structure a scheme describes, collapsed by multiset type.
 
     Each distinct assignment of an empirical distribution's beliefs to the
@@ -267,7 +265,7 @@ def expand_scheme(
     count would exceed the bound (environment variable POPLAW_MAX_PROFILES,
     default one million).
     """
-    bound = max_profiles if max_profiles is not None else max_profiles_bound()
+    bound = max_profiles_bound()
     total = 0
     for state_law in scheme.state_laws:
         for empirical, _ in state_law.atoms:
@@ -306,11 +304,11 @@ def simulate(
     sharding just partitions the sample indices. The seed must lie in
     [0, 2**64).
     """
-    if not isinstance(samples, int) or samples < 1:
+    if type(samples) is not int or samples < 1:
         raise InvariantError(f"sample count must be a positive integer: {samples}")
-    if not isinstance(shards, int) or shards < 1:
+    if type(shards) is not int or shards < 1:
         raise InvariantError(f"shard count must be a positive integer: {shards}")
-    if not isinstance(seed, int) or not 0 <= seed < TWO64:
+    if type(seed) is not int or not 0 <= seed < TWO64:
         raise InvariantError("seed must be an integer in [0, 2**64)")
     tables = (
         _selection_table(enumerate(scheme.prior.coords)),

@@ -380,3 +380,105 @@ def test_byte_identical_reruns(capsys):
     code1, out1, _ = run(capsys, "feasible", str(DATA / "uniform9.json"))
     code2, out2, _ = run(capsys, "feasible", str(DATA / "uniform9.json"))
     assert out1 == out2
+
+
+# --------------------------------------------------------- malformed JSON shapes
+
+POINT = {"n": 1, "counts": [{"belief": ["1/2", "1/2"], "count": 1}]}
+PROBLEM = {"mu": ["1/2", "1/2"], "law": {"n": 1, "atoms": [{"empirical": POINT, "weight": 1}]}}
+SCHEME = {
+    "n": 1,
+    "mu": ["1/2", "1/2"],
+    "state_laws": [{"state": s, "law": PROBLEM["law"]} for s in (0, 1)],
+}
+STRUCTURE = {
+    "n": 1,
+    "m": 2,
+    "mu": ["1/2", "1/2"],
+    "signal_sets": [["a"]],
+    "kernel": [{"state": s, "profiles": [{"signals": ["a"], "prob": 1}]} for s in (0, 1)],
+}
+
+
+def _edited(payload, path, value):
+    """A deep copy of the payload with the entry at `path` (or the whole) replaced."""
+    if not path:
+        return value
+    payload = json.loads(json.dumps(payload))
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return payload
+
+
+def _run_payload(capsys, tmp_path, command, payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    extra = ("--samples", "10", "--seed", "1") if command == "simulate" else ()
+    return run(capsys, command, str(path), *extra)
+
+
+@pytest.mark.parametrize(
+    "command,payload",
+    [("feasible", PROBLEM), ("simulate", SCHEME), ("expand", SCHEME), ("oracle", STRUCTURE)],
+)
+def test_valid_bases_of_the_malformed_cases_run(capsys, tmp_path, command, payload):
+    code, _, err = _run_payload(capsys, tmp_path, command, payload)
+    assert (code, err) == (0, "")
+
+
+MALFORMED = [
+    *[
+        (command, PROBLEM, (), value)
+        for command in ("feasible", "synthesize", "simulate")
+        for value in ([], "x", 3)
+    ],
+    ("feasible", PROBLEM, ("law", "atoms"), 3),
+    ("feasible", PROBLEM, ("law", "atoms", 0, "empirical", "counts"), 3),
+    ("feasible", PROBLEM, ("law", "n"), True),
+    ("feasible", PROBLEM, ("law", "atoms", 0, "empirical", "n"), True),
+    ("feasible", PROBLEM, ("law", "atoms", 0, "empirical", "counts", 0, "count"), True),
+    ("expand", SCHEME, ("state_laws",), 3),
+    ("simulate", SCHEME, ("state_laws",), 3),
+    ("oracle", STRUCTURE, ("n",), True),
+    ("oracle", STRUCTURE, ("signal_sets",), 3),
+    ("oracle", STRUCTURE, ("signal_sets", 0), 3),
+    ("oracle", STRUCTURE, ("kernel",), 3),
+    ("oracle", STRUCTURE, ("kernel", 0, "profiles"), 3),
+    ("oracle", STRUCTURE, ("kernel", 0, "profiles", 0, "signals"), 3),
+]
+
+
+@pytest.mark.parametrize(
+    "command,base,path,value",
+    MALFORMED,
+    ids=[f"{c}-{'.'.join(map(str, p)) or 'input'}={v!r}" for c, _, p, v in MALFORMED],
+)
+def test_malformed_json_shape_exits_two(capsys, tmp_path, command, base, path, value):
+    code, out, err = _run_payload(capsys, tmp_path, command, _edited(base, path, value))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("poplaw: invalid input:") and err.count("\n") == 1
+
+
+PER_STATE = [
+    ("oracle", STRUCTURE, "kernel", "kernel entry"),
+    ("expand", SCHEME, "state_laws", "scheme state law"),
+]
+
+
+@pytest.mark.parametrize("command,base,field,where", PER_STATE, ids=["kernel", "state_laws"])
+def test_repeated_state_exits_two(capsys, tmp_path, command, base, field, where):
+    payload = _edited(base, (field,), base[field] + [base[field][1]])
+    code, out, err = _run_payload(capsys, tmp_path, command, payload)
+    assert (code, out) == (2, "")
+    assert err == f"poplaw: invalid input: {where}: state 1 appears twice\n"
+
+
+@pytest.mark.parametrize("command,base,field,where", PER_STATE, ids=["kernel", "state_laws"])
+def test_boolean_state_exits_two(capsys, tmp_path, command, base, field, where):
+    payload = _edited(base, (field, 1, "state"), True)
+    code, out, err = _run_payload(capsys, tmp_path, command, payload)
+    assert (code, out) == (2, "")
+    assert err == f"poplaw: invalid input: {where}: state True is not an integer in [0, 2)\n"

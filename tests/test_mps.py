@@ -1,8 +1,11 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _lawgen import random_binary_posterior_law
 from poplaw import (
@@ -32,7 +35,11 @@ BASE = BinaryBase(F(1, 4), F(3, 4), F(1, 2))
 
 
 def binary_law(n, a, b, weights):
-    lo, hi = Belief.binary(a), Belief.binary(b)
+    return two_belief_law(n, Belief.binary(a), Belief.binary(b), weights)
+
+
+def two_belief_law(n, lo, hi, weights):
+    """Weight weights[k] on the empirical distribution with k agents at hi."""
     total = sum(weights)
     return PopulationLaw(
         n,
@@ -230,6 +237,86 @@ def test_randomized_soundness():
                 assert verify_decomposition(law, target, result)
             else:
                 assert verify_certificate(law, target, result)
+
+
+# --------------------------------------------------------- hand-built two-belief targets
+
+TWO_BELIEF_POOL = [Belief.binary(x) for x in (0, F(1, 4), F(1, 2), F(2, 3), 1)]
+POSITION_GRID = [F(0), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(1)]
+
+
+@st.composite
+def two_belief_instances(draw):
+    """A law on two beliefs and a target of 1-4 components on the same two.
+
+    Positions (mass at `hi`) come from a small grid and may repeat. Three
+    modes: free weights (mostly mean mismatches), weights solved so the
+    target mean equals the law's, and a law centred on the one position.
+    """
+    lo, hi = draw(st.lists(st.sampled_from(TWO_BELIEF_POOL), min_size=2, max_size=2, unique=True))
+    n = draw(st.integers(1, 4))
+    mode = draw(st.sampled_from(["free", "matched", "centred"]))
+    count = draw(st.integers(1, 4))
+    if mode == "centred":
+        k = draw(st.integers(0, n))
+        law_weights = [0] * (n + 1)
+        law_weights[k] = draw(st.integers(1, 3))
+        for d in range(1, min(k, n - k) + 1):
+            pair = draw(st.integers(0, 2))
+            law_weights[k - d] += pair
+            law_weights[k + d] += pair
+        positions = [F(k, n)] * count
+    else:
+        law_weights = draw(st.lists(st.integers(0, 3), min_size=n + 1, max_size=n + 1))
+        if not any(law_weights):
+            law_weights[draw(st.integers(0, n))] = 1
+        positions = draw(st.lists(st.sampled_from(POSITION_GRID), min_size=count, max_size=count))
+    raw = [F(w) for w in draw(st.lists(st.integers(1, 3), min_size=count, max_size=count))]
+    law = two_belief_law(n, lo, hi, law_weights)
+    mean = sum(F(k, n) * F(w, sum(law_weights)) for k, w in enumerate(law_weights))
+    if mode == "matched":
+        if mean < min(positions):
+            positions[0] = F(0)
+        elif mean > max(positions):
+            positions[0] = F(1)
+        total = sum(raw)
+        moment = sum(r * p for r, p in zip(raw, positions))
+        if moment != mean * total:
+            # raise the weight of one position on the far side of the mean
+            side = 1 if moment < mean * total else -1
+            far = [j for j, p in enumerate(positions) if (p - mean) * side > 0]
+            if far:
+                j = far[0]
+                raw[j] += (mean * total - moment) / (positions[j] - mean)
+    total = sum(raw)
+    target = SpreadTarget(
+        (r / total, DiscreteMeasure([(lo, 1 - p), (hi, p)])) for r, p in zip(raw, positions)
+    )
+    return law, target
+
+
+def _perturbed(certificate):
+    for field in dataclasses.fields(certificate):
+        value = getattr(certificate, field.name)
+        yield dataclasses.replace(certificate, **{field.name: value + F(1, 7)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(two_belief_instances())
+def test_two_belief_route_on_hand_built_targets(instance):
+    """The quantile route agrees with the LP and its evidence verifies."""
+    law, target = instance
+    quick = mps_decompose(law, target)
+    via_lp = mps_decompose(law, target, route="lp")
+    assert isinstance(quick, SpreadDecomposition) == isinstance(via_lp, SpreadDecomposition)
+    for result in (quick, via_lp):
+        if isinstance(result, SpreadDecomposition):
+            assert verify_decomposition(law, target, result)
+        else:
+            assert verify_certificate(law, target, result)
+    if isinstance(quick, (MeanMismatch, QuantileViolation)):
+        for forged in _perturbed(quick):
+            assert not verify_certificate(law, target, forged)
 
 
 # --------------------------------------------------------- boundary exactness

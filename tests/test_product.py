@@ -74,11 +74,12 @@ def test_multinomial_marginal_recovered():
     assert law_expected_measure(law) == q
 
 
-def test_multinomial_resource_bound():
+def test_multinomial_resource_bound(monkeypatch):
     atoms = [(Belief.binary(F(i, 20)), F(1, 10)) for i in range(1, 11)]
     wide = DiscreteMeasure(atoms)
+    monkeypatch.setenv("POPLAW_MAX_PROFILES", "1000")
     with pytest.raises(ResourceLimitError):
-        multinomial_law(SymmetricProduct(wide, 30), max_support=1000)
+        multinomial_law(SymmetricProduct(wide, 30))
 
 
 # ----------------------------------------------------------- feasibility

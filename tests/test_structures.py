@@ -256,14 +256,6 @@ def test_expand_two_agent_scheme_has_two_assignments():
         )
 
 
-def test_expansion_bound():
-    law, _, _ = footnote_law()
-    verdict = check_feasible(law, HALF)
-    scheme = synthesize(law, HALF, verdict.decomposition)
-    with pytest.raises(ResourceLimitError):
-        expand_scheme(scheme, max_profiles=2)
-
-
 def test_expansion_bound_env(monkeypatch):
     law, _, _ = footnote_law()
     verdict = check_feasible(law, HALF)
