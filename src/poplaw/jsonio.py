@@ -203,9 +203,7 @@ def _require_array(payload, key, where):
 
 
 def belief_from_json(payload) -> Belief:
-    if not isinstance(payload, list):
-        raise InvariantError(f"belief must be an array of rationals: {payload!r}")
-    return Belief(parse_rational(c) for c in payload)
+    return Belief(parse_rational(c) for c in _array(payload, "belief"))
 
 
 def prior_from_json(payload) -> Prior:
@@ -213,26 +211,22 @@ def prior_from_json(payload) -> Prior:
 
 
 def measure_from_json(payload) -> DiscreteMeasure:
-    if not isinstance(payload, list):
-        raise InvariantError("measure must be an array of {belief, weight}")
     return DiscreteMeasure(
         (
             belief_from_json(_require(atom, "belief", "measure atom")),
             parse_rational(_require(atom, "weight", "measure atom")),
         )
-        for atom in payload
+        for atom in _array(payload, "measure")
     )
 
 
 def scalar_measure_from_json(payload) -> ScalarMeasure:
-    if not isinstance(payload, list):
-        raise InvariantError("scalar measure must be an array of {value, weight}")
     return ScalarMeasure(
         (
             parse_rational(_require(atom, "value", "scalar atom")),
             parse_rational(_require(atom, "weight", "scalar atom")),
         )
-        for atom in payload
+        for atom in _array(payload, "scalar measure")
     )
 
 

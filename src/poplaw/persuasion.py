@@ -199,7 +199,7 @@ def persuasion_limit_value(mu, tau, utility_fn: Callable, schedule: Sequence[int
     consecutive entries where the next grid refines the previous one.
     """
     schedule = list(schedule)
-    if not schedule or any(type(k) is not int or k < 1 for k in schedule):
+    if not schedule or any(not isinstance(k, int) or k < 1 for k in schedule):
         raise InvariantError("schedule must be a non-empty list of positive integers")
     rows = []
     for n in schedule:

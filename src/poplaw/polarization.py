@@ -53,7 +53,7 @@ def expected_polarization(law: PopulationLaw) -> Fraction:
 
 def reveal_half_structure(n: int, prior: Prior) -> InformationStructure:
     """Reveal the state to ceil(n/2) agents, tell the rest nothing."""
-    if type(n) is not int or n < 1:
+    if not isinstance(n, int) or n < 1:
         raise InvariantError(f"population size must be a positive integer: {n}")
     informed = (n + 1) // 2
     state_labels = tuple(f"state{j}" for j in range(prior.dimension))
@@ -89,7 +89,7 @@ def max_polarization(n: int, prior: Prior) -> PolarizationReport:
     maximum may sit strictly inside. The value is the closed form; the tests
     check that the returned structure attains it.
     """
-    if type(n) is not int or n < 1:
+    if not isinstance(n, int) or n < 1:
         raise InvariantError(f"population size must be a positive integer: {n}")
     if prior.dimension == 2:
         mu = prior.coordinate(1)

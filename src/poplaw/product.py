@@ -101,7 +101,7 @@ def binomial_quantile_expectation(n: int, p, alpha) -> Fraction:
     alpha = parse_rational(alpha)
     if not 0 < p < 1:
         raise InvariantError(f"success probability must lie in (0, 1): {p}")
-    if type(n) is not int or n < 1:
+    if not isinstance(n, int) or n < 1:
         raise InvariantError(f"trial count must be a positive integer: {n}")
     return quantile_distribution(binomial_measure(n, p), alpha).mean()
 
@@ -139,7 +139,7 @@ def symmetric_threshold(n: int) -> Fraction:
     Closed form 1/2 - C(2m, m) * 2**-(2m+1) with m = n // 2; even n and n + 1
     share the value.
     """
-    if type(n) is not int or n < 2:
+    if not isinstance(n, int) or n < 2:
         raise InvariantError(f"need at least two agents: {n}")
     m = n // 2
     return Fraction(1, 2) - Fraction(math.comb(2 * m, m), 2 ** (2 * m + 1))
@@ -147,6 +147,6 @@ def symmetric_threshold(n: int) -> Fraction:
 
 def threshold_curve(n_max: int) -> list[tuple[int, Fraction]]:
     """Rows (n, symmetric_threshold(n)) for n = 2 .. n_max."""
-    if type(n_max) is not int or n_max < 2:
+    if not isinstance(n_max, int) or n_max < 2:
         raise InvariantError(f"need n_max >= 2: {n_max}")
     return [(n, symmetric_threshold(n)) for n in range(2, n_max + 1)]

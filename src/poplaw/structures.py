@@ -304,11 +304,11 @@ def simulate(
     sharding just partitions the sample indices. The seed must lie in
     [0, 2**64).
     """
-    if type(samples) is not int or samples < 1:
+    if not isinstance(samples, int) or samples < 1:
         raise InvariantError(f"sample count must be a positive integer: {samples}")
-    if type(shards) is not int or shards < 1:
+    if not isinstance(shards, int) or shards < 1:
         raise InvariantError(f"shard count must be a positive integer: {shards}")
-    if type(seed) is not int or not 0 <= seed < TWO64:
+    if not isinstance(seed, int) or not 0 <= seed < TWO64:
         raise InvariantError("seed must be an integer in [0, 2**64)")
     tables = (
         _selection_table(enumerate(scheme.prior.coords)),
