@@ -15,6 +15,7 @@ from .measures import (
     DiscreteMeasure,
     PopulationLaw,
     Prior,
+    _trusted,
     barycenter,
     law_expected_measure,
 )
@@ -36,24 +37,39 @@ def conditional_tilt(measure: DiscreteMeasure, prior: Prior, state: int) -> Disc
     state disappear. The result is a probability measure exactly when the
     measure's barycenter equals the prior, so anything else is rejected.
     """
-    if measure.dimension != prior.dimension:
-        raise InvariantError("measure and prior live on different state spaces")
-    center = barycenter(measure)
-    if center != prior.belief:
-        raise PriorInconsistencyError(center, prior.belief)
-    mu = prior.coordinate(state)
-    return DiscreteMeasure(
-        (belief, weight * belief.coordinate(state) / mu)
-        for belief, weight in measure.atoms
-    )
+    _check_prior(measure, prior)
+    return DiscreteMeasure(_tilt_atoms(measure, prior, state))
 
 
 def base_law(law: PopulationLaw, prior: Prior) -> SpreadTarget:
     """The state-indexed mixture of conditional reweightings of the law's expected measure."""
     expected = law_expected_measure(law)
+    _check_prior(expected, prior)
+    # each tilt keeps the expected measure's order and positive weights, and
+    # sums to center_state / mu_state = 1 once the barycenter is the prior
     return SpreadTarget(
-        (prior.coordinate(state), conditional_tilt(expected, prior, state))
+        (
+            prior.coordinate(state),
+            _trusted(DiscreteMeasure, atoms=_tilt_atoms(expected, prior, state)),
+        )
         for state in range(prior.dimension)
+    )
+
+
+def _check_prior(measure: DiscreteMeasure, prior: Prior) -> None:
+    if measure.dimension != prior.dimension:
+        raise InvariantError("measure and prior live on different state spaces")
+    center = barycenter(measure)
+    if center != prior.belief:
+        raise PriorInconsistencyError(center, prior.belief)
+
+
+def _tilt_atoms(measure: DiscreteMeasure, prior: Prior, state: int) -> tuple:
+    mu = prior.coordinate(state)
+    return tuple(
+        (belief, weight * belief.coords[state] / mu)
+        for belief, weight in measure.atoms
+        if belief.coords[state]
     )
 
 

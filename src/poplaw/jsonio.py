@@ -202,6 +202,14 @@ def _require_array(payload, key, where):
     return _array(_require(payload, key, where), f"{where}: field {key!r}")
 
 
+def _require_bool(payload, key, where):
+    # type(), not bool(): any non-empty string or non-zero number is truthy
+    value = _require(payload, key, where)
+    if type(value) is not bool:
+        raise InvariantError(f"{where}: field {key!r} must be true or false, not {value!r}")
+    return value
+
+
 def belief_from_json(payload) -> Belief:
     return Belief(parse_rational(c) for c in _array(payload, "belief"))
 
@@ -309,8 +317,8 @@ def certificate_from_json(payload):
 def verdict_from_json(payload) -> FeasibilityVerdict:
     base = _require(payload, "base", "verdict")
     return FeasibilityVerdict(
-        feasible=bool(_require(payload, "feasible", "verdict")),
-        prior_consistent=bool(_require(payload, "prior_consistent", "verdict")),
+        feasible=_require_bool(payload, "feasible", "verdict"),
+        prior_consistent=_require_bool(payload, "prior_consistent", "verdict"),
         base=None if base is None else target_from_json(base),
         decomposition=(
             decomposition_from_json(payload["decomposition"])
@@ -365,6 +373,13 @@ def _profiles_from_json(entry):
 def structure_from_json(payload) -> InformationStructure:
     n = _require(payload, "n", "information structure")
     prior = prior_from_json(_require(payload, "mu", "information structure"))
+    # "m" is redundant with mu and optional, but one that disagrees is refused
+    m = payload.get("m", prior.dimension)
+    if type(m) is not int or m != prior.dimension:
+        raise InvariantError(
+            f"information structure: field 'm' must be {prior.dimension}, "
+            f"the number of states in mu, not {m!r}"
+        )
     signal_sets = [
         tuple(_label_from_json(s) for s in _array(signals, "signal set"))
         for signals in _require_array(payload, "signal_sets", "information structure")

@@ -16,10 +16,19 @@ All types are immutable values with structural equality; measures and laws
 canonicalize their atoms (merge duplicates, drop zero weights, sort) so that
 equal distributions compare equal. `Belief` and `EmpiricalDistribution`, the
 dict keys of every enumeration, keep their hash after its first use.
+
+The public constructors check everything, and every value built from outside
+input (JSON, CLI arguments, callers of the library) goes through them. Values
+the library derives from canonical values may instead go through `_trusted`,
+which sets the fields and checks nothing. Use it only where the code at hand
+proves the fields canonical: atoms merged, weights (or counts) positive, atoms
+sorted ascending, weights summing to exactly 1 (counts to n), one state space
+and, for laws, one n. Never pass it outside input.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -103,6 +112,14 @@ class Prior:
 
     def __str__(self) -> str:
         return str(self.belief)
+
+
+def _trusted(cls, **fields):
+    """An instance of `cls` with the given, already canonical fields and no checks."""
+    value = object.__new__(cls)
+    for name, field in fields.items():
+        object.__setattr__(value, name, field)
+    return value
 
 
 def _merge_atoms(pairs, kind: str):
@@ -243,6 +260,8 @@ class PopulationLaw:
         atoms = _merge_atoms(atoms, "population law")
         if any(emp.n != n for emp, _ in atoms):
             raise InvariantError("all empirical distributions in a law must have the same n")
+        if len({emp.dimension for emp, _ in atoms}) != 1:
+            raise InvariantError("all empirical distributions in a law must share one state space")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "atoms", atoms)
 
@@ -266,12 +285,18 @@ class PopulationLaw:
 
 def barycenter(measure: DiscreteMeasure) -> Belief:
     """The mean belief of a measure over beliefs, coordinate by coordinate."""
-    m = measure.dimension
-    totals = [ZERO] * m
-    for belief, weight in measure.atoms:
+    # summed in integers over the common denominators of the weights and of the
+    # coordinates; a convex combination of beliefs is a belief
+    atoms = measure.atoms
+    weight_den = math.lcm(*(w.denominator for _, w in atoms))
+    coord_den = math.lcm(*(c.denominator for belief, _ in atoms for c in belief.coords))
+    totals = [0] * measure.dimension
+    for belief, weight in atoms:
+        scaled = weight.numerator * (weight_den // weight.denominator)
         for i, c in enumerate(belief.coords):
-            totals[i] += weight * c
-    return Belief(totals)
+            totals[i] += scaled * c.numerator * (coord_den // c.denominator)
+    den = weight_den * coord_den
+    return _trusted(Belief, coords=tuple(Fraction(t, den) for t in totals))
 
 
 def empirical_to_measure(empirical: EmpiricalDistribution) -> DiscreteMeasure:
@@ -282,12 +307,19 @@ def empirical_to_measure(empirical: EmpiricalDistribution) -> DiscreteMeasure:
 
 def law_expected_measure(law: PopulationLaw) -> DiscreteMeasure:
     """The expected belief measure of a population law (a random agent's belief distribution)."""
-    weights: dict[Belief, Fraction] = {}
-    for empirical, law_weight in law.atoms:
+    # law weight times count, summed in integers over the weights' common
+    # denominator times n; positive, and the law's weights summing to 1 with
+    # counts summing to n make the total 1
+    common = math.lcm(*(w.denominator for _, w in law.atoms))
+    totals: dict[Belief, int] = {}
+    for empirical, weight in law.atoms:
+        scaled = weight.numerator * (common // weight.denominator)
         for belief, count in empirical.counts:
-            share = law_weight * Fraction(count, law.n)
-            weights[belief] = weights.get(belief, ZERO) + share
-    return DiscreteMeasure(weights.items())
+            totals[belief] = totals.get(belief, 0) + scaled * count
+    den = common * law.n
+    return _trusted(
+        DiscreteMeasure, atoms=tuple(sorted((b, Fraction(t, den)) for b, t in totals.items()))
+    )
 
 
 def mix_laws(components: Sequence[tuple[Fraction, PopulationLaw]]) -> PopulationLaw:
@@ -324,7 +356,7 @@ def quantile_distribution(measure: ScalarMeasure, alpha) -> ScalarMeasure:
         raise InvariantError(f"quantile level must lie in (0, 1]: {alpha}")
     if alpha == 1:
         return measure
-    return ScalarMeasure(_lower_slice(measure.atoms, alpha))
+    return _trusted(ScalarMeasure, atoms=_lower_slice(measure.atoms, alpha))
 
 
 def upper_quantile_distribution(measure: ScalarMeasure, alpha) -> ScalarMeasure:
@@ -334,10 +366,15 @@ def upper_quantile_distribution(measure: ScalarMeasure, alpha) -> ScalarMeasure:
         raise InvariantError(f"quantile level must lie in (0, 1]: {alpha}")
     if alpha == 1:
         return measure
-    return ScalarMeasure(_lower_slice(measure.reversed(), alpha))
+    return _trusted(ScalarMeasure, atoms=_lower_slice(measure.reversed(), alpha)[::-1])
 
 
-def _lower_slice(atoms, alpha: Fraction):
+def _lower_slice(atoms, alpha: Fraction) -> tuple:
+    """The slice's atoms in the order given, canonical when that order is ascending.
+
+    Every kept weight is positive (the cut atom's leftover is alpha minus a
+    total still below alpha) and they sum to exactly 1.
+    """
     out = []
     cum = ZERO
     for value, weight in atoms:
@@ -349,4 +386,4 @@ def _lower_slice(atoms, alpha: Fraction):
         else:
             out.append((value, (alpha - cum) / alpha))
             break
-    return out
+    return tuple(out)

@@ -27,6 +27,7 @@ from .measures import (
     DiscreteMeasure,
     PopulationLaw,
     ScalarMeasure,
+    _trusted,
     law_expected_measure,
     mix_laws,
     quantile_distribution,
@@ -177,14 +178,17 @@ def _scalar_split(measure: ScalarMeasure, base: BinaryBase) -> tuple[ScalarMeasu
         low_atoms[value] = low_atoms.get(value, ZERO) + (1 - lam) * weight
     for value, weight in upper.atoms:
         low_atoms[value] = low_atoms.get(value, ZERO) + lam * weight
-    low = ScalarMeasure(low_atoms.items())
-    high_atoms: dict[Fraction, Fraction] = {}
+    high_atoms = []
     for value, weight in measure.atoms:
         leftover = weight - alpha * low_atoms.get(value, ZERO)
         if leftover < 0:
             raise InternalError("quantile split produced negative mass")
-        high_atoms[value] = leftover / (1 - alpha)
-    return low, ScalarMeasure(high_atoms.items())
+        if leftover:
+            high_atoms.append((value, leftover / (1 - alpha)))
+    # 0 <= lam < 1 mixes two probability measures, and the leftover of a
+    # probability measure after alpha times another has mass 1 - alpha
+    low = tuple(sorted((v, w) for v, w in low_atoms.items() if w))
+    return _trusted(ScalarMeasure, atoms=low), _trusted(ScalarMeasure, atoms=tuple(high_atoms))
 
 
 def _beliefs(law: PopulationLaw, target: SpreadTarget) -> list[Belief]:
@@ -200,28 +204,30 @@ def _beliefs(law: PopulationLaw, target: SpreadTarget) -> list[Belief]:
 def _two_point(law: PopulationLaw, target: SpreadTarget):
     """Read a law and target on exactly two beliefs as scalars (mass at the high one).
 
-    Returns None on any other support; otherwise the scalar law, the empirical
-    distribution behind each scalar value, each component's position and the
+    Returns None on any other support; otherwise the scalar law, the index of
+    the law atom behind each scalar value, each component's position and the
     target weight at each distinct position.
     """
     beliefs = _beliefs(law, target)
     if len(beliefs) != 2:
         return None
     high = beliefs[1]
-    by_value = {}
+    index_of = {}
     atoms = []
-    for empirical, weight in law.atoms:
+    for j, (empirical, weight) in enumerate(law.atoms):
         value = Fraction(dict(empirical.counts).get(high, 0), law.n)
-        by_value[value] = empirical
+        index_of[value] = j
         atoms.append((value, weight))
     positions = [measure.mass(high) for _, measure in target.components]
     grouped: dict[Fraction, Fraction] = {}
     for (weight, _), pos in zip(target.components, positions):
         grouped[pos] = grouped.get(pos, ZERO) + weight
-    return ScalarMeasure(atoms), by_value, positions, grouped
+    # distinct empirical distributions on two beliefs have distinct values
+    scalar_law = _trusted(ScalarMeasure, atoms=tuple(sorted(atoms)))
+    return scalar_law, index_of, positions, grouped
 
 
-def _decompose_two_point(law, target, scalar_law, by_value, positions, grouped):
+def _decompose_two_point(law, target, scalar_law, index_of, positions, grouped):
     if len(grouped) == 1:
         (pos,) = grouped
         if scalar_law.mean() != pos:
@@ -234,7 +240,7 @@ def _decompose_two_point(law, target, scalar_law, by_value, positions, grouped):
         if not verdict.is_spread:
             return verdict.certificate
         part_for = {
-            pos: PopulationLaw(law.n, [(by_value[v], w) for v, w in part.atoms])
+            pos: _restrict(law, sorted((index_of[v], w) for v, w in part.atoms))
             for pos, part in zip((low_pos, high_pos), _scalar_split(scalar_law, base))
         }
     else:
@@ -307,15 +313,22 @@ def mps_decompose(law: PopulationLaw, target: SpreadTarget, route: str = "auto")
     if not outcome.feasible:
         return FarkasCertificate(outcome.farkas)
     J = len(law.atoms)
-    empiricals = law.support()
-    components = []
-    for c, (weight, _) in enumerate(target.components):
-        q = PopulationLaw(
-            law.n,
-            [(empiricals[j], outcome.solution[c * J + j]) for j in range(J)],
-        )
-        components.append((weight, q))
-    return SpreadDecomposition(components)
+    # component c's moment rows sum to its mass, 1, over every belief of the law
+    return SpreadDecomposition(
+        (weight, _restrict(law, enumerate(outcome.solution[c * J : (c + 1) * J])))
+        for c, (weight, _) in enumerate(target.components)
+    )
+
+
+def _restrict(law: PopulationLaw, weights) -> PopulationLaw:
+    """The law's atoms, in order, reweighted by (atom index, weight) pairs ascending by index.
+
+    Zero weights are dropped; the caller proves that the rest sum to 1.
+    """
+    atoms = law.atoms
+    return _trusted(
+        PopulationLaw, n=law.n, atoms=tuple((atoms[j][0], w) for j, w in weights if w)
+    )
 
 
 def verify_decomposition(

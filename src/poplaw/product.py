@@ -22,13 +22,10 @@ from .measures import (
     EmpiricalDistribution,
     PopulationLaw,
     Prior,
-    ScalarMeasure,
-    quantile_distribution,
+    _trusted,
 )
 from .rationals import parse_rational
 from .structures import compositions, max_profiles_bound
-
-ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -48,6 +45,13 @@ class SymmetricProduct:
 def multinomial_law(product: SymmetricProduct) -> PopulationLaw:
     """The exact law of the empirical distribution of n independent draws.
 
+    With the marginal's weights written over one common denominator D as
+    a_k / D, the draws with counts c have weight
+
+        n! / prod_k(c_k!) * prod_k(a_k ** c_k) / D ** n,
+
+    an integer over D ** n that becomes one `Fraction` per atom.
+
     Raises `ResourceLimitError` when the support would exceed the bound
     (environment variable POPLAW_MAX_PROFILES, default one million).
     """
@@ -60,16 +64,29 @@ def multinomial_law(product: SymmetricProduct) -> PopulationLaw:
         raise ResourceLimitError(
             f"multinomial support {support_size} exceeds the bound {bound}"
         )
+    common = math.lcm(*(w.denominator for _, w in atoms))
+    scaled = [w.numerator * (common // w.denominator) for _, w in atoms]
+    powers = [[a**c for c in range(n + 1)] for a in scaled]
+    factorial = [math.factorial(c) for c in range(n + 1)]
+    total = common**n
+    beliefs = [belief for belief, _ in atoms]
+    # marginal atoms are sorted and distinct, so comparing empirical distributions
+    # compares their (atom index, count) pairs; sorting those gives canonical order
+    supports = sorted(
+        tuple((j, c) for j, c in enumerate(counts) if c) for counts in compositions(n, k)
+    )
     law_atoms = []
-    for counts in compositions(n, k):
-        weight = Fraction(math.factorial(n))
-        for c, (_, prob) in zip(counts, atoms):
-            weight = weight / math.factorial(c) * prob**c
-        empirical = EmpiricalDistribution(
-            n, [(belief, c) for c, (belief, _) in zip(counts, atoms) if c]
+    for support in supports:
+        weight = factorial[n]
+        for j, c in support:
+            # exact: prod of c! over any part of the counts divides n!
+            weight = weight // factorial[c] * powers[j][c]
+        empirical = _trusted(
+            EmpiricalDistribution, n=n, counts=tuple((beliefs[j], c) for j, c in support)
         )
-        law_atoms.append((empirical, weight))
-    return PopulationLaw(n, law_atoms)
+        law_atoms.append((empirical, Fraction(weight, total)))
+    # positive weights over D ** n that sum to (sum_k a_k) ** n / D ** n = 1
+    return _trusted(PopulationLaw, n=n, atoms=tuple(law_atoms))
 
 
 def product_feasible(product: SymmetricProduct, prior: Prior) -> FeasibilityVerdict:
@@ -87,23 +104,32 @@ def product_feasible(product: SymmetricProduct, prior: Prior) -> FeasibilityVerd
     return check_feasible(multinomial_law(product), prior)
 
 
-def binomial_measure(n: int, p: Fraction) -> ScalarMeasure:
-    """Binomial(n, p) rescaled to the grid {0, 1/n, ..., 1}."""
-    return ScalarMeasure(
-        (Fraction(i, n), Fraction(math.comb(n, i)) * p**i * (1 - p) ** (n - i))
-        for i in range(n + 1)
-    )
-
-
 def binomial_quantile_expectation(n: int, p, alpha) -> Fraction:
-    """Mean of the lower alpha-quantile slice of Binomial(n, p) on the 1/n grid."""
+    """Mean of the lower alpha-quantile slice of Binomial(n, p) on the 1/n grid.
+
+    Summed in integers: with p = P/Q and alpha = A/B, grid point i/n has mass
+    B * C(n, i) * P**i * (Q - P)**(n - i) in units of 1/(B * Q**n), and the
+    slice takes the lowest points up to a total of A * Q**n.
+    """
     p = parse_rational(p)
     alpha = parse_rational(alpha)
     if not 0 < p < 1:
         raise InvariantError(f"success probability must lie in (0, 1): {p}")
     if not isinstance(n, int) or n < 1:
         raise InvariantError(f"trial count must be a positive integer: {n}")
-    return quantile_distribution(binomial_measure(n, p), alpha).mean()
+    if alpha <= 0 or alpha > 1:
+        raise InvariantError(f"quantile level must lie in (0, 1]: {alpha}")
+    P, Q = p.numerator, p.denominator
+    B = alpha.denominator
+    slice_mass = alpha.numerator * Q**n
+    taken = moment = 0
+    for i in range(n + 1):
+        take = min(B * math.comb(n, i) * P**i * (Q - P) ** (n - i), slice_mass - taken)
+        moment += i * take
+        taken += take
+        if taken == slice_mass:
+            break
+    return Fraction(moment, n * slice_mass)
 
 
 def binary_marginal(mu, a, b) -> DiscreteMeasure:

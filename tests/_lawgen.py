@@ -3,13 +3,16 @@
 Each law is assembled from an explicit per-state decomposition (multinomial,
 public-signal, or a mixture of the two around prescribed conditional belief
 measures), so feasibility holds by construction and the checker has no excuse.
-The oracles are two for LPs and a brute-force kernel scan for information
-structures.
+The oracles are two for LPs, a brute-force kernel scan for information
+structures, and the plain `Fraction` formulas for the multinomial law and the
+binomial quantile mean.
 """
 
 import math
 import random
 from fractions import Fraction
+
+from hypothesis import strategies as st
 
 from poplaw import (
     Belief,
@@ -17,13 +20,16 @@ from poplaw import (
     EmpiricalDistribution,
     PopulationLaw,
     Prior,
+    ScalarMeasure,
     SymmetricProduct,
     barycenter,
     conditional_tilt,
     mix_laws,
     multinomial_law,
+    quantile_distribution,
 )
 from poplaw.simplex import FeasibilityResult
+from poplaw.structures import compositions
 
 
 def _binary_belief_pool():
@@ -102,6 +108,39 @@ def random_feasible_instance(rng: random.Random, max_n: int = 5, max_atoms: int 
             tilt = conditional_tilt(expected, prior, state)
             components.append((prior.coordinate(state), _component_law(rng, tilt, n)))
         return mix_laws(components), prior
+
+
+@st.composite
+def marginals(draw):
+    """A measure on one to four pool beliefs, two or three states, with unlike denominators."""
+    pool = draw(st.sampled_from((BINARY_POOL, TERNARY_POOL)))
+    beliefs = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
+    raw = draw(
+        st.lists(
+            st.fractions(min_value=Fraction(1, 12), max_value=1, max_denominator=12),
+            min_size=len(beliefs),
+            max_size=len(beliefs),
+        )
+    )
+    total = sum(raw)
+    return DiscreteMeasure((b, w / total) for b, w in zip(beliefs, raw))
+
+
+@st.composite
+def scalar_measures(draw):
+    """A measure on one to five distinct values in [0, 1] with denominators up to 12."""
+    k = draw(st.integers(min_value=1, max_value=5))
+    values = draw(
+        st.lists(
+            st.fractions(min_value=0, max_value=1, max_denominator=12),
+            min_size=k,
+            max_size=k,
+            unique=True,
+        )
+    )
+    weights = draw(st.lists(st.integers(min_value=1, max_value=9), min_size=k, max_size=k))
+    total = sum(weights)
+    return ScalarMeasure([(v, Fraction(w, total)) for v, w in zip(values, weights)])
 
 
 def random_binary_posterior_law(rng: random.Random, max_n: int = 6, max_denominator: int = 12):
@@ -272,3 +311,31 @@ def _merge_equal(pairs):
         else:
             out.append((item, amount))
     return out
+
+
+def reference_multinomial_law(product):
+    """The multinomial law atom by atom: n! times prod(a_k ** c_k / c_k!) in `Fraction`s.
+
+    Every value goes through the public constructors, which merge and sort.
+    """
+    atoms = product.marginal.atoms
+    n = product.n
+    law_atoms = []
+    for counts in compositions(n, len(atoms)):
+        weight = Fraction(math.factorial(n))
+        for c, (_, prob) in zip(counts, atoms):
+            weight = weight / math.factorial(c) * prob**c
+        empirical = EmpiricalDistribution(
+            n, [(belief, c) for c, (belief, _) in zip(counts, atoms) if c]
+        )
+        law_atoms.append((empirical, weight))
+    return PopulationLaw(n, law_atoms)
+
+
+def reference_binomial_quantile_expectation(n, p, alpha):
+    """Binomial(n, p) on the 1/n grid as a `ScalarMeasure`, then its lower alpha-slice's mean."""
+    binomial = ScalarMeasure(
+        (Fraction(i, n), Fraction(math.comb(n, i)) * p**i * (1 - p) ** (n - i))
+        for i in range(n + 1)
+    )
+    return ScalarMeasure(quantile_distribution(binomial, alpha).atoms).mean()

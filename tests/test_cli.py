@@ -482,3 +482,14 @@ def test_boolean_state_exits_two(capsys, tmp_path, command, base, field, where):
     code, out, err = _run_payload(capsys, tmp_path, command, payload)
     assert (code, out) == (2, "")
     assert err == f"poplaw: invalid input: {where}: state True is not an integer in [0, 2)\n"
+
+
+@pytest.mark.parametrize("m", [7, True])
+def test_structure_m_that_disagrees_with_mu_exits_two(capsys, tmp_path, m):
+    payload = json.loads((DATA / "three_agent_example.json").read_text())
+    code, out, err = _run_payload(capsys, tmp_path, "oracle", _edited(payload, ("m",), m))
+    assert (code, out) == (2, "")
+    assert err == (
+        "poplaw: invalid input: information structure: field 'm' must be 2, "
+        f"the number of states in mu, not {m!r}\n"
+    )

@@ -115,6 +115,20 @@ def test_verdict_round_trips_both_ways():
         assert back == verdict
 
 
+@pytest.mark.parametrize("field", ["feasible", "prior_consistent"])
+@pytest.mark.parametrize("value", ["no", 1, None])
+def test_verdict_flags_must_be_json_booleans(field, value):
+    verdict = check_feasible(
+        PopulationLaw(1, [(EmpiricalDistribution.constant(1, Belief.binary(F(1, 2))), 1)]),
+        Prior.binary(F(1, 2)),
+    )
+    payload = jsonio.verdict_to_json(verdict)
+    assert jsonio.verdict_from_json(payload) == verdict
+    payload[field] = value
+    with pytest.raises(InvariantError, match=f"field '{field}' must be true or false"):
+        jsonio.verdict_from_json(payload)
+
+
 def test_structure_and_scheme_round_trip():
     rng = random.Random(5)
     law, prior = random_feasible_instance(rng, max_n=3, max_atoms=3)

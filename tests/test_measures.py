@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _lawgen import scalar_measures
 from poplaw import (
     Belief,
     DiscreteMeasure,
@@ -71,6 +72,10 @@ def test_population_law_shares_n():
     e3 = EmpiricalDistribution(3, [(binary(0), 3)])
     with pytest.raises(InvariantError):
         PopulationLaw(2, [(e2, F(1, 2)), (e3, F(1, 2))])
+    # and one state space: its expected measure would mix two
+    ternary = EmpiricalDistribution(2, [(Belief([0, 0, 1]), 2)])
+    with pytest.raises(InvariantError, match="one state space"):
+        PopulationLaw(2, [(e2, F(1, 2)), (ternary, F(1, 2))])
 
 
 # ---------------------------------------------------------------- operations
@@ -228,19 +233,6 @@ def test_cached_hash_leaves_fields_repr_and_order_alone():
 # ---------------------------------------------------------------- properties
 
 rationals01 = st.fractions(min_value=0, max_value=1, max_denominator=12)
-
-
-@st.composite
-def scalar_measures(draw):
-    k = draw(st.integers(min_value=1, max_value=5))
-    values = draw(
-        st.lists(rationals01, min_size=k, max_size=k, unique=True)
-    )
-    weights = draw(
-        st.lists(st.integers(min_value=1, max_value=9), min_size=k, max_size=k)
-    )
-    total = sum(weights)
-    return ScalarMeasure([(v, F(w, total)) for v, w in zip(values, weights)])
 
 
 @st.composite

@@ -3,7 +3,14 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _lawgen import (
+    marginals,
+    reference_binomial_quantile_expectation,
+    reference_multinomial_law,
+)
 from poplaw import (
     Belief,
     DiscreteMeasure,
@@ -72,6 +79,43 @@ def test_multinomial_marginal_recovered():
     q = binary_marginal(F(1, 5), F(7, 10), F(1, 2))
     law = multinomial_law(SymmetricProduct(q, 5))
     assert law_expected_measure(law) == q
+
+
+@settings(max_examples=150, deadline=None)
+@given(marginals(), st.integers(min_value=1, max_value=6))
+def test_multinomial_law_equals_the_fraction_formula(marginal, n):
+    product = SymmetricProduct(marginal, n)
+    law = multinomial_law(product)
+    reference = reference_multinomial_law(product)
+    assert law == reference  # compares the atoms tuples, so their order too
+    assert all(type(w) is F for _, w in law.atoms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=14),
+    st.fractions(min_value=F(1, 30), max_value=F(29, 30), max_denominator=30),
+    st.fractions(min_value=F(1, 30), max_value=1, max_denominator=30),
+)
+def test_binomial_quantile_expectation_equals_the_fraction_formula(n, p, alpha):
+    value = binomial_quantile_expectation(n, p, alpha)
+    assert value == reference_binomial_quantile_expectation(n, p, alpha)
+    assert type(value) is F
+
+
+@pytest.mark.parametrize(
+    "n,p,alpha",
+    [
+        (3, 0, F(1, 2)),
+        (3, 1, F(1, 2)),
+        (0, F(1, 2), F(1, 2)),
+        (3, F(1, 2), 0),
+        (3, F(1, 2), F(3, 2)),
+    ],
+)
+def test_binomial_quantile_expectation_refuses_bad_arguments(n, p, alpha):
+    with pytest.raises(InvariantError):
+        binomial_quantile_expectation(n, p, alpha)
 
 
 def test_multinomial_resource_bound(monkeypatch):

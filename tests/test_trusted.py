@@ -1,0 +1,153 @@
+"""Values built without constructor checks equal their rebuild through the public constructors.
+
+The library skips the checks only where it proves the fields canonical (see
+the `measures` module docstring). Each such value must come back from its
+public constructor with the same fields in the same order, the same number
+types and the same hash.
+"""
+
+import dataclasses
+import random
+from fractions import Fraction as F
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from _lawgen import (
+    marginals,
+    random_binary_posterior_law,
+    random_feasible_instance,
+    scalar_measures,
+)
+from poplaw import (
+    Belief,
+    BinaryBase,
+    EmpiricalDistribution,
+    PopulationLaw,
+    SpreadDecomposition,
+    SymmetricProduct,
+    barycenter,
+    base_law,
+    check_feasible,
+    conditional_tilt,
+    is_mps_binary_base,
+    law_expected_measure,
+    mps_decompose,
+    multinomial_law,
+    quantile_distribution,
+    upper_quantile_distribution,
+)
+from poplaw.mps import _scalar_split
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def assert_canonical(value):
+    cls = type(value)
+    names = [field.name for field in dataclasses.fields(cls)]
+    public = cls(*(getattr(value, name) for name in names))
+    for name in names:
+        assert getattr(public, name) == getattr(value, name)
+    assert hash(public) == hash(value)
+    if cls is Belief:
+        assert all(type(c) is F for c in value.coords)
+    elif cls is EmpiricalDistribution:
+        assert all(type(c) is int for _, c in value.counts)
+    else:
+        assert all(type(w) is F for _, w in value.atoms)
+        for point, _ in value.atoms:
+            if isinstance(point, EmpiricalDistribution):
+                assert_canonical(point)
+
+
+def assert_law_parts_canonical(evidence):
+    if isinstance(evidence, SpreadDecomposition):
+        for _, part in evidence.components:
+            assert_canonical(part)
+
+
+def _laws(seed):
+    rng = random.Random(seed)
+    law, prior = random_feasible_instance(rng)
+    yield law, prior
+    law, prior, _, _, consistent = random_binary_posterior_law(rng)
+    if consistent:
+        yield law, prior
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds)
+def test_expected_measures_and_barycenters(seed):
+    for law, _ in _laws(seed):
+        expected = law_expected_measure(law)
+        assert_canonical(expected)
+        assert_canonical(barycenter(expected))
+
+
+def test_expected_measure_of_beliefs_met_out_of_order():
+    # the first atom's second belief is above a belief that only the second atom holds
+    lo, mid, hi = (Belief.binary(x) for x in (0, F(1, 2), 1))
+    law = PopulationLaw(
+        2,
+        [
+            (EmpiricalDistribution(2, [(lo, 1), (hi, 1)]), F(1, 2)),
+            (EmpiricalDistribution(2, [(mid, 2)]), F(1, 2)),
+        ],
+    )
+    assert_canonical(law_expected_measure(law))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds)
+def test_base_law_components_equal_conditional_tilts(seed):
+    for law, prior in _laws(seed):
+        expected = law_expected_measure(law)
+        for state, (weight, measure) in enumerate(base_law(law, prior).components):
+            public = conditional_tilt(expected, prior, state)
+            assert weight == prior.coordinate(state)
+            assert measure.atoms == public.atoms
+            assert_canonical(measure)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scalar_measures(), st.fractions(min_value=F(1, 10), max_value=1, max_denominator=10))
+def test_quantile_slices(measure, alpha):
+    assert_canonical(quantile_distribution(measure, alpha))
+    assert_canonical(upper_quantile_distribution(measure, alpha))
+
+
+@settings(max_examples=80, deadline=None)
+@given(marginals(), st.integers(min_value=1, max_value=5))
+def test_multinomial_laws(marginal, n):
+    assert_canonical(multinomial_law(SymmetricProduct(marginal, n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    scalar_measures(),
+    st.fractions(min_value=F(1, 10), max_value=F(9, 10), max_denominator=10),
+    st.fractions(min_value=0, max_value=F(9, 10), max_denominator=10),
+)
+def test_scalar_split_parts(measure, alpha, t):
+    # a base whose low atom sits at fraction t of the way from the lower
+    # slice's mean to the mean; t = 0 leaves the upper slice out of the low part
+    low_mean = quantile_distribution(measure, alpha).mean()
+    mean = measure.mean()
+    if low_mean == mean:
+        return
+    a = low_mean + t * (mean - low_mean)
+    base = BinaryBase(a, (mean - alpha * a) / (1 - alpha), alpha)
+    assert is_mps_binary_base(measure, base).is_spread
+    low, high = _scalar_split(measure, base)
+    assert_canonical(low)
+    assert_canonical(high)
+    assert (low.mean(), high.mean()) == (base.a, base.b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds)
+def test_decomposition_parts_on_both_routes(seed):
+    for law, prior in _laws(seed):
+        verdict = check_feasible(law, prior)
+        assert_law_parts_canonical(verdict.decomposition)
+        assert_law_parts_canonical(mps_decompose(law, verdict.base, route="lp"))
