@@ -31,7 +31,7 @@ from .product import (
     product_feasible,
     threshold_curve,
 )
-from .rationals import format_decimal, format_rational, parse_rational
+from .rationals import format_decimal, format_rational, parse_rational, require_int
 from .structures import expand_scheme, induced_population_law, simulate, synthesize
 
 
@@ -122,8 +122,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_polarize(args) -> int:
-    if args.states != 2:
-        raise InvariantError("only binary-state polarization is exposed on the CLI")
+    n_max = args.n if args.n_max is None else require_int(args.n_max, "--n-max")
     prior = Prior.binary(parse_rational(args.mu))
     fmt = _formatter(args)
     report = max_polarization(args.n, prior)
@@ -147,7 +146,7 @@ def _cmd_polarize(args) -> int:
     _emit(out)
     if args.csv:
         rows = []
-        for n in range(1, (args.n_max or args.n) + 1):
+        for n in range(1, n_max + 1):
             r = max_polarization(n, prior)
             rows.append((n, fmt(r.lower_bound), fmt(r.upper_bound), fmt(r.value)))
         _write_text(args.csv, _csv_text(("n", "lower", "upper", "achieved"), rows))
@@ -301,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("polarize", help="maximal polarization report")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mu", required=True, help="prior probability of state 1")
-    p.add_argument("--states", type=int, default=2)
     p.add_argument("--search-denominator", type=int, default=None,
                    help="also run the exhaustive kernel grid search at this denominator")
     p.add_argument("--csv", default=None, help="write (n, lower, upper, achieved) rows")

@@ -29,7 +29,7 @@ from .mps import (
     SpreadDecomposition,
     SpreadTarget,
 )
-from .rationals import check_exponent, format_rational, parse_rational
+from .rationals import check_exponent, format_rational, parse_rational, require_int
 from .structures import InformationStructure, SymmetricScheme
 
 
@@ -348,9 +348,7 @@ def _per_state(entries, dimension: int, where: str, decode) -> list:
     """
     decoded: list = [None] * dimension
     for entry in entries:
-        state = _require(entry, "state", where)
-        if type(state) is not int or not 0 <= state < dimension:
-            raise InvariantError(f"{where}: state {state!r} is not an integer in [0, {dimension})")
+        state = require_int(_require(entry, "state", where), f"{where}: state", 0, dimension)
         if decoded[state] is not None:
             raise InvariantError(f"{where}: state {state} appears twice")
         decoded[state] = decode(entry)

@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InvariantError
-from .rationals import parse_rational
+from .rationals import parse_quantile_level, parse_rational, require_int
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -201,14 +201,10 @@ class EmpiricalDistribution:
     counts: tuple[tuple[Belief, int], ...]
 
     def __init__(self, n: int, counts: Iterable) -> None:
-        # type(), not isinstance(): bool is an int, and JSON true is no count
-        if type(n) is not int or n < 1:
-            raise InvariantError(f"population size must be a positive integer: {n}")
+        require_int(n, "population size")
         merged: dict = {}
         for belief, count in counts:
-            if type(count) is not int or count < 0:
-                raise InvariantError(f"counts must be non-negative integers: {count}")
-            if count == 0:
+            if require_int(count, "count", low=0) == 0:
                 continue
             merged[belief] = merged.get(belief, 0) + count
         if sum(merged.values()) != n:
@@ -255,8 +251,7 @@ class PopulationLaw:
     atoms: tuple[tuple[EmpiricalDistribution, Fraction], ...]
 
     def __init__(self, n: int, atoms: Iterable) -> None:
-        if type(n) is not int or n < 1:
-            raise InvariantError(f"population size must be a positive integer: {n}")
+        require_int(n, "population size")
         atoms = _merge_atoms(atoms, "population law")
         if any(emp.n != n for emp, _ in atoms):
             raise InvariantError("all empirical distributions in a law must have the same n")
@@ -351,9 +346,7 @@ def quantile_distribution(measure: ScalarMeasure, alpha) -> ScalarMeasure:
     leftover mass (alpha minus everything below) over alpha, and a leftover of
     zero is dropped. alpha = 1 returns the measure unchanged.
     """
-    alpha = parse_rational(alpha)
-    if alpha <= 0 or alpha > 1:
-        raise InvariantError(f"quantile level must lie in (0, 1]: {alpha}")
+    alpha = parse_quantile_level(alpha)
     if alpha == 1:
         return measure
     return _trusted(ScalarMeasure, atoms=_lower_slice(measure.atoms, alpha))
@@ -361,9 +354,7 @@ def quantile_distribution(measure: ScalarMeasure, alpha) -> ScalarMeasure:
 
 def upper_quantile_distribution(measure: ScalarMeasure, alpha) -> ScalarMeasure:
     """The upper alpha-quantile slice, i.e. the lower slice of the reversed order."""
-    alpha = parse_rational(alpha)
-    if alpha <= 0 or alpha > 1:
-        raise InvariantError(f"quantile level must lie in (0, 1]: {alpha}")
+    alpha = parse_quantile_level(alpha)
     if alpha == 1:
         return measure
     return _trusted(ScalarMeasure, atoms=_lower_slice(measure.reversed(), alpha)[::-1])

@@ -251,7 +251,7 @@ def _decompose_two_point(law, target, scalar_law, index_of, positions, grouped):
 
 
 def decomposition_lp(law: PopulationLaw, target: SpreadTarget):
-    """The canonical LP system deciding the decomposition, plus labels.
+    """The canonical LP system (rows, rhs) deciding the decomposition.
 
     Variables: q[c][j] >= 0 for component c and law atom j (column c*J + j).
     Rows, in order: one mass-balance row per law atom j, then one moment row
@@ -265,14 +265,12 @@ def decomposition_lp(law: PopulationLaw, target: SpreadTarget):
     ncols = len(comps) * J
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
-    labels: list[dict] = []
     for j, p_weight in enumerate(law_weights):
         row = [ZERO] * ncols
         for c, (c_weight, _) in enumerate(comps):
             row[c * J + j] = c_weight
         rows.append(row)
         rhs.append(p_weight)
-        labels.append({"row": "mass", "atom": j})
     share = [
         {belief: Fraction(count, law.n) for belief, count in empirical.counts}
         for empirical in empiricals
@@ -284,8 +282,7 @@ def decomposition_lp(law: PopulationLaw, target: SpreadTarget):
                 row[c * J + j] = share[j].get(belief, ZERO)
             rows.append(row)
             rhs.append(measure.mass(belief))
-            labels.append({"row": "moment", "component": c, "belief": belief})
-    return rows, rhs, labels
+    return rows, rhs
 
 
 def mps_decompose(law: PopulationLaw, target: SpreadTarget, route: str = "auto"):
@@ -308,7 +305,7 @@ def mps_decompose(law: PopulationLaw, target: SpreadTarget, route: str = "auto")
                 return result
         if route == "quantile":
             raise InvariantError("law does not embed on two beliefs")
-    rows, rhs, _ = decomposition_lp(law, target)
+    rows, rhs = decomposition_lp(law, target)
     outcome = solve_equalities(rows, rhs)
     if not outcome.feasible:
         return FarkasCertificate(outcome.farkas)
@@ -352,7 +349,7 @@ def verify_decomposition(
 def verify_certificate(law: PopulationLaw, target: SpreadTarget, certificate) -> bool:
     """Re-check a refutation from scratch; True only if it genuinely refutes."""
     if isinstance(certificate, FarkasCertificate):
-        rows, rhs, _ = decomposition_lp(law, target)
+        rows, rhs = decomposition_lp(law, target)
         return farkas_refutes(rows, rhs, certificate.y)
     two_point = _two_point(law, target)
     if two_point is None:

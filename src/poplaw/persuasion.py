@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import InternalError, InvariantError
 from .measures import Belief, EmpiricalDistribution, PopulationLaw, Prior, ScalarMeasure
-from .rationals import parse_rational
+from .rationals import parse_rational, require_int
 from .structures import SymmetricScheme
 
 ZERO = Fraction(0)
@@ -44,7 +44,7 @@ class SenderUtility:
 
     @classmethod
     def from_function(cls, fn: Callable, n: int) -> "SenderUtility":
-        return cls(fn(Fraction(i, n)) for i in range(n + 1))
+        return cls(fn(Fraction(i, n)) for i in range(require_int(n, "agent count") + 1))
 
     @classmethod
     def linear(cls, n: int) -> "SenderUtility":
@@ -75,8 +75,7 @@ class PersuasionInstance:
     utility: SenderUtility
 
     def __init__(self, n: int, mu, tau, utility: SenderUtility) -> None:
-        if type(n) is not int or n < 1:
-            raise InvariantError(f"agent count must be a positive integer: {n}")
+        require_int(n, "agent count")
         mu = parse_rational(mu)
         tau = parse_rational(tau)
         if not 0 < mu < tau < 1:
@@ -198,9 +197,9 @@ def persuasion_limit_value(mu, tau, utility_fn: Callable, schedule: Sequence[int
     sampled onto each grid in the schedule. Monotonicity is checked over
     consecutive entries where the next grid refines the previous one.
     """
-    schedule = list(schedule)
-    if not schedule or any(not isinstance(k, int) or k < 1 for k in schedule):
-        raise InvariantError("schedule must be a non-empty list of positive integers")
+    schedule = [require_int(k, "schedule entry") for k in schedule]
+    if not schedule:
+        raise InvariantError("schedule must not be empty")
     rows = []
     for n in schedule:
         instance = PersuasionInstance(

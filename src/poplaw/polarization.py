@@ -19,6 +19,7 @@ from operator import mul
 
 from .errors import InvariantError
 from .measures import EmpiricalDistribution, PopulationLaw, Prior
+from .rationals import require_int
 from .structures import InformationStructure, grid_kernel, weight_grid
 
 ZERO = Fraction(0)
@@ -53,8 +54,7 @@ def expected_polarization(law: PopulationLaw) -> Fraction:
 
 def reveal_half_structure(n: int, prior: Prior) -> InformationStructure:
     """Reveal the state to ceil(n/2) agents, tell the rest nothing."""
-    if not isinstance(n, int) or n < 1:
-        raise InvariantError(f"population size must be a positive integer: {n}")
+    require_int(n, "population size")
     informed = (n + 1) // 2
     state_labels = tuple(f"state{j}" for j in range(prior.dimension))
     silent = ("quiet",)
@@ -89,8 +89,7 @@ def max_polarization(n: int, prior: Prior) -> PolarizationReport:
     maximum may sit strictly inside. The value is the closed form; the tests
     check that the returned structure attains it.
     """
-    if not isinstance(n, int) or n < 1:
-        raise InvariantError(f"population size must be a positive integer: {n}")
+    require_int(n, "population size")
     if prior.dimension == 2:
         mu = prior.coordinate(1)
         bound = mu * (1 - mu) / 4

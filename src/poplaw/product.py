@@ -24,7 +24,7 @@ from .measures import (
     Prior,
     _trusted,
 )
-from .rationals import parse_rational
+from .rationals import parse_quantile_level, parse_rational, require_int
 from .structures import compositions, max_profiles_bound
 
 
@@ -36,8 +36,7 @@ class SymmetricProduct:
     n: int
 
     def __init__(self, marginal: DiscreteMeasure, n: int) -> None:
-        if type(n) is not int or n < 1:
-            raise InvariantError(f"agent count must be a positive integer: {n}")
+        require_int(n, "agent count")
         object.__setattr__(self, "marginal", marginal)
         object.__setattr__(self, "n", n)
 
@@ -111,14 +110,11 @@ def binomial_quantile_expectation(n: int, p, alpha) -> Fraction:
     B * C(n, i) * P**i * (Q - P)**(n - i) in units of 1/(B * Q**n), and the
     slice takes the lowest points up to a total of A * Q**n.
     """
+    require_int(n, "trial count")
     p = parse_rational(p)
-    alpha = parse_rational(alpha)
+    alpha = parse_quantile_level(alpha)
     if not 0 < p < 1:
         raise InvariantError(f"success probability must lie in (0, 1): {p}")
-    if not isinstance(n, int) or n < 1:
-        raise InvariantError(f"trial count must be a positive integer: {n}")
-    if alpha <= 0 or alpha > 1:
-        raise InvariantError(f"quantile level must lie in (0, 1]: {alpha}")
     P, Q = p.numerator, p.denominator
     B = alpha.denominator
     slice_mass = alpha.numerator * Q**n
@@ -165,14 +161,11 @@ def symmetric_threshold(n: int) -> Fraction:
     Closed form 1/2 - C(2m, m) * 2**-(2m+1) with m = n // 2; even n and n + 1
     share the value.
     """
-    if not isinstance(n, int) or n < 2:
-        raise InvariantError(f"need at least two agents: {n}")
-    m = n // 2
+    m = require_int(n, "agent count", low=2) // 2
     return Fraction(1, 2) - Fraction(math.comb(2 * m, m), 2 ** (2 * m + 1))
 
 
 def threshold_curve(n_max: int) -> list[tuple[int, Fraction]]:
     """Rows (n, symmetric_threshold(n)) for n = 2 .. n_max."""
-    if not isinstance(n_max, int) or n_max < 2:
-        raise InvariantError(f"need n_max >= 2: {n_max}")
-    return [(n, symmetric_threshold(n)) for n in range(2, n_max + 1)]
+    last = require_int(n_max, "n_max", low=2)
+    return [(n, symmetric_threshold(n)) for n in range(2, last + 1)]

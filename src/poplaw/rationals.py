@@ -5,6 +5,11 @@ input spellings are integers, "p/q" strings, and decimal strings such as
 "0.3" (converted exactly, never through binary floating point). Floats are
 rejected: a float has already lost the author's intended value.
 
+Booleans are not integers here, though Python's `bool` subclasses `int`:
+JSON `true` is neither a rational nor a count. Every count, size, seed, state
+and digit count goes through `require_int`, every quantile level through
+`parse_quantile_level`.
+
 Numbers are held to CPython's default limit of 4,300 digits for converting
 between int and str: a decimal exponent past it is refused on input, before
 `Fraction` builds 10**exponent, and output that would need longer digit
@@ -42,6 +47,29 @@ def parse_rational(value) -> Fraction:
     raise InvariantError(f"not a rational: {value!r}")
 
 
+def require_int(value, name: str, low: int = 1, high: int | None = None) -> int:
+    """Return `value` if its type is int and low <= value (< high when given).
+
+    Otherwise raise `InvariantError` naming the argument.
+    """
+    if type(value) is not int or value < low or (high is not None and value >= high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high})"
+        try:
+            shown = repr(value)
+        except ValueError:  # an int past the str conversion limit
+            shown = f"with more than {MAX_DIGITS} digits"
+        raise InvariantError(f"{name} {shown} is not an integer {bound}")
+    return value
+
+
+def parse_quantile_level(value) -> Fraction:
+    """Parse a quantile level alpha and require 0 < alpha <= 1."""
+    alpha = parse_rational(value)
+    if not 0 < alpha <= 1:
+        raise InvariantError(f"quantile level must lie in (0, 1]: {alpha}")
+    return alpha
+
+
 def check_exponent(text: str) -> None:
     """Refuse a decimal literal whose exponent magnitude exceeds MAX_DIGITS."""
     if "e" not in text and "E" not in text:
@@ -67,9 +95,7 @@ def format_rational(value: Fraction):
 
 def format_decimal(value: Fraction, digits: int) -> str:
     """Render a Fraction as a decimal string with `digits` places, round half to even."""
-    if digits < 0:
-        raise InvariantError("digits must be >= 0")
-    if digits > MAX_DIGITS:
+    if require_int(digits, "digits", low=0) > MAX_DIGITS:
         raise ResourceLimitError(f"at most {MAX_DIGITS} decimal places can be rendered")
     scaled = value * 10**digits
     whole = scaled.numerator // scaled.denominator

@@ -38,7 +38,7 @@ from .measures import (
     mix_laws,
 )
 from .mps import SpreadDecomposition, verify_decomposition
-from .rationals import parse_rational
+from .rationals import parse_rational, require_int
 from .rng import MASK64, PHI, TWO64, mix64
 
 ZERO = Fraction(0)
@@ -57,9 +57,7 @@ def max_profiles_bound() -> int:
         bound = int(raw)
     except ValueError as exc:
         raise InvariantError(f"{MAX_PROFILES_ENV} must be an integer: {raw!r}") from exc
-    if bound < 1:
-        raise InvariantError(f"{MAX_PROFILES_ENV} must be positive: {bound}")
-    return bound
+    return require_int(bound, MAX_PROFILES_ENV)
 
 
 @dataclass(frozen=True)
@@ -76,8 +74,7 @@ class InformationStructure:
     kernel: tuple[tuple[tuple[tuple[SignalLabel, ...], Fraction], ...], ...]
 
     def __init__(self, n: int, prior: Prior, signal_sets: Iterable, kernel: Iterable) -> None:
-        if type(n) is not int or n < 1:
-            raise InvariantError(f"agent count must be a positive integer: {n}")
+        require_int(n, "agent count")
         signal_sets = tuple(tuple(s) for s in signal_sets)
         if len(signal_sets) != n:
             raise InvariantError("need one signal set per agent")
@@ -304,12 +301,9 @@ def simulate(
     sharding just partitions the sample indices. The seed must lie in
     [0, 2**64).
     """
-    if not isinstance(samples, int) or samples < 1:
-        raise InvariantError(f"sample count must be a positive integer: {samples}")
-    if not isinstance(shards, int) or shards < 1:
-        raise InvariantError(f"shard count must be a positive integer: {shards}")
-    if not isinstance(seed, int) or not 0 <= seed < TWO64:
-        raise InvariantError("seed must be an integer in [0, 2**64)")
+    require_int(samples, "sample count")
+    require_int(shards, "shard count")
+    require_int(seed, "seed", low=0, high=TWO64)
     tables = (
         _selection_table(enumerate(scheme.prior.coords)),
         [_selection_table(law.atoms) for law in scheme.state_laws],
@@ -384,8 +378,9 @@ def weight_grid(n: int, signals_per_agent: int, denominator: int):
     `ResourceLimitError`, before enumerating anything, when the number of
     kernel pairs C(d + s**n - 1, s**n - 1)**2 exceeds the profile bound.
     """
-    if n < 1 or signals_per_agent < 1 or denominator < 1:
-        raise InvariantError("population, signal and grid sizes must be positive")
+    require_int(n, "agent count")
+    require_int(signals_per_agent, "signals per agent")
+    require_int(denominator, "grid denominator")
     parts = signals_per_agent**n
     bound = max_profiles_bound()
     # C(d + p - 1, p - 1) = C(high + low, low) one factor at a time, so that a

@@ -250,7 +250,7 @@ def test_nonpositive_search_denominator_exits_two(capsys, denominator):
     code, out, err = run(capsys, *args)
     assert code == 2
     assert out == ""
-    assert err == "poplaw: invalid input: population, signal and grid sizes must be positive\n"
+    assert err == f"poplaw: invalid input: grid denominator {denominator} is not an integer >= 1\n"
 
 
 @pytest.mark.parametrize(
@@ -321,7 +321,26 @@ def test_seed_outside_64_bits_exits_two(capsys, seed):
     code, out, err = run(capsys, *args)
     assert code == 2
     assert out == ""
-    assert err == "poplaw: invalid input: seed must be an integer in [0, 2**64)\n"
+    assert err == f"poplaw: invalid input: seed {seed} is not an integer in [0, {2**64})\n"
+
+
+@pytest.mark.parametrize("u", ["linear", "threshold:1/2"])
+def test_persuade_with_no_agents_exits_two(capsys, u):
+    code, out, err = run(capsys, "persuade", "--n", "0", "--mu", "1/4", "--tau", "1/2", "--u", u)
+    assert code == 2
+    assert out == ""
+    assert err == "poplaw: invalid input: agent count 0 is not an integer >= 1\n"
+
+
+@pytest.mark.parametrize("n_max", ["0", "-1"])
+def test_nonpositive_polarize_n_max_exits_two(capsys, tmp_path, n_max):
+    rows = tmp_path / "rows.csv"
+    args = ("polarize", "--n", "3", "--mu", "1/2", "--csv", str(rows), f"--n-max={n_max}")
+    code, out, err = run(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert err == f"poplaw: invalid input: --n-max {n_max} is not an integer >= 1\n"
+    assert not rows.exists()
 
 
 @pytest.mark.parametrize("seed", ["0", str(2**64 - 1)])
