@@ -24,7 +24,7 @@ from .persuasion import (
     grid_concavification,
     persuasion_policy,
 )
-from .polarization import max_polarization, search_max_polarization
+from .polarization import max_polarization, polarization_bounds, search_max_polarization
 from .product import (
     SymmetricProduct,
     binary_marginal,
@@ -147,8 +147,9 @@ def _cmd_polarize(args) -> int:
     if args.csv:
         rows = []
         for n in range(1, n_max + 1):
-            r = max_polarization(n, prior)
-            rows.append((n, fmt(r.lower_bound), fmt(r.upper_bound), fmt(r.value)))
+            # the achieved value is the lower end of the bracket
+            lower, upper = polarization_bounds(n, prior)
+            rows.append((n, fmt(lower), fmt(upper), fmt(lower)))
         _write_text(args.csv, _csv_text(("n", "lower", "upper", "achieved"), rows))
     return 0
 

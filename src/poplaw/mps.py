@@ -11,6 +11,12 @@ belief measures:
   per-component weights placed on each atom of the law, with a Farkas
   certificate on infeasibility.
 
+A target of exactly two components (every two-state base law) takes the LP
+in bounded form: x_j = w0 * q0[j] with 0 <= x_j <= p_j, one row per belief
+of the law, since the bound stands in for the mass rows and the law's mean
+for component 1's rows. Its Farkas vector is translated back onto the rows
+of the canonical `decomposition_lp`, which every other target solves as is.
+
 Positive answers come with a `SpreadDecomposition`, negative answers with a
 certificate that `verify_certificate` can re-check from scratch.
 """
@@ -290,8 +296,9 @@ def mps_decompose(law: PopulationLaw, target: SpreadTarget, route: str = "auto")
 
     Returns a `SpreadDecomposition` or an `InfeasibilityCertificate`. Laws on
     exactly two beliefs take the quantile shortcut; everything else goes
-    through the exact LP. `route` pins one path ("quantile" or "lp") for
-    cross-checking; "quantile" raises when the law does not embed.
+    through the exact LP, bounded for two target components and canonical
+    otherwise. `route` pins one path ("quantile" or "lp") for cross-checking;
+    "quantile" raises when the law does not embed.
     """
     if route not in ("auto", "quantile", "lp"):
         raise InvariantError(f"unknown route {route!r}")
@@ -305,6 +312,8 @@ def mps_decompose(law: PopulationLaw, target: SpreadTarget, route: str = "auto")
                 return result
         if route == "quantile":
             raise InvariantError("law does not embed on two beliefs")
+    if len(target.components) == 2:
+        return _decompose_two_components(law, target)
     rows, rhs = decomposition_lp(law, target)
     outcome = solve_equalities(rows, rhs)
     if not outcome.feasible:
@@ -315,6 +324,78 @@ def mps_decompose(law: PopulationLaw, target: SpreadTarget, route: str = "auto")
         (weight, _restrict(law, enumerate(outcome.solution[c * J : (c + 1) * J])))
         for c, (weight, _) in enumerate(target.components)
     )
+
+
+def _decompose_two_components(law: PopulationLaw, target: SpreadTarget):
+    """The LP route for two components, by `bounded_decomposition_lp`.
+
+    Farkas vectors are stated over the canonical `decomposition_lp` rows. A
+    Farkas vector y of the bounded LP becomes -z_j on mass row j, with z_j =
+    max(0, y.A_j), w0 * y on component 0's moment rows and 0 on component
+    1's: each column's sum is w0 * (y.A_j - z_j) or -w1 * z_j, never
+    positive, and the rhs gets y.rhs - z.p > 0.
+    """
+    (w0, _), (w1, _) = target.components
+    expected = dict(law_expected_measure(law).atoms)
+    mixture: dict[Belief, Fraction] = {}
+    for weight, measure in target.components:
+        for belief, mass in measure.atoms:
+            mixture[belief] = mixture.get(belief, ZERO) + weight * mass
+    if expected != mixture:
+        return FarkasCertificate(_mismatch_farkas(law, target, expected, mixture))
+    rows, rhs, upper = bounded_decomposition_lp(law, target)
+    outcome = solve_equalities(rows, rhs, upper)
+    if not outcome.feasible:
+        y = outcome.farkas
+        z = [
+            max(ZERO, sum((yi * v for yi, v in zip(y, column) if v), ZERO))
+            for column in zip(*rows)
+        ]
+        return FarkasCertificate((*(-v for v in z), *(w0 * v for v in y), *([ZERO] * len(y))))
+    x = outcome.solution
+    # both parts sum to 1: x sums to w0 over the moment rows, p - x to 1 - w0
+    return SpreadDecomposition(
+        [
+            (w0, _restrict(law, ((j, v / w0) for j, v in enumerate(x)))),
+            (w1, _restrict(law, ((j, (p - v) / w1) for j, (v, p) in enumerate(zip(x, upper))))),
+        ]
+    )
+
+
+def bounded_decomposition_lp(law: PopulationLaw, target: SpreadTarget):
+    """The two-component LP system (rows, rhs, upper) over x_j = w0 * q0[j].
+
+    One row per belief x of the law, sum_j share_j(x) * x_j = w0 * m0(x),
+    with 0 <= x_j <= p_j, the law's weight on atom j. The bound is atom j's
+    mass row, as q1[j] = (p_j - x_j) / w1; component 1's moment rows follow
+    when the law's expected measure equals the target's mixture, which the
+    caller checks.
+    """
+    (w0, m0), _ = target.components
+    beliefs = sorted({belief for empirical, _ in law.atoms for belief in empirical.support()})
+    index = {belief: i for i, belief in enumerate(beliefs)}
+    rows = [[ZERO] * len(law.atoms) for _ in beliefs]
+    for j, (empirical, _) in enumerate(law.atoms):
+        for belief, count in empirical.counts:
+            rows[index[belief]][j] = Fraction(count, law.n)
+    rhs = [w0 * m0.mass(belief) for belief in beliefs]
+    return rows, rhs, [p for _, p in law.atoms]
+
+
+def _mismatch_farkas(law: PopulationLaw, target: SpreadTarget, expected, mixture):
+    """A Farkas vector over `decomposition_lp`'s rows for a target the law's mean misses.
+
+    At the first belief x where the law's expected measure E and the target's
+    mixture M differ, with s = sign(M(x) - E(x)): mass row j gets -s times
+    atom j's share at x, and every component c's moment row at x gets s * w_c.
+    Each column then sums to zero and the rhs to |M(x) - E(x)|.
+    """
+    beliefs = _beliefs(law, target)
+    x = next(b for b in beliefs if expected.get(b, ZERO) != mixture.get(b, ZERO))
+    s = 1 if mixture.get(x, ZERO) > expected.get(x, ZERO) else -1
+    mass = [-s * Fraction(dict(e.counts).get(x, 0), law.n) for e, _ in law.atoms]
+    moments = [s * w if b == x else ZERO for w, _ in target.components for b in beliefs]
+    return (*mass, *moments)
 
 
 def _restrict(law: PopulationLaw, weights) -> PopulationLaw:
@@ -331,7 +412,12 @@ def _restrict(law: PopulationLaw, weights) -> PopulationLaw:
 def verify_decomposition(
     law: PopulationLaw, target: SpreadTarget, decomposition: SpreadDecomposition
 ) -> bool:
-    """Exact re-check of both constraint families, plus the support condition."""
+    """Exact re-check of both constraint families, plus the support condition.
+
+    Each component law's weights must be positive: a law built without the
+    public constructor's checks could carry a negative weight that the
+    equality constraints alone do not catch.
+    """
     comps = decomposition.components
     if len(comps) != len(target.components):
         return False
@@ -339,7 +425,7 @@ def verify_decomposition(
     for (weight, q), (t_weight, measure) in zip(comps, target.components):
         if weight != t_weight or q.n != law.n:
             return False
-        if not set(q.support()) <= support:
+        if not set(q.support()) <= support or any(w <= 0 for _, w in q.atoms):
             return False
         if law_expected_measure(q) != measure:
             return False

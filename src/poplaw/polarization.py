@@ -80,14 +80,12 @@ class PolarizationReport:
             raise InvariantError("polarization report bounds do not bracket the value")
 
 
-def max_polarization(n: int, prior: Prior) -> PolarizationReport:
-    """Maximal expected polarization of n agents under the prior.
+def polarization_bounds(n: int, prior: Prior) -> tuple[Fraction, Fraction]:
+    """The bracket (lower, upper) of n agents' maximal expected polarization.
 
-    Even n: the reveal-half structure is optimal and the bounds coincide.
-    Odd n: the reveal-to-(n+1)/2 structure achieves the lower end of the
-    bracket [(1 - 1/n^2) * B, B] where B is the even-n optimum; the true odd
-    maximum may sit strictly inside. The value is the closed form; the tests
-    check that the returned structure attains it.
+    The upper end B is the even-n optimum mu*(1-mu)/4 (summed over the
+    coordinates for more than two states); the lower end is B for even n and
+    (1 - 1/n^2) * B, what reveal-half attains, for odd n.
     """
     require_int(n, "population size")
     if prior.dimension == 2:
@@ -96,10 +94,24 @@ def max_polarization(n: int, prior: Prior) -> PolarizationReport:
     else:
         bound = sum((c * (1 - c) / 4 for c in prior.coords), ZERO)
     lower = bound if n % 2 == 0 else (1 - Fraction(1, n * n)) * bound
+    return lower, bound
+
+
+def max_polarization(n: int, prior: Prior) -> PolarizationReport:
+    """Maximal expected polarization of n agents under the prior.
+
+    Even n: the reveal-half structure is optimal and the bounds coincide.
+    Odd n: the reveal-to-(n+1)/2 structure achieves the lower end of the
+    bracket [(1 - 1/n^2) * B, B] where B is the even-n optimum; the true odd
+    maximum may sit strictly inside. The value is the closed form of
+    `polarization_bounds`; the tests check that the returned structure
+    attains it.
+    """
+    lower, upper = polarization_bounds(n, prior)
     return PolarizationReport(
         value=lower,
         lower_bound=lower,
-        upper_bound=bound,
+        upper_bound=upper,
         structure=reveal_half_structure(n, prior),
     )
 

@@ -1,15 +1,27 @@
 """Self-contained exact linear programming over rationals.
 
-Solves `A x = b, x >= 0` feasibility with phase 1 of the simplex method,
-returning a Farkas refutation on failure. Each tableau row, the objective
-row included, is a sparse map from column to integer plus one positive
-integer denominator of its own, kept coprime with the row's entries
-(Bareiss-style fraction-free elimination applied row by row). A pivot
-rewrites only the rows with a nonzero in the pivot column, over the union of
-their keys and the pivot row's; every other row's true values do not change.
-Bland's smallest-index rule picks both the entering column and the leaving
-row, which rules out cycling; ties in the ratio test go to the smallest basic
-variable index, so runs are deterministic.
+Solves `A x = b, 0 <= x <= u` feasibility with phase 1 of the simplex method,
+returning a Farkas refutation on failure; a system passed without bounds is
+the canonical `A x = b, x >= 0`. Each
+tableau row, the objective row included, is a sparse map from column to
+integer plus one positive integer denominator of its own, kept coprime with
+the row's entries (Bareiss-style fraction-free elimination applied row by
+row). A pivot rewrites only the rows with a nonzero in the pivot column, over
+the union of their keys and the pivot row's; every other row's true values do
+not change. Bland's smallest-index rule picks both the entering column and
+the leaving row, which rules out cycling; ties in the ratio test go to the
+smallest basic variable index, so runs are deterministic.
+
+Bounded columns use Dantzig's upper-bounding technique. Column j is first
+scaled by its bound u_j, so its variable t_j = x_j / u_j lies in [0, 1]. A
+variable at its upper bound is kept complemented, as t'_j = 1 - t_j: its
+column is negated and moved into the rhs, so every nonbasic variable rests at
+zero and the entering rule stays the canonical one. The ratio test also
+admits a basic variable rising to its bound, and the entering variable
+flipping to its own bound (ratio 1, so a flip never comes from a degenerate
+step); Bland's smallest-index rule covers both, with a flip indexed by the
+entering column. Bounds of 1 keep every flip integral. Without bounds the
+tableau pivots exactly as the canonical one.
 
 Artificial variables never re-enter the basis once they leave. A redundant
 (rank-deficient) constraint row keeps its artificial basic at value zero,
@@ -67,13 +79,16 @@ class _Tableau:
     Row i is the map `rows[i]` from column to integer plus the positive
     integer `dens[i]`: its true entry in column j is `rows[i].get(j, 0) /
     dens[i]`. Columns are the n structural variables, then the m artificials,
-    then the rhs at column `n + m`.
+    then the rhs at column `n + m`. When `bounded`, every structural column
+    has upper bound 1, and those in `flipped` are currently complemented.
     """
 
-    def __init__(self, int_rows: list[list[int]]):
+    def __init__(self, int_rows: list[list[int]], bounded: bool = False):
         m = len(int_rows)
         n = len(int_rows[0]) - 1
         self.m, self.n, self.rhs = m, n, n + m
+        self.bounded = bounded
+        self.flipped: set[int] = set()
         self.rows = []
         obj: dict[int, int] = {}
         for i, r in enumerate(int_rows):
@@ -94,22 +109,53 @@ class _Tableau:
         return min((j for j, v in self.rows[-1].items() if j < n and v < 0), default=None)
 
     def _leaving(self, c: int) -> int | None:
-        best = None
+        """The row of the leaving variable, `m` for a bound flip of c, None if unbounded.
+
+        A row whose entry in c is negative has its bounded basic variable
+        rising to its upper bound.
+        """
+        bounded, basis, n = self.bounded, self.basis, self.n
+        best = best_var = None
         best_num = best_den = 0
+        if bounded:
+            best, best_var, best_num, best_den = self.m, c, 1, 1
         for i in range(self.m):
             row = self.rows[i]
             den = row.get(c, 0)
-            if den <= 0:
+            if den > 0:
+                num = row.get(self.rhs, 0)
+            elif den and bounded and basis[i] < n:
+                num = self.dens[i] - row.get(self.rhs, 0)
+                den = -den
+            else:
                 continue
-            num = row.get(self.rhs, 0)
+            var = basis[i]
             if best is None:
-                best, best_num, best_den = i, num, den
+                best, best_var, best_num, best_den = i, var, num, den
                 continue
             lhs = num * best_den
             rhs = best_num * den
-            if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[best]):
-                best, best_num, best_den = i, num, den
+            if lhs < rhs or (lhs == rhs and var < best_var):
+                best, best_var, best_num, best_den = i, var, num, den
         return best
+
+    def _complement(self, j: int) -> None:
+        """Substitute t_j = 1 - t'_j: negate column j and move it into the rhs.
+
+        The gcd of a row's entries and its denominator does not change.
+        """
+        rhs = self.rhs
+        for row in self.rows:
+            a = row.get(j)
+            if a is None:
+                continue
+            row[j] = -a
+            b = row.get(rhs, 0) - a
+            if b:
+                row[rhs] = b
+            else:
+                del row[rhs]
+        self.flipped ^= {j}
 
     def _pivot(self, r: int, c: int) -> None:
         rows, dens = self.rows, self.dens
@@ -152,6 +198,11 @@ class _Tableau:
             r = self._leaving(c)
             if r is None:
                 raise InternalError("phase-1 objective cannot be unbounded")
+            if r == self.m:
+                self._complement(c)
+                continue
+            if self.rows[r][c] < 0:  # the basic variable leaves at its upper bound
+                self._complement(self.basis[r])
             self._pivot(r, c)
 
     def farkas(self) -> list[Fraction]:
@@ -164,25 +215,41 @@ class _Tableau:
         for i, var in enumerate(self.basis):
             if var < self.n:
                 x[var] = Fraction(self.rows[i].get(self.rhs, 0), self.dens[i])
+        for j in self.flipped:
+            x[j] = 1 - x[j]
         return x
 
 
 def solve_equalities(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+    rows: Sequence[Sequence[Fraction]],
+    rhs: Sequence[Fraction],
+    upper: Sequence[Fraction] | None = None,
 ) -> FeasibilityResult:
-    """Find x >= 0 with `rows @ x == rhs`, or a Farkas vector refuting it.
+    """Find x with `rows @ x == rhs`, 0 <= x <= upper, or a Farkas vector refuting it.
 
-    The Farkas vector y (one entry per input row) satisfies y.rows <= 0
-    componentwise and y.rhs > 0, which no non-negative x can survive.
+    `upper` gives every column a positive bound; without it x >= 0 is the
+    only bound. The Farkas vector y (one entry per input row) satisfies
+    y.rhs > sum over the columns j of max(0, y.A_j) * upper_j, which no x
+    within the bounds can survive; with no bounds, y.rows <= 0 and y.rhs > 0.
     """
     if len(rows) != len(rhs):
         raise ValueError("rows and rhs lengths differ")
     if not rows:
         return FeasibilityResult(solution=(), farkas=None)
+    if upper is not None:
+        if len(upper) != len(rows[0]):
+            raise ValueError("rows and upper bounds differ in width")
+        if any(u <= 0 for u in upper):
+            raise ValueError("upper bounds must be positive")
+        # column j over t_j = x_j / u_j, which lies in [0, 1]
+        rows = [[v * u if v else v for v, u in zip(row, upper)] for row in rows]
     int_rows, scales = _integerize(rows, rhs)
-    sx = _Tableau(int_rows)
+    sx = _Tableau(int_rows, upper is not None)
     if sx.phase1():
-        return FeasibilityResult(solution=tuple(sx.solution()), farkas=None)
+        x = sx.solution()
+        if upper is not None:
+            x = [t * u for t, u in zip(x, upper)]
+        return FeasibilityResult(solution=tuple(x), farkas=None)
     y = sx.farkas()
     return FeasibilityResult(
         solution=None, farkas=tuple(scales[i] * y[i] for i in range(len(y)))

@@ -3,9 +3,9 @@
 Each law is assembled from an explicit per-state decomposition (multinomial,
 public-signal, or a mixture of the two around prescribed conditional belief
 measures), so feasibility holds by construction and the checker has no excuse.
-The oracles are two for LPs, a brute-force kernel scan for information
-structures, and the plain `Fraction` formulas for the multinomial law and the
-binomial quantile mean.
+The oracles are three for LPs (the integerization and canonical and bounded
+phase 1), a brute-force kernel scan for information structures, and the plain
+`Fraction` formulas for the multinomial law and the binomial quantile mean.
 """
 
 import math
@@ -21,9 +21,12 @@ from poplaw import (
     PopulationLaw,
     Prior,
     ScalarMeasure,
+    SpreadTarget,
     SymmetricProduct,
     barycenter,
+    base_law,
     conditional_tilt,
+    law_expected_measure,
     mix_laws,
     multinomial_law,
     quantile_distribution,
@@ -108,6 +111,44 @@ def random_feasible_instance(rng: random.Random, max_n: int = 5, max_atoms: int 
             tilt = conditional_tilt(expected, prior, state)
             components.append((prior.coordinate(state), _component_law(rng, tilt, n)))
         return mix_laws(components), prior
+
+
+def random_two_component_problem(rng: random.Random):
+    """A law and a two-component target: feasible, infeasible, or missing the law's mean.
+
+    The law is a known-feasible one, reweighted atom by atom half the time.
+    The target is its two-state base law, a random split of its expected
+    measure E into w0 * m0 + w1 * m1 (any state count), or such a split with
+    m1 replaced by a point mass, which mostly misses E.
+    """
+    while True:
+        law, _ = random_feasible_instance(rng, max_n=4, max_atoms=4)
+        if rng.random() < 0.5:
+            raw = [w * rng.randint(1, 5) for _, w in law.atoms]
+            law = PopulationLaw(law.n, [(e, w / sum(raw)) for (e, _), w in zip(law.atoms, raw)])
+        expected = law_expected_measure(law)
+        kind = rng.choice(("base", "split", "missed"))
+        if kind == "base":
+            center = barycenter(expected)
+            if law.dimension != 2 or 0 in center.coords:
+                continue
+            return law, base_law(law, Prior(center))
+        share = [Fraction(rng.randint(0, 4), 4) for _ in expected.atoms]
+        w0 = sum((lam * e for lam, (_, e) in zip(share, expected.atoms)), Fraction(0))
+        if not 0 < w0 < 1:
+            continue
+        m0 = DiscreteMeasure((b, lam * e / w0) for lam, (b, e) in zip(share, expected.atoms) if lam)
+        m1 = DiscreteMeasure(
+            (b, (1 - lam) * e / (1 - w0)) for lam, (b, e) in zip(share, expected.atoms) if lam != 1
+        )
+        if kind == "missed":
+            m1 = DiscreteMeasure.dirac(rng.choice(expected.support()))
+        return law, SpreadTarget([(w0, m0), (1 - w0, m1)])
+
+
+def mixture(target):
+    """The measure sum over components of weight times measure."""
+    return DiscreteMeasure((b, w * v) for w, measure in target.components for b, v in measure.atoms)
 
 
 @st.composite
@@ -263,6 +304,105 @@ def reference_phase1(rows, rhs):
         if var < n:
             x[var] = tableau[i][-1]
     return FeasibilityResult(solution=tuple(x), farkas=None)
+
+
+def reference_bounded_phase1(rows, rhs, upper):
+    """Textbook bounded-variable phase 1 on a dense `Fraction` tableau.
+
+    Column j is scaled by its bound upper[j], so its variable lies in [0, 1].
+    Each nonbasic variable sits at its lower or its upper bound, and the
+    basic values are kept apart from the tableau. Bland's rule: the entering
+    column is the smallest structural index whose reduced cost lets it move
+    off its bound; the step is the smallest of the basic variables' distances
+    to a bound and the entering variable's own range 1, ties going to the
+    smallest variable index. A step of the entering variable's own range
+    flips it to its other bound.
+    """
+    if not rows:
+        return FeasibilityResult(solution=(), farkas=None)
+    scaled = [[Fraction(v) * u for v, u in zip(row, upper)] for row in rows]
+    int_rows, scales = reference_integerize(scaled, rhs)
+    m, n = len(int_rows), len(int_rows[0]) - 1
+    tableau = [
+        [Fraction(v) for v in r[:-1]] + [Fraction(int(k == i)) for k in range(m)]
+        for i, r in enumerate(int_rows)
+    ]
+    value = [Fraction(r[-1]) for r in int_rows]
+    cost = [-sum(col) for col in zip(*tableau)]
+    for i in range(m):
+        cost[n + i] = Fraction(0)
+    at_upper = [False] * n
+    basis = list(range(n, n + m))
+    while any(value[i] for i in range(m) if basis[i] >= n):
+        c = next(
+            (
+                j
+                for j in range(n)
+                if j not in basis and (cost[j] > 0 if at_upper[j] else cost[j] < 0)
+            ),
+            None,
+        )
+        if c is None:
+            dual = [1 - cost[n + i] for i in range(m)]
+            return FeasibilityResult(
+                solution=None, farkas=tuple(s * y for s, y in zip(scales, dual))
+            )
+        step = -1 if at_upper[c] else 1
+        # (length, variable index, row or None for the flip, leaves at its upper bound)
+        moves = [(Fraction(1), c, None, None)]
+        for i in range(m):
+            rate = -step * tableau[i][c]  # how fast basic variable i moves
+            if rate < 0:
+                moves.append((value[i] / -rate, basis[i], i, False))
+            elif rate > 0 and basis[i] < n:  # artificials have no upper bound
+                moves.append(((1 - value[i]) / rate, basis[i], i, True))
+        length, _, r, leaves_upper = min(moves, key=lambda move: move[:2])
+        for i in range(m):
+            value[i] -= step * tableau[i][c] * length
+        if r is None:
+            at_upper[c] = not at_upper[c]
+            continue
+        entering_value = (1 if at_upper[c] else 0) + step * length
+        pivot = [v / tableau[r][c] for v in tableau[r]]
+        tableau[r] = pivot
+        for row in tableau[:r] + tableau[r + 1 :] + [cost]:
+            f = row[c]
+            row[:] = [a - f * b for a, b in zip(row, pivot)]
+        if basis[r] < n:
+            at_upper[basis[r]] = leaves_upper
+        basis[r] = c
+        value[r] = entering_value
+        at_upper[c] = False
+    t = [Fraction(int(at_upper[j])) for j in range(n)]
+    for i, var in enumerate(basis):
+        if var < n:
+            t[var] = value[i]
+    x = tuple(v * u for v, u in zip(t, upper))
+    return FeasibilityResult(solution=x, farkas=None)
+
+
+def bounded_as_canonical(rows, rhs, upper):
+    """The canonical system of `rows x = rhs, 0 <= x <= upper`, with one slack per column.
+
+    Rows: the original rows padded with zero slack columns, then x_j + s_j =
+    upper_j for each column j.
+    """
+    n = len(rows[0])
+    unit = [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]
+    out = [list(row) + [Fraction(0)] * n for row in rows] + [e + e for e in unit]
+    return out, list(rhs) + list(upper)
+
+
+def bounded_farkas_as_canonical(rows, y):
+    """A bounded-system Farkas vector y extended over `bounded_as_canonical`'s rows.
+
+    Bound row j gets -z_j with z_j = max(0, y.A_j).
+    """
+    z = [
+        max(Fraction(0), sum((yi * v for yi, v in zip(y, column)), Fraction(0)))
+        for column in zip(*rows)
+    ]
+    return list(y) + [-v for v in z]
 
 
 def scan_marginal(structure, agent, label, state):

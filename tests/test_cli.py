@@ -35,6 +35,13 @@ def test_feasible_uniform8(capsys):
     assert payload["certificate"]["quantile_mean"] == "5/18"
 
 
+def test_feasible_golden_farkas_certificate(capsys):
+    # a two-state law on three beliefs that the bounded LP refutes
+    code, out, _ = run(capsys, "feasible", str(DATA / "three_beliefs_infeasible.json"))
+    assert code == 0
+    assert out == (DATA / "feasible_three_beliefs_infeasible.txt").read_text()
+
+
 def test_synthesize_emits_scheme(capsys):
     code, out, _ = run(capsys, "synthesize", str(DATA / "uniform9.json"))
     assert code == 0

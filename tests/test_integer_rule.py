@@ -18,6 +18,7 @@ from poplaw import (
     enumerate_grid_structures,
     jsonio,
     max_polarization,
+    polarization_bounds,
     persuasion_limit_value,
     persuasion_policy,
     quantile_distribution,
@@ -87,6 +88,7 @@ ENTRIES = [
     ("threshold_curve.n_max", threshold_curve, 2),
     ("reveal_half_structure.n", lambda v: reveal_half_structure(v, HALF), 1),
     ("max_polarization.n", lambda v: max_polarization(v, HALF), 1),
+    ("polarization_bounds.n", lambda v: polarization_bounds(v, HALF), 1),
     (
         "PersuasionInstance.n",
         lambda v: PersuasionInstance(v, "1/4", "1/2", SenderUtility.linear(1)),

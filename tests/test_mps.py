@@ -7,7 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _lawgen import random_binary_posterior_law
+from _lawgen import (
+    random_binary_posterior_law,
+    random_feasible_instance,
+    random_two_component_problem,
+)
 from poplaw import (
     Belief,
     BinaryBase,
@@ -27,7 +31,9 @@ from poplaw import (
     verify_certificate,
     verify_decomposition,
 )
-from poplaw.measures import Prior
+from poplaw.measures import Prior, _trusted, law_expected_measure, mix_laws
+from poplaw.mps import _restrict, decomposition_lp
+from poplaw.simplex import solve_equalities
 
 UNIFORM10 = ScalarMeasure([(F(k, 9), F(1, 10)) for k in range(10)])
 UNIFORM8 = ScalarMeasure([(F(k, 9), F(1, 8)) for k in range(1, 9)])
@@ -47,6 +53,21 @@ def two_belief_law(n, lo, hi, weights):
             (EmpiricalDistribution(n, [(hi, k), (lo, n - k)]), F(w, total))
             for k, w in enumerate(weights)
             if w
+        ],
+    )
+
+
+def golden_infeasible_law():
+    """The law of tests/data/three_beliefs_infeasible.json, infeasible under its mean.
+
+    Each atom, of weight 1/3, holds two agents' beliefs (mass on state 1).
+    """
+    pairs = [(F(3, 4), F(1, 4)), (F(1, 2), F(1, 4)), (F(1, 2), F(1, 2))]
+    return PopulationLaw(
+        2,
+        [
+            (EmpiricalDistribution(2, [(Belief.binary(v), p.count(v)) for v in set(p)]), F(1, 3))
+            for p in pairs
         ],
     )
 
@@ -174,6 +195,24 @@ def test_verify_decomposition_rejects_perturbation():
     # tampering with a component law is also caught
     swapped = SpreadDecomposition([(w0, q1), (w1, q0)])
     assert not verify_decomposition(law, target, swapped)
+
+
+def test_verify_decomposition_rejects_negative_weights():
+    """The golden infeasible law has an unbounded-LP 'decomposition' with one weight below 0."""
+    law = golden_infeasible_law()
+    target = base_law(law, Prior.binary(F(11, 24)))
+    (e0, _), (e1, _), (e2, _) = law.atoms
+    parts = [
+        (F(13, 24), [(e0, F(2, 13)), (e1, F(10, 13)), (e2, F(1, 13))]),
+        (F(11, 24), [(e0, F(6, 11)), (e1, F(-2, 11)), (e2, F(7, 11))]),
+    ]
+    forged = SpreadDecomposition(
+        (w, _trusted(PopulationLaw, n=2, atoms=tuple(atoms))) for w, atoms in parts
+    )
+    assert mix_laws(forged.components) == law
+    for (_, q), (_, measure) in zip(forged.components, target.components):
+        assert law_expected_measure(q) == measure
+    assert not verify_decomposition(law, target, forged)
 
 
 def test_verify_certificate_rejects_fabrications():
@@ -317,6 +356,63 @@ def test_two_belief_route_on_hand_built_targets(instance):
     if isinstance(quick, (MeanMismatch, QuantileViolation)):
         for forged in _perturbed(quick):
             assert not verify_certificate(law, target, forged)
+
+
+# --------------------------------------------------------- bounded two-component LP
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32))
+def test_bounded_lp_agrees_with_the_canonical_lp(seed):
+    """Two-component targets: same verdict as the canonical LP, and evidence that verifies."""
+    law, target = random_two_component_problem(random.Random(seed))
+    result = mps_decompose(law, target, route="lp")
+    canonical = solve_equalities(*decomposition_lp(law, target))
+    assert isinstance(result, SpreadDecomposition) == canonical.feasible
+    if isinstance(result, SpreadDecomposition):
+        assert verify_decomposition(law, target, result)
+        for _, part in result.components:
+            assert all(w > 0 for _, w in part.atoms)
+            assert sum(w for _, w in part.atoms) == 1
+    else:
+        assert isinstance(result, FarkasCertificate)
+        assert verify_certificate(law, target, result)
+
+
+def test_target_missing_the_law_mean_gets_a_farkas_vector():
+    law, target, _, _ = footnote_instance()
+    (w0, m0), (w1, _) = target.components
+    missed = SpreadTarget([(w0, m0), (w1, m0)])
+    result = mps_decompose(law, missed, route="lp")
+    assert isinstance(result, FarkasCertificate)
+    assert verify_certificate(law, missed, result)
+
+
+def test_bounded_farkas_vector_prices_the_bounds():
+    """The golden infeasible law: nonzero mass-row prices, nothing on component 1's rows."""
+    law = golden_infeasible_law()
+    target = base_law(law, Prior.binary(F(11, 24)))
+    result = mps_decompose(law, target)
+    assert isinstance(result, FarkasCertificate)
+    assert result.y == (0, -6, 0, F(-13, 2), 0, F(13, 2), 0, 0, 0)
+    assert verify_certificate(law, target, result)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32))
+def test_three_components_keep_the_canonical_lp(seed):
+    rng = random.Random(seed)
+    law, prior = random_feasible_instance(rng, max_n=3, max_atoms=3)
+    while prior.dimension != 3:
+        law, prior = random_feasible_instance(rng, max_n=3, max_atoms=3)
+    target = base_law(law, prior)
+    outcome = solve_equalities(*decomposition_lp(law, target))
+    J = len(law.atoms)
+    expected = SpreadDecomposition(
+        (w, _restrict(law, enumerate(outcome.solution[c * J : (c + 1) * J])))
+        for c, (w, _) in enumerate(target.components)
+    )
+    assert mps_decompose(law, target, route="lp") == expected
 
 
 # --------------------------------------------------------- boundary exactness

@@ -16,6 +16,7 @@ from poplaw import (
     expected_polarization,
     induced_population_law,
     max_polarization,
+    polarization_bounds,
     pol,
     reveal_half_structure,
     search_max_polarization,
@@ -171,6 +172,14 @@ def test_report_multi_state():
     report = max_polarization(4, prior)
     expected = (F(1, 2) * F(1, 2) + F(1, 4) * F(3, 4) + F(1, 4) * F(3, 4)) / 4
     assert report.value == report.upper_bound == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+@pytest.mark.parametrize("prior", [HALF, Prior.binary(F(1, 4)), Prior([F(1, 2), F(1, 3), F(1, 6)])])
+def test_bounds_are_the_report_bracket(n, prior):
+    report = max_polarization(n, prior)
+    assert polarization_bounds(n, prior) == (report.lower_bound, report.upper_bound)
+    assert report.value == report.lower_bound
 
 
 def test_report_rejects_zero_population():

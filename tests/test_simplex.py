@@ -1,17 +1,23 @@
 import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _lawgen import (
+    bounded_as_canonical,
+    bounded_farkas_as_canonical,
+    mixture,
     random_binary_posterior_law,
     random_feasible_instance,
+    random_two_component_problem,
+    reference_bounded_phase1,
     reference_integerize,
     reference_phase1,
 )
-from poplaw import base_law
-from poplaw.mps import decomposition_lp
+from poplaw import base_law, law_expected_measure
+from poplaw.mps import bounded_decomposition_lp, decomposition_lp
 from poplaw.simplex import _integerize, farkas_refutes, solve_equalities
 
 
@@ -128,3 +134,85 @@ def test_decomposition_lps_follow_reference_pivots(seed):
     while not consistent:  # the base law needs the prior to be the law's mean
         law, prior, _, _, consistent = random_binary_posterior_law(rng, max_n=5, max_denominator=8)
     assert_matches_reference(*decomposition_lp(law, base_law(law, prior))[:2])
+
+
+# ------------------------------------------------- bounded columns against the reference
+# The bounded tableau keeps columns at their upper bound complemented; the
+# reference keeps a bound status per column instead. Equal solutions and
+# Farkas vectors mean the same pivots and the same bound flips.
+
+BOUNDS = st.sampled_from([F(1), F(1, 2), F(2), F(3, 4)])
+DENSE = st.sampled_from([F(0), F(1), F(-1), F(2), F(1, 2), F(-1, 3), F(3, 2)])
+
+
+@st.composite
+def bounded_systems(draw):
+    """`small_systems`, or denser ones where basic variables often reach their bounds."""
+    if draw(st.booleans()):
+        rows, rhs = draw(small_systems())
+    else:
+        n = draw(st.integers(1, 5))
+        m = draw(st.integers(1, 4))
+        rows = [[draw(DENSE) for _ in range(n)] for _ in range(m)]
+        rhs = [draw(DENSE) for _ in range(m)]
+    return rows, rhs, [draw(BOUNDS) for _ in rows[0]]
+
+
+def assert_bounded_matches_reference(rows, rhs, upper):
+    out = solve_equalities(rows, rhs, upper)
+    assert out == reference_bounded_phase1(rows, rhs, upper)
+    if out.feasible:
+        x = out.solution
+        assert all(0 <= v <= u for v, u in zip(x, upper))
+        for row, b in zip(rows, rhs):
+            assert sum(a * v for a, v in zip(row, x)) == b
+    else:
+        canonical = bounded_as_canonical(rows, rhs, upper)
+        assert farkas_refutes(*canonical, bounded_farkas_as_canonical(rows, out.farkas))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounded_systems())
+def test_small_bounded_systems_follow_reference_pivots(system):
+    assert_bounded_matches_reference(*system)
+
+
+def test_bound_flips_reach_the_upper_corner():
+    # x1 + x2 + x3 = 3 with every x_j <= 1 holds only at the all-ones corner
+    rows = [[F(1), F(1), F(1)]]
+    out = assert_bounded_matches_reference(rows, [F(3)], [F(1)] * 3)
+    assert out.solution == (F(1), F(1), F(1))
+    out = solve_equalities([[F(1), F(2)]], [F(5, 2)], [F(1, 2), F(1)])
+    assert out.solution == (F(1, 2), F(1))
+
+
+def test_basic_variables_leave_at_their_bounds():
+    # x1 flips up and back; x3, then x2, enter basic and leave at their bound
+    rows = [[F(0), F(1), F(1)], [F(2), F(-1), F(2)]]
+    out = assert_bounded_matches_reference(rows, [F(2), F(2)], [F(1)] * 3)
+    assert out.solution == (F(1, 2), F(1), F(1))
+
+
+def test_bounds_alone_can_refute():
+    rows = [[F(1), F(1)]]
+    out = assert_bounded_matches_reference(rows, [F(3)], [F(1), F(3, 2)])
+    assert not out.feasible
+    # without the bounds the same row is feasible
+    assert solve_equalities(rows, [F(3)]).feasible
+
+
+def test_bad_bounds_are_refused():
+    with pytest.raises(ValueError):
+        solve_equalities([[F(1), F(1)]], [F(1)], [F(1)])
+    with pytest.raises(ValueError):
+        solve_equalities([[F(1), F(1)]], [F(1)], [F(1), F(0)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32))
+def test_bounded_decomposition_lps_follow_reference_pivots(seed):
+    rng = random.Random(seed)
+    law, target = random_two_component_problem(rng)
+    if law_expected_measure(law) == mixture(target):
+        assert_bounded_matches_reference(*bounded_decomposition_lp(law, target))
