@@ -43,13 +43,15 @@ def _formatter(args):
 
 
 def _read_json(path: str):
-    if path == "-":
-        return jsonio.loads(sys.stdin.read())
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return jsonio.loads(fh.read())
-    except OSError as exc:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvariantError(f"cannot read {path}: {exc}") from exc
+    return jsonio.loads(text)
 
 
 def _emit(payload) -> None:
@@ -60,8 +62,11 @@ def _write_text(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvariantError(f"cannot write {path}: {exc}") from exc
 
 
 def _csv_text(header, rows) -> str:

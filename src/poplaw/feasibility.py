@@ -75,18 +75,24 @@ def _tilt_atoms(measure: DiscreteMeasure, prior: Prior, state: int) -> tuple:
 
 @dataclass(frozen=True)
 class FeasibilityVerdict:
-    """Outcome of `check_feasible`.
+    """Outcome of `check_feasible`: its evidence, with both flags read off it.
 
-    When the law's mean belief matches the prior, exactly one of decomposition
-    and certificate is present. When it does not, the verdict is infeasible
-    with a belief-level `MeanMismatch` certificate and no base.
+    When the law's mean belief matches the prior, there is a base and exactly
+    one of decomposition and certificate. When it does not, the verdict is
+    infeasible with a belief-level `MeanMismatch` certificate and no base.
     """
 
-    feasible: bool
-    prior_consistent: bool
     base: SpreadTarget | None
     decomposition: SpreadDecomposition | None
     certificate: InfeasibilityCertificate | None
+
+    @property
+    def feasible(self) -> bool:
+        return self.decomposition is not None
+
+    @property
+    def prior_consistent(self) -> bool:
+        return self.base is not None
 
 
 def check_feasible(law: PopulationLaw, prior: Prior) -> FeasibilityVerdict:
@@ -96,12 +102,11 @@ def check_feasible(law: PopulationLaw, prior: Prior) -> FeasibilityVerdict:
     try:
         base = base_law(law, prior)
     except PriorInconsistencyError as exc:
-        mismatch = MeanMismatch(exc.barycenter, exc.prior)
-        return FeasibilityVerdict(False, False, None, None, mismatch)
+        return FeasibilityVerdict(None, None, MeanMismatch(exc.barycenter, exc.prior))
     result = mps_decompose(law, base)
     if isinstance(result, SpreadDecomposition):
-        return FeasibilityVerdict(True, True, base, result, None)
-    return FeasibilityVerdict(False, True, base, None, result)
+        return FeasibilityVerdict(base, result, None)
+    return FeasibilityVerdict(base, None, result)
 
 
 def binary_base(mu, a, b) -> BinaryBase:

@@ -315,22 +315,24 @@ def certificate_from_json(payload):
 
 
 def verdict_from_json(payload) -> FeasibilityVerdict:
+    flags = {
+        key: _require_bool(payload, key, "verdict") for key in ("feasible", "prior_consistent")
+    }
     base = _require(payload, "base", "verdict")
-    return FeasibilityVerdict(
-        feasible=_require_bool(payload, "feasible", "verdict"),
-        prior_consistent=_require_bool(payload, "prior_consistent", "verdict"),
+    decomposition, certificate = payload.get("decomposition"), payload.get("certificate")
+    if (decomposition is None) == (certificate is None):
+        raise InvariantError("verdict: need exactly one of 'decomposition' and 'certificate'")
+    verdict = FeasibilityVerdict(
         base=None if base is None else target_from_json(base),
-        decomposition=(
-            decomposition_from_json(payload["decomposition"])
-            if payload.get("decomposition") is not None
-            else None
-        ),
-        certificate=(
-            certificate_from_json(payload["certificate"])
-            if payload.get("certificate") is not None
-            else None
-        ),
+        decomposition=None if decomposition is None else decomposition_from_json(decomposition),
+        certificate=None if certificate is None else certificate_from_json(certificate),
     )
+    if verdict.feasible and not verdict.prior_consistent:
+        raise InvariantError("verdict: a decomposition needs a base")
+    for key, flag in flags.items():
+        if getattr(verdict, key) != flag:
+            raise InvariantError(f"verdict: field {key!r} disagrees with the evidence")
+    return verdict
 
 
 def _label_from_json(payload):

@@ -1,24 +1,21 @@
 """Mean-preserving-spread tests with certificates in both directions.
 
-Two routes decide whether a population law spreads a target mixture of
-belief measures:
+`mps_decompose` decides whether a population law spreads a target mixture of
+belief measures by one chain; each step decides the target or passes it on:
 
-* a one-dimensional shortcut for laws whose beliefs take exactly two values,
-  based on the quantile criterion (equal means plus a lower-quantile bound),
-  which also yields an explicit decomposition by interpolating between the
+* the two-belief shortcut, for a law and target on exactly two beliefs and
+  at most two target positions: the quantile criterion (equal means plus a
+  lower-quantile bound), with a decomposition that interpolates between the
   lower and upper quantile slices;
-* an exact linear program for the general case, whose variables are the
-  per-component weights placed on each atom of the law, with a Farkas
-  certificate on infeasibility.
+* the bounded LP, for two components whose mixture is the law's expected
+  measure (every two-state base law): x_j = w0 * q0[j] with 0 <= x_j <= p_j,
+  one row per belief of the law, as the bound stands in for the mass rows
+  and the law's mean for component 1's rows;
+* the canonical LP `decomposition_lp`, which decides everything left.
 
-A target of exactly two components (every two-state base law) takes the LP
-in bounded form: x_j = w0 * q0[j] with 0 <= x_j <= p_j, one row per belief
-of the law, since the bound stands in for the mass rows and the law's mean
-for component 1's rows. Its Farkas vector is translated back onto the rows
-of the canonical `decomposition_lp`, which every other target solves as is.
-
-Positive answers come with a `SpreadDecomposition`, negative answers with a
-certificate that `verify_certificate` can re-check from scratch.
+Both LPs take their moment rows from one belief-share table and state Farkas
+vectors over the canonical rows, so `verify_certificate` re-checks every
+refutation from scratch, as `verify_decomposition` does every decomposition.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .errors import InternalError, InvariantError
+from .errors import InvariantError
 from .measures import (
     Belief,
     DiscreteMeasure,
@@ -186,9 +183,9 @@ def _scalar_split(measure: ScalarMeasure, base: BinaryBase) -> tuple[ScalarMeasu
         low_atoms[value] = low_atoms.get(value, ZERO) + lam * weight
     high_atoms = []
     for value, weight in measure.atoms:
+        # alpha times either slice stays below the measure, so the leftover
+        # of their mix is never negative
         leftover = weight - alpha * low_atoms.get(value, ZERO)
-        if leftover < 0:
-            raise InternalError("quantile split produced negative mass")
         if leftover:
             high_atoms.append((value, leftover / (1 - alpha)))
     # 0 <= lam < 1 mixes two probability measures, and the leftover of a
@@ -207,6 +204,17 @@ def _beliefs(law: PopulationLaw, target: SpreadTarget) -> list[Belief]:
     return sorted(beliefs)
 
 
+def _share_table(law: PopulationLaw, beliefs: list[Belief]) -> list[list[Fraction]]:
+    """One row per belief x (which must include every belief of the law), one
+    column per law atom j, holding atom j's share count_j(x) / n."""
+    index = {belief: i for i, belief in enumerate(beliefs)}
+    table = [[ZERO] * len(law.atoms) for _ in beliefs]
+    for j, (empirical, _) in enumerate(law.atoms):
+        for belief, count in empirical.counts:
+            table[index[belief]][j] = Fraction(count, law.n)
+    return table
+
+
 def _two_point(law: PopulationLaw, target: SpreadTarget):
     """Read a law and target on exactly two beliefs as scalars (mass at the high one).
 
@@ -217,19 +225,16 @@ def _two_point(law: PopulationLaw, target: SpreadTarget):
     beliefs = _beliefs(law, target)
     if len(beliefs) != 2:
         return None
-    high = beliefs[1]
-    index_of = {}
-    atoms = []
-    for j, (empirical, weight) in enumerate(law.atoms):
-        value = Fraction(dict(empirical.counts).get(high, 0), law.n)
-        index_of[value] = j
-        atoms.append((value, weight))
-    positions = [measure.mass(high) for _, measure in target.components]
+    values = _share_table(law, beliefs)[1]
+    index_of = {value: j for j, value in enumerate(values)}
+    positions = [measure.mass(beliefs[1]) for _, measure in target.components]
     grouped: dict[Fraction, Fraction] = {}
     for (weight, _), pos in zip(target.components, positions):
         grouped[pos] = grouped.get(pos, ZERO) + weight
     # distinct empirical distributions on two beliefs have distinct values
-    scalar_law = _trusted(ScalarMeasure, atoms=tuple(sorted(atoms)))
+    scalar_law = _trusted(
+        ScalarMeasure, atoms=tuple(sorted(zip(values, (w for _, w in law.atoms))))
+    )
     return scalar_law, index_of, positions, grouped
 
 
@@ -261,59 +266,53 @@ def decomposition_lp(law: PopulationLaw, target: SpreadTarget):
 
     Variables: q[c][j] >= 0 for component c and law atom j (column c*J + j).
     Rows, in order: one mass-balance row per law atom j, then one moment row
-    per (component c, belief x) over the sorted union of all supports.
+    per (component c, belief x) over the sorted union of all supports, which
+    is the share table's row for x in component c's column block.
     """
-    empiricals = law.support()
-    law_weights = [w for _, w in law.atoms]
     comps = target.components
     beliefs = _beliefs(law, target)
-    J = len(empiricals)
+    table = _share_table(law, beliefs)
+    J = len(law.atoms)
     ncols = len(comps) * J
     rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for j, p_weight in enumerate(law_weights):
+    for j in range(J):
         row = [ZERO] * ncols
         for c, (c_weight, _) in enumerate(comps):
             row[c * J + j] = c_weight
         rows.append(row)
-        rhs.append(p_weight)
-    share = [
-        {belief: Fraction(count, law.n) for belief, count in empirical.counts}
-        for empirical in empiricals
-    ]
-    for c, (_, measure) in enumerate(comps):
-        for belief in beliefs:
+    for c in range(len(comps)):
+        for share in table:
             row = [ZERO] * ncols
-            for j in range(J):
-                row[c * J + j] = share[j].get(belief, ZERO)
+            row[c * J : (c + 1) * J] = share
             rows.append(row)
-            rhs.append(measure.mass(belief))
+    rhs = [p for _, p in law.atoms]
+    rhs.extend(measure.mass(belief) for _, measure in comps for belief in beliefs)
     return rows, rhs
 
 
 def mps_decompose(law: PopulationLaw, target: SpreadTarget, route: str = "auto"):
     """Decompose the law along the target, or certify that no decomposition exists.
 
-    Returns a `SpreadDecomposition` or an `InfeasibilityCertificate`. Laws on
-    exactly two beliefs take the quantile shortcut; everything else goes
-    through the exact LP, bounded for two target components and canonical
-    otherwise. `route` pins one path ("quantile" or "lp") for cross-checking;
-    "quantile" raises when the law does not embed.
+    Returns a `SpreadDecomposition` or an `InfeasibilityCertificate`. The
+    chain runs in order, each step deciding the target or passing it on: the
+    two-belief shortcut, the bounded LP for two components, and the canonical
+    LP for whatever is left. `route` is "auto" for the whole chain or "lp",
+    which skips the two-belief shortcut to cross-check it.
     """
-    if route not in ("auto", "quantile", "lp"):
+    if route not in ("auto", "lp"):
         raise InvariantError(f"unknown route {route!r}")
     if target.dimension != law.dimension:
         raise InvariantError("law and target live on different state spaces")
-    if route != "lp":
+    if route == "auto":
         two_point = _two_point(law, target)
         if two_point is not None:
             result = _decompose_two_point(law, target, *two_point)
             if result is not None:
                 return result
-        if route == "quantile":
-            raise InvariantError("law does not embed on two beliefs")
     if len(target.components) == 2:
-        return _decompose_two_components(law, target)
+        result = _decompose_two_components(law, target)
+        if result is not None:
+            return result
     rows, rhs = decomposition_lp(law, target)
     outcome = solve_equalities(rows, rhs)
     if not outcome.feasible:
@@ -327,22 +326,22 @@ def mps_decompose(law: PopulationLaw, target: SpreadTarget, route: str = "auto")
 
 
 def _decompose_two_components(law: PopulationLaw, target: SpreadTarget):
-    """The LP route for two components, by `bounded_decomposition_lp`.
+    """The bounded LP step, by `bounded_decomposition_lp`.
 
-    Farkas vectors are stated over the canonical `decomposition_lp` rows. A
-    Farkas vector y of the bounded LP becomes -z_j on mass row j, with z_j =
-    max(0, y.A_j), w0 * y on component 0's moment rows and 0 on component
-    1's: each column's sum is w0 * (y.A_j - z_j) or -w1 * z_j, never
-    positive, and the rhs gets y.rhs - z.p > 0.
+    Returns None when the target's mixture is not the law's expected measure,
+    which base laws never do: the canonical LP then refutes the target. A
+    Farkas vector y of the bounded LP becomes one over the canonical rows:
+    -z_j on mass row j, with z_j = max(0, y.A_j), w0 * y on component 0's
+    moment rows and 0 on component 1's. Each column's sum is w0 * (y.A_j -
+    z_j) or -w1 * z_j, never positive, and the rhs gets y.rhs - z.p > 0.
     """
     (w0, _), (w1, _) = target.components
-    expected = dict(law_expected_measure(law).atoms)
     mixture: dict[Belief, Fraction] = {}
     for weight, measure in target.components:
         for belief, mass in measure.atoms:
             mixture[belief] = mixture.get(belief, ZERO) + weight * mass
-    if expected != mixture:
-        return FarkasCertificate(_mismatch_farkas(law, target, expected, mixture))
+    if dict(law_expected_measure(law).atoms) != mixture:
+        return None
     rows, rhs, upper = bounded_decomposition_lp(law, target)
     outcome = solve_equalities(rows, rhs, upper)
     if not outcome.feasible:
@@ -365,37 +364,16 @@ def _decompose_two_components(law: PopulationLaw, target: SpreadTarget):
 def bounded_decomposition_lp(law: PopulationLaw, target: SpreadTarget):
     """The two-component LP system (rows, rhs, upper) over x_j = w0 * q0[j].
 
-    One row per belief x of the law, sum_j share_j(x) * x_j = w0 * m0(x),
-    with 0 <= x_j <= p_j, the law's weight on atom j. The bound is atom j's
-    mass row, as q1[j] = (p_j - x_j) / w1; component 1's moment rows follow
-    when the law's expected measure equals the target's mixture, which the
-    caller checks.
+    One row per belief x of the law, the share table's, with sum_j
+    share_j(x) * x_j = w0 * m0(x) and 0 <= x_j <= p_j, the law's weight on
+    atom j. The bound is atom j's mass row, as q1[j] = (p_j - x_j) / w1;
+    component 1's moment rows follow when the law's expected measure equals
+    the target's mixture, which the caller checks.
     """
     (w0, m0), _ = target.components
     beliefs = sorted({belief for empirical, _ in law.atoms for belief in empirical.support()})
-    index = {belief: i for i, belief in enumerate(beliefs)}
-    rows = [[ZERO] * len(law.atoms) for _ in beliefs]
-    for j, (empirical, _) in enumerate(law.atoms):
-        for belief, count in empirical.counts:
-            rows[index[belief]][j] = Fraction(count, law.n)
     rhs = [w0 * m0.mass(belief) for belief in beliefs]
-    return rows, rhs, [p for _, p in law.atoms]
-
-
-def _mismatch_farkas(law: PopulationLaw, target: SpreadTarget, expected, mixture):
-    """A Farkas vector over `decomposition_lp`'s rows for a target the law's mean misses.
-
-    At the first belief x where the law's expected measure E and the target's
-    mixture M differ, with s = sign(M(x) - E(x)): mass row j gets -s times
-    atom j's share at x, and every component c's moment row at x gets s * w_c.
-    Each column then sums to zero and the rhs to |M(x) - E(x)|.
-    """
-    beliefs = _beliefs(law, target)
-    x = next(b for b in beliefs if expected.get(b, ZERO) != mixture.get(b, ZERO))
-    s = 1 if mixture.get(x, ZERO) > expected.get(x, ZERO) else -1
-    mass = [-s * Fraction(dict(e.counts).get(x, 0), law.n) for e, _ in law.atoms]
-    moments = [s * w if b == x else ZERO for w, _ in target.components for b in beliefs]
-    return (*mass, *moments)
+    return _share_table(law, beliefs), rhs, [p for _, p in law.atoms]
 
 
 def _restrict(law: PopulationLaw, weights) -> PopulationLaw:

@@ -350,6 +350,33 @@ def test_nonpositive_polarize_n_max_exits_two(capsys, tmp_path, n_max):
     assert not rows.exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("polarize", "--n", "2", "--mu", "1/2", "--csv", "{missing}/x.csv"),
+        ("product-threshold-curve", "--n-max", "3", "--svg", "{missing}/x.svg"),
+        ("persuade", "--n", "2", "--mu", "1/4", "--tau", "1/2", "--u", "linear", "--csv", "{dir}"),
+    ],
+    ids=["polarize-csv", "threshold-svg", "persuade-csv-directory"],
+)
+def test_unwritable_output_exits_two(capsys, tmp_path, args):
+    args = [a.format(missing=tmp_path / "missing", dir=tmp_path) for a in args]
+    code, _, err = run(capsys, *args)
+    assert code == 2
+    assert err.startswith(f"poplaw: invalid input: cannot write {args[-1]}: ")
+    assert err.count("\n") == 1
+
+
+def test_undecodable_input_exits_two(capsys, tmp_path):
+    bad = tmp_path / "bom.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, "feasible", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"poplaw: invalid input: cannot read {bad}: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("seed", ["0", str(2**64 - 1)])
 def test_seed_at_the_ends_of_the_range_runs(capsys, seed):
     args = ("simulate", str(DATA / "uniform9.json"), "--samples", "200", "--seed", seed)

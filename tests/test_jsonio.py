@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,8 @@ from poplaw import (
 )
 from poplaw import jsonio
 from poplaw.rationals import format_decimal, format_rational, parse_rational
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_parse_rational_forms():
@@ -127,6 +130,66 @@ def test_verdict_flags_must_be_json_booleans(field, value):
     payload[field] = value
     with pytest.raises(InvariantError, match=f"field '{field}' must be true or false"):
         jsonio.verdict_from_json(payload)
+
+
+def _verdict_payloads():
+    """The JSON of a feasible verdict and of a prior-inconsistent one."""
+    law = PopulationLaw(
+        1, [(EmpiricalDistribution.constant(1, Belief.binary(F(1, 2))), 1)]
+    )
+    return (
+        jsonio.verdict_to_json(check_feasible(law, Prior.binary(F(1, 2)))),
+        jsonio.verdict_to_json(check_feasible(law, Prior.binary(F(1, 3)))),
+    )
+
+
+_DROP = object()  # a change that deletes its field
+
+
+def _edited(payload, **changes):
+    out = {**payload, **changes}
+    return {key: value for key, value in out.items() if value is not _DROP}
+
+
+@pytest.mark.parametrize(
+    "which, changes, message",
+    [
+        ("feasible", {"feasible": False}, "field 'feasible' disagrees"),
+        ("inconsistent", {"feasible": True}, "field 'feasible' disagrees"),
+        ("inconsistent", {"prior_consistent": True}, "field 'prior_consistent' disagrees"),
+        ("feasible", {"prior_consistent": False}, "field 'prior_consistent' disagrees"),
+        ("feasible", {"decomposition": _DROP}, "exactly one of"),
+        ("inconsistent", {"certificate": _DROP}, "exactly one of"),
+        ("inconsistent", {"certificate": None}, "exactly one of"),
+        ("feasible", {"base": None, "prior_consistent": False}, "a decomposition needs a base"),
+    ],
+)
+def test_verdict_decoder_refuses_flags_without_evidence(which, changes, message):
+    feasible, inconsistent = _verdict_payloads()
+    payload = {"feasible": feasible, "inconsistent": inconsistent}[which]
+    with pytest.raises(InvariantError, match=message):
+        jsonio.verdict_from_json(_edited(payload, **changes))
+
+
+def test_verdict_decoder_refuses_both_kinds_of_evidence():
+    feasible, inconsistent = _verdict_payloads()
+    both = {**feasible, "certificate": inconsistent["certificate"]}
+    with pytest.raises(InvariantError, match="exactly one of"):
+        jsonio.verdict_from_json(both)
+
+
+def test_edited_cli_verdict_is_refused():
+    """`poplaw feasible tests/data/uniform8.json` output, edited to claim feasibility."""
+    payload = jsonio.loads((DATA / "uniform8.json").read_text())
+    law = jsonio.law_from_json(payload["law"])
+    prior = jsonio.prior_from_json(payload["mu"])
+    out = jsonio.loads(jsonio.dumps(jsonio.verdict_to_json(check_feasible(law, prior))))
+    assert out["certificate"]["kind"] == "quantile_violation"
+    with pytest.raises(InvariantError, match="field 'feasible' disagrees"):
+        jsonio.verdict_from_json({**out, "feasible": True})
+    del out["certificate"]
+    with pytest.raises(InvariantError, match="exactly one of"):
+        jsonio.verdict_from_json(out)
 
 
 def test_structure_and_scheme_round_trip():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _lawgen import (
+    mixture,
     random_binary_posterior_law,
     random_feasible_instance,
     random_two_component_problem,
@@ -159,13 +160,15 @@ def test_uniform8_embedded_law_is_refuted_on_both_routes():
     assert verify_certificate(law, target, via_lp)
 
 
-def test_route_validation():
+@pytest.mark.parametrize("route", ["magic", "quantile"])
+def test_route_validation(route):
     law, target, _, _ = footnote_instance()
-    with pytest.raises(InvariantError):
-        mps_decompose(law, target, route="magic")
+    with pytest.raises(InvariantError, match="unknown route"):
+        mps_decompose(law, target, route=route)
 
 
 def test_quantile_route_requires_two_point_support():
+    """A law on three beliefs passes the two-belief shortcut on to the LPs."""
     mu = Belief.binary(F(1, 2))
     law = PopulationLaw(
         2,
@@ -176,8 +179,7 @@ def test_quantile_route_requires_two_point_support():
         ],
     )
     target = base_law(law, Prior.binary(F(1, 2)))
-    with pytest.raises(InvariantError):
-        mps_decompose(law, target, route="quantile")
+    assert mps_decompose(law, target) == mps_decompose(law, target, route="lp")
     assert isinstance(mps_decompose(law, target, route="lp"), SpreadDecomposition)
 
 
@@ -369,6 +371,9 @@ def test_bounded_lp_agrees_with_the_canonical_lp(seed):
     result = mps_decompose(law, target, route="lp")
     canonical = solve_equalities(*decomposition_lp(law, target))
     assert isinstance(result, SpreadDecomposition) == canonical.feasible
+    if law_expected_measure(law) != mixture(target):
+        # only the canonical LP decides a target that misses the law's mean
+        assert result == FarkasCertificate(canonical.farkas)
     if isinstance(result, SpreadDecomposition):
         assert verify_decomposition(law, target, result)
         for _, part in result.components:
@@ -384,8 +389,35 @@ def test_target_missing_the_law_mean_gets_a_farkas_vector():
     (w0, m0), (w1, _) = target.components
     missed = SpreadTarget([(w0, m0), (w1, m0)])
     result = mps_decompose(law, missed, route="lp")
-    assert isinstance(result, FarkasCertificate)
+    assert result == FarkasCertificate(solve_equalities(*decomposition_lp(law, missed)).farkas)
     assert verify_certificate(law, missed, result)
+
+
+def mean_missing_targets():
+    """Targets whose mixture misses the footnote law's expected measure.
+
+    The two-belief shortcut decides neither: the first puts a component on a
+    belief outside the law's support, the second has three positions.
+    """
+    law, target, _, _ = footnote_instance()
+    (_, tilt0), (_, tilt1) = target.components
+    outside = DiscreteMeasure.dirac(Belief.binary(F(1, 2)))
+    middle = DiscreteMeasure([(Belief.binary(F(1, 3)), F(1, 2)), (Belief.binary(F(2, 3)), F(1, 2))])
+    return law, {
+        "outside": SpreadTarget([(F(1, 2), tilt0), (F(1, 2), outside)]),
+        "three": SpreadTarget([(F(1, 2), tilt0), (F(1, 4), tilt1), (F(1, 4), middle)]),
+    }
+
+
+@pytest.mark.parametrize("route", ["auto", "lp"])
+@pytest.mark.parametrize("which", ["outside", "three"])
+def test_mean_missing_targets_get_the_canonical_farkas_vector(which, route):
+    law, targets = mean_missing_targets()
+    target = targets[which]
+    assert law_expected_measure(law) != mixture(target)
+    result = mps_decompose(law, target, route=route)
+    assert result == FarkasCertificate(solve_equalities(*decomposition_lp(law, target)).farkas)
+    assert verify_certificate(law, target, result)
 
 
 def test_bounded_farkas_vector_prices_the_bounds():
