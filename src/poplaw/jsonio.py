@@ -39,6 +39,9 @@ def loads(text: str):
         return json.loads(text, parse_float=_parse_float, parse_int=int)
     except json.JSONDecodeError as exc:
         raise InvariantError(f"malformed JSON: {exc}") from exc
+    except RecursionError as exc:
+        # the decoder recurses once per nested array or object
+        raise InvariantError("malformed JSON: nested too deeply") from exc
     except InvariantError:
         raise
     except ValueError as exc:

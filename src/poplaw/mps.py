@@ -13,13 +13,19 @@ belief measures by one chain; each step decides the target or passes it on:
   and the law's mean for component 1's rows;
 * the canonical LP `decomposition_lp`, which decides everything left.
 
-Both LPs take their moment rows from one belief-share table and state Farkas
-vectors over the canonical rows, so `verify_certificate` re-checks every
-refutation from scratch, as `verify_decomposition` does every decomposition.
+Both LP steps build their rows as integers straight from the law's agent
+counts and the integer numerators of the weights and masses (`_integer_lp`):
+exactly the rows and scales `simplex._integerize` makes of the `Fraction`
+systems, solved in the one simplex tableau, so pivots, solutions and Farkas
+vectors are those of the `Fraction` systems. `decomposition_lp` stays the
+`Fraction` statement of the canonical LP. Every Farkas vector is stated over
+its rows, so `verify_certificate` re-checks every refutation from scratch, as
+`verify_decomposition` does every decomposition.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
@@ -37,7 +43,7 @@ from .measures import (
     upper_quantile_distribution,
 )
 from .rationals import parse_rational
-from .simplex import farkas_refutes, solve_equalities
+from .simplex import _numerators, _primitive_row, _solve_integer, farkas_refutes
 
 ZERO = Fraction(0)
 
@@ -204,14 +210,14 @@ def _beliefs(law: PopulationLaw, target: SpreadTarget) -> list[Belief]:
     return sorted(beliefs)
 
 
-def _share_table(law: PopulationLaw, beliefs: list[Belief]) -> list[list[Fraction]]:
+def _count_table(law: PopulationLaw, beliefs: list[Belief]) -> list[list[int]]:
     """One row per belief x (which must include every belief of the law), one
-    column per law atom j, holding atom j's share count_j(x) / n."""
+    column per law atom j, holding atom j's count of agents at x."""
     index = {belief: i for i, belief in enumerate(beliefs)}
-    table = [[ZERO] * len(law.atoms) for _ in beliefs]
+    table = [[0] * len(law.atoms) for _ in beliefs]
     for j, (empirical, _) in enumerate(law.atoms):
         for belief, count in empirical.counts:
-            table[index[belief]][j] = Fraction(count, law.n)
+            table[index[belief]][j] = count
     return table
 
 
@@ -225,7 +231,7 @@ def _two_point(law: PopulationLaw, target: SpreadTarget):
     beliefs = _beliefs(law, target)
     if len(beliefs) != 2:
         return None
-    values = _share_table(law, beliefs)[1]
+    values = [Fraction(count, law.n) for count in _count_table(law, beliefs)[1]]
     index_of = {value: j for j, value in enumerate(values)}
     positions = [measure.mass(beliefs[1]) for _, measure in target.components]
     grouped: dict[Fraction, Fraction] = {}
@@ -266,12 +272,13 @@ def decomposition_lp(law: PopulationLaw, target: SpreadTarget):
 
     Variables: q[c][j] >= 0 for component c and law atom j (column c*J + j).
     Rows, in order: one mass-balance row per law atom j, then one moment row
-    per (component c, belief x) over the sorted union of all supports, which
-    is the share table's row for x in component c's column block.
+    per (component c, belief x) over the sorted union of all supports, with
+    count_j(x) / n in column c*J + j.
     """
     comps = target.components
     beliefs = _beliefs(law, target)
-    table = _share_table(law, beliefs)
+    table = _count_table(law, beliefs)
+    n = law.n
     J = len(law.atoms)
     ncols = len(comps) * J
     rows: list[list[Fraction]] = []
@@ -281,9 +288,9 @@ def decomposition_lp(law: PopulationLaw, target: SpreadTarget):
             row[c * J + j] = c_weight
         rows.append(row)
     for c in range(len(comps)):
-        for share in table:
+        for counts in table:
             row = [ZERO] * ncols
-            row[c * J : (c + 1) * J] = share
+            row[c * J : (c + 1) * J] = [Fraction(v, n) for v in counts]
             rows.append(row)
     rhs = [p for _, p in law.atoms]
     rhs.extend(measure.mass(belief) for _, measure in comps for belief in beliefs)
@@ -309,12 +316,13 @@ def mps_decompose(law: PopulationLaw, target: SpreadTarget, route: str = "auto")
             result = _decompose_two_point(law, target, *two_point)
             if result is not None:
                 return result
+    beliefs = _beliefs(law, target)
+    table = _count_table(law, beliefs)
     if len(target.components) == 2:
-        result = _decompose_two_components(law, target)
-        if result is not None:
-            return result
-    rows, rhs = decomposition_lp(law, target)
-    outcome = solve_equalities(rows, rhs)
+        system = _integer_lp(law, target, beliefs, table, bounded=True)
+        if system is not None:
+            return _decompose_two_components(law, target, table, *system)
+    outcome = _solve_integer(*_integer_lp(law, target, beliefs, table))
     if not outcome.feasible:
         return FarkasCertificate(outcome.farkas)
     J = len(law.atoms)
@@ -325,55 +333,104 @@ def mps_decompose(law: PopulationLaw, target: SpreadTarget, route: str = "auto")
     )
 
 
-def _decompose_two_components(law: PopulationLaw, target: SpreadTarget):
-    """The bounded LP step, by `bounded_decomposition_lp`.
+def _decompose_two_components(law: PopulationLaw, target: SpreadTarget, table, rows, scales):
+    """The bounded LP step, on `_integer_lp`'s bounded rows and scales.
 
-    Returns None when the target's mixture is not the law's expected measure,
-    which base laws never do: the canonical LP then refutes the target. A
-    Farkas vector y of the bounded LP becomes one over the canonical rows:
-    -z_j on mass row j, with z_j = max(0, y.A_j), w0 * y on component 0's
-    moment rows and 0 on component 1's. Each column's sum is w0 * (y.A_j -
-    z_j) or -w1 * z_j, never positive, and the rhs gets y.rhs - z.p > 0.
+    The system is over x_j = w0 * q0[j] with 0 <= x_j <= p_j, the law's weight
+    on atom j: one row per belief x of the law, sum_j count_j(x) / n * x_j =
+    w0 * m0(x). The bound is atom j's mass row, as q1[j] = (p_j - x_j) / w1;
+    component 1's moment rows follow, as the target's mixture is the law's
+    expected measure. The tableau solves for t_j = x_j / p_j in [0, 1].
+
+    A Farkas vector y becomes one over the canonical rows: -z_j on mass row
+    j, with z_j = max(0, y.A_j) over the column A_j of shares count_j(x) / n,
+    w0 * y on component 0's moment rows and 0 on component 1's. Each column's
+    sum is w0 * (y.A_j - z_j) or -w1 * z_j, never positive, and the rhs gets
+    y.rhs - z.p > 0.
     """
     (w0, _), (w1, _) = target.components
-    mixture: dict[Belief, Fraction] = {}
-    for weight, measure in target.components:
-        for belief, mass in measure.atoms:
-            mixture[belief] = mixture.get(belief, ZERO) + weight * mass
-    if dict(law_expected_measure(law).atoms) != mixture:
-        return None
-    rows, rhs, upper = bounded_decomposition_lp(law, target)
-    outcome = solve_equalities(rows, rhs, upper)
+    outcome = _solve_integer(rows, scales, bounded=True)
     if not outcome.feasible:
         y = outcome.farkas
-        z = [
-            max(ZERO, sum((yi * v for yi, v in zip(y, column) if v), ZERO))
-            for column in zip(*rows)
-        ]
+        # y.A_j is sum_x Y(x) * count_j(x) / (L * n), Y over y's common denominator L
+        Y, L = _numerators(y)
+        z = []
+        for counts in zip(*table):
+            total = sum(map(operator.mul, Y, counts))
+            z.append(Fraction(total, L * law.n) if total > 0 else ZERO)
         return FarkasCertificate((*(-v for v in z), *(w0 * v for v in y), *([ZERO] * len(y))))
-    x = outcome.solution
-    # both parts sum to 1: x sums to w0 over the moment rows, p - x to 1 - w0
-    return SpreadDecomposition(
-        [
-            (w0, _restrict(law, ((j, v / w0) for j, v in enumerate(x)))),
-            (w1, _restrict(law, ((j, (p - v) / w1) for j, (v, p) in enumerate(zip(x, upper))))),
-        ]
-    )
+    P, D = _numerators([p for _, p in law.atoms])
+    (W0, W1), DW = _numerators([w0, w1])
+    # q0[j] = t_j * p_j / w0 and q1[j] = (1 - t_j) * p_j / w1; both parts sum
+    # to 1, as x sums to w0 over the moment rows and p - x to 1 - w0
+    low, high = [], []
+    for j, (t, p) in enumerate(zip(outcome.solution, P)):
+        num, den = t.numerator * p * DW, t.denominator * D
+        low.append((j, Fraction(num, den * W0)))
+        high.append((j, Fraction(t.denominator * p * DW - num, den * W1)))
+    return SpreadDecomposition([(w0, _restrict(law, low)), (w1, _restrict(law, high))])
 
 
-def bounded_decomposition_lp(law: PopulationLaw, target: SpreadTarget):
-    """The two-component LP system (rows, rhs, upper) over x_j = w0 * q0[j].
+def _integer_lp(law: PopulationLaw, target: SpreadTarget, beliefs, table, bounded=False):
+    """A decomposition system as integer rows, rhs last, and one scale per row.
 
-    One row per belief x of the law, the share table's, with sum_j
-    share_j(x) * x_j = w0 * m0(x) and 0 <= x_j <= p_j, the law's weight on
-    atom j. The bound is atom j's mass row, as q1[j] = (p_j - x_j) / w1;
-    component 1's moment rows follow when the law's expected measure equals
-    the target's mixture, which the caller checks.
+    `beliefs` is `_beliefs(law, target)` and `table` its `_count_table`. The
+    rows and scales are exactly `_integerize`'s for `decomposition_lp(law,
+    target)` or, when `bounded`, for `_decompose_two_components`'s rows with
+    column j times its bound p_j. With p_j = P_j / D, the target's weights
+    w_c = W_c / DW and its masses m_c(x) = A_c(x) / B_c, each over its least
+    common denominator, every row times a positive integer is an integer row
+    that `_primitive_row` finishes as `_integerize` does.
+
+    The bounded system stands in for the canonical one only when the target
+    has two components and its mixture is the law's expected measure; when
+    the mixture is not, `bounded` returns None. The target then has a belief
+    outside the law's support, or the mixture and the expected measure differ
+    at one of the law's beliefs.
     """
-    (w0, m0), _ = target.components
-    beliefs = sorted({belief for empirical, _ in law.atoms for belief in empirical.support()})
-    rhs = [w0 * m0.mass(belief) for belief in beliefs]
-    return _share_table(law, beliefs), rhs, [p for _, p in law.atoms]
+    n = law.n
+    P, D = _numerators([p for _, p in law.atoms])
+    W, DW = _numerators([w for w, _ in target.components])
+    masses = []
+    for _, measure in target.components:
+        mass = dict(measure.atoms)
+        masses.append(_numerators([mass.get(x, ZERO) for x in beliefs]))
+    rows = []
+    if bounded:
+        (W0, W1), ((A0, B0), (A1, B1)) = W, masses
+        k = DW * B0
+        for counts, a0, a1 in zip(table, A0, A1):
+            weighted = [v * p for v, p in zip(counts, P)]
+            # n * D times the expected measure at x, against n * D times the
+            # mixture (W0 * A0(x) / B0 + W1 * A1(x) / B1) / DW
+            if sum(weighted) * DW * B0 * B1 != n * D * (W0 * a0 * B1 + W1 * a1 * B0):
+                return None
+            # row x, sum_j count_j(x) / n * p_j * t_j = w0 * m0(x), times n * D * k
+            row = [v * k for v in weighted]
+            row.append(n * D * W0 * a0)
+            rows.append((row, n * D * k))
+    else:
+        J = len(P)
+        width = len(W) * J
+        for j, p in enumerate(P):
+            # mass row j, sum_c w_c * q_c[j] = p_j, times D * DW
+            row = [0] * (width + 1)
+            row[j:width:J] = [w * D for w in W]
+            row[-1] = p * DW
+            rows.append((row, D * DW))
+        for c, (A, B) in enumerate(masses):
+            for counts, a in zip(table, A):
+                # moment row (c, x), sum_j count_j(x) / n * q_c[j] = m_c(x), times n * B_c
+                row = [0] * (width + 1)
+                row[c * J : (c + 1) * J] = [v * B for v in counts]
+                row[-1] = n * a
+                rows.append((row, n * B))
+    int_rows, scales = [], []
+    for row, mult in rows:
+        row, scale = _primitive_row(row, mult)
+        int_rows.append(row)
+        scales.append(scale)
+    return int_rows, scales
 
 
 def _restrict(law: PopulationLaw, weights) -> PopulationLaw:

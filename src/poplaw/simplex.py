@@ -26,6 +26,13 @@ tableau pivots exactly as the canonical one.
 Artificial variables never re-enter the basis once they leave. A redundant
 (rank-deficient) constraint row keeps its artificial basic at value zero,
 which the extracted solution ignores.
+
+The tableau starts from integer rows: each constraint row and its rhs as
+coprime integers with a non-negative rhs, plus the row's scale, which maps
+the Farkas vector back to the rows as given. `solve_equalities` takes
+`Fraction` rows and makes them so (`_integerize`); `_solve_integer` takes rows
+already in that form, which `mps` builds straight from a law's counts. Both
+finish each row by one rule, `_primitive_row`, and pivot in the one tableau.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from typing import Sequence
 from .errors import InternalError
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -61,16 +69,33 @@ def _integerize(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     int_rows = []
     scales = []
     for row, b in zip(rows, rhs):
-        ext = [*row, b]
-        # a list, not a generator: CPython sizes a generator's argument tuple
-        # by resizing, and each such call leaves one more tuple on a free list
-        denlcm = math.lcm(*[v.denominator for v in ext])
-        ints = [v.numerator * (denlcm // v.denominator) for v in ext]
-        g = math.gcd(*ints) or 1
-        sign = -1 if ints[-1] < 0 else 1
-        int_rows.append([sign * v // g for v in ints])
-        scales.append(Fraction(sign * denlcm, g))
+        ints, scale = _primitive_row(*_numerators([*row, b]))
+        int_rows.append(ints)
+        scales.append(scale)
     return int_rows, scales
+
+
+def _numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Rationals as integer numerators over their least common denominator, and that denominator."""
+    # a list, not a generator: CPython sizes a generator's argument tuple
+    # by resizing, and each such call leaves one more tuple on a free list
+    den = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _primitive_row(ints: list[int], mult: int) -> tuple[list[int], Fraction]:
+    """A row with its rhs last, given as integers `mult` > 0 times the row, as
+    coprime integers with a non-negative rhs, and the factor mapping the row
+    to them. An all-zero row stays as it is, with factor 1.
+    """
+    g = math.gcd(*ints)
+    if not g:
+        return ints, ONE
+    if ints[-1] < 0:
+        g = -g
+    if g != 1:
+        ints = [v // g for v in ints]
+    return ints, Fraction(mult, g)
 
 
 class _Tableau:
@@ -243,17 +268,28 @@ def solve_equalities(
             raise ValueError("upper bounds must be positive")
         # column j over t_j = x_j / u_j, which lies in [0, 1]
         rows = [[v * u if v else v for v, u in zip(row, upper)] for row in rows]
-    int_rows, scales = _integerize(rows, rhs)
-    sx = _Tableau(int_rows, upper is not None)
-    if sx.phase1():
-        x = sx.solution()
-        if upper is not None:
-            x = [t * u for t, u in zip(x, upper)]
-        return FeasibilityResult(solution=tuple(x), farkas=None)
-    y = sx.farkas()
+    outcome = _solve_integer(*_integerize(rows, rhs), upper is not None)
+    if upper is None or not outcome.feasible:
+        return outcome
     return FeasibilityResult(
-        solution=None, farkas=tuple(scales[i] * y[i] for i in range(len(y)))
+        solution=tuple(t * u for t, u in zip(outcome.solution, upper)), farkas=None
     )
+
+
+def _solve_integer(
+    int_rows: list[list[int]], scales: Sequence[Fraction], bounded: bool = False
+) -> FeasibilityResult:
+    """Phase 1 on integer rows as `_integerize` gives them, with their scales.
+
+    Each row is coprime integers with its rhs, non-negative, last. With
+    `bounded`, every column lies in [0, 1]. The Farkas vector is stated over
+    the rows before scaling: the tableau's dual times each row's scale.
+    """
+    sx = _Tableau(int_rows, bounded)
+    if sx.phase1():
+        return FeasibilityResult(solution=tuple(sx.solution()), farkas=None)
+    y = sx.farkas()
+    return FeasibilityResult(solution=None, farkas=tuple(s * v for s, v in zip(scales, y)))
 
 
 def farkas_refutes(

@@ -3,8 +3,9 @@
 Each law is assembled from an explicit per-state decomposition (multinomial,
 public-signal, or a mixture of the two around prescribed conditional belief
 measures), so feasibility holds by construction and the checker has no excuse.
-The oracles are three for LPs (the integerization and canonical and bounded
-phase 1), a brute-force kernel scan for information structures, and the plain
+The oracles are four for LPs (the integerization, canonical and bounded
+phase 1, and the bounded two-component system in `Fraction`s), a
+brute-force kernel scan for information structures, and the plain
 `Fraction` formulas for the multinomial law and the binomial quantile mean.
 """
 
@@ -379,6 +380,25 @@ def reference_bounded_phase1(rows, rhs, upper):
             t[var] = value[i]
     x = tuple(v * u for v, u in zip(t, upper))
     return FeasibilityResult(solution=x, farkas=None)
+
+
+def bounded_decomposition_lp(law, target):
+    """The two-component LP system (rows, rhs, upper) over x_j = w0 * q0[j].
+
+    One row per belief x of the law, sum_j count_j(x) / n * x_j = w0 *
+    m0(x), with 0 <= x_j <= p_j, the law's weight on atom j. It decides the
+    target when the law's expected measure equals the target's mixture.
+    Plain `Fraction` rows, the reference for the integer rows that
+    `mps_decompose` builds straight from the counts.
+    """
+    (w0, m0), _ = target.components
+    beliefs = sorted({belief for empirical, _ in law.atoms for belief in empirical.support()})
+    rows = [
+        [Fraction(dict(empirical.counts).get(belief, 0), law.n) for empirical, _ in law.atoms]
+        for belief in beliefs
+    ]
+    rhs = [w0 * m0.mass(belief) for belief in beliefs]
+    return rows, rhs, [p for _, p in law.atoms]
 
 
 def bounded_as_canonical(rows, rhs, upper):

@@ -1,4 +1,5 @@
 import gzip
+import io
 import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -40,6 +41,14 @@ def test_feasible_golden_farkas_certificate(capsys):
     code, out, _ = run(capsys, "feasible", str(DATA / "three_beliefs_infeasible.json"))
     assert code == 0
     assert out == (DATA / "feasible_three_beliefs_infeasible.txt").read_text()
+
+
+def test_feasible_golden_three_state_farkas_certificate(capsys):
+    # a three-state law on three beliefs that the canonical LP refutes
+    code, out, _ = run(capsys, "feasible", str(DATA / "feasible_three_state_infeasible.json"))
+    assert code == 0
+    assert json.loads(out)["certificate"]["kind"] == "farkas"
+    assert out == (DATA / "feasible_three_state_infeasible.txt").read_text()
 
 
 def test_synthesize_emits_scheme(capsys):
@@ -241,6 +250,33 @@ def test_oversized_json_integer_exits_two(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("poplaw: invalid input:") and err.count("\n") == 1
+
+
+# deeper than the JSON decoder's recursion limit on every supported Python:
+# 3.13 decodes 5,000 nested arrays
+DEEP = "[" * 200000 + "]" * 200000
+
+
+@pytest.mark.parametrize(
+    "text, args",
+    [
+        (DEEP, ["feasible", "{path}"]),
+        ('{"mu": ["1/2", "1/2"], "law": ' + DEEP + "}", ["feasible", "{path}"]),
+        (DEEP, ["feasible", "-"]),
+        (None, ["product-check", "--n", "2", "--mu", "1/2", "--q", DEEP]),
+        (None, ["persuade", "--n", "2", "--mu", "1/2", "--tau", "1/2", "--u", DEEP]),
+    ],
+    ids=["file", "file-law", "stdin", "product-check-q", "persuade-u"],
+)
+def test_deeply_nested_json_exits_two(capsys, monkeypatch, tmp_path, text, args):
+    path = tmp_path / "deep.json"
+    if text is not None:
+        path.write_text(text)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, *(a.format(path=path) for a in args))
+    assert code == 2
+    assert out == ""
+    assert err == "poplaw: invalid input: malformed JSON: nested too deeply\n"
 
 
 def test_oversized_grid_search_exits_one(capsys):

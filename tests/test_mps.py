@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _lawgen import (
+    bounded_decomposition_lp,
     mixture,
     random_binary_posterior_law,
     random_feasible_instance,
@@ -33,8 +34,8 @@ from poplaw import (
     verify_decomposition,
 )
 from poplaw.measures import Prior, _trusted, law_expected_measure, mix_laws
-from poplaw.mps import _restrict, decomposition_lp
-from poplaw.simplex import solve_equalities
+from poplaw.mps import _beliefs, _count_table, _integer_lp, _restrict, decomposition_lp
+from poplaw.simplex import _integerize, solve_equalities
 
 UNIFORM10 = ScalarMeasure([(F(k, 9), F(1, 10)) for k in range(10)])
 UNIFORM8 = ScalarMeasure([(F(k, 9), F(1, 8)) for k in range(1, 9)])
@@ -445,6 +446,59 @@ def test_three_components_keep_the_canonical_lp(seed):
         for c, (w, _) in enumerate(target.components)
     )
     assert mps_decompose(law, target, route="lp") == expected
+
+
+# --------------------------------------------------------- integer rows from counts
+# mps_decompose solves the rows `_integer_lp` builds from the law's counts;
+# equal to `_integerize` of the Fraction systems, they pivot as those would.
+
+
+def assert_integer_rows_match(law, target):
+    """Both systems against `_integerize`; returns the canonical integer rows and scales."""
+    beliefs = _beliefs(law, target)
+    table = _count_table(law, beliefs)
+    canonical = _integer_lp(law, target, beliefs, table)
+    assert canonical == _integerize(*decomposition_lp(law, target))
+    if len(target.components) == 2:
+        bounded = _integer_lp(law, target, beliefs, table, bounded=True)
+        if law_expected_measure(law) != mixture(target):
+            assert bounded is None
+        else:
+            rows, rhs, upper = bounded_decomposition_lp(law, target)
+            scaled = [[v * u for v, u in zip(row, upper)] for row in rows]
+            assert bounded == _integerize(scaled, rhs)
+    return canonical
+
+
+def test_integer_rows_of_base_laws_match_integerize():
+    rng = random.Random(11)
+    states = set()
+    for _ in range(150):
+        law, prior = random_feasible_instance(rng)
+        assert_integer_rows_match(law, base_law(law, prior))
+        states.add(law.dimension)
+    assert states == {2, 3}
+
+
+def test_integer_rows_of_two_component_targets_match_integerize():
+    rng = random.Random(12)
+    kinds = set()
+    for _ in range(300):
+        law, target = random_two_component_problem(rng)
+        assert_integer_rows_match(law, target)
+        kinds.add((law.dimension, law_expected_measure(law) == mixture(target)))
+    # two and three states, each with targets that match and that miss the law's mean
+    assert kinds == {(2, True), (2, False), (3, True), (3, False)}
+
+
+def test_zero_moment_row_keeps_scale_one():
+    """A target belief outside the law's support with no mass in component 0."""
+    law, targets = mean_missing_targets()
+    target = targets["outside"]
+    rows, scales = assert_integer_rows_match(law, target)
+    zero = [i for i, row in enumerate(rows) if not any(row)]
+    assert zero and all(scales[i] == 1 for i in zero)
+    assert law.n == 3  # the row times n would have scale 3
 
 
 # --------------------------------------------------------- boundary exactness

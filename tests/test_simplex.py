@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from _lawgen import (
     bounded_as_canonical,
+    bounded_decomposition_lp,
     bounded_farkas_as_canonical,
     mixture,
     random_binary_posterior_law,
@@ -17,7 +18,7 @@ from _lawgen import (
     reference_phase1,
 )
 from poplaw import base_law, law_expected_measure
-from poplaw.mps import bounded_decomposition_lp, decomposition_lp
+from poplaw.mps import decomposition_lp
 from poplaw.simplex import _integerize, farkas_refutes, solve_equalities
 
 
