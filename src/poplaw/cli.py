@@ -36,10 +36,15 @@ from .structures import expand_scheme, induced_population_law, simulate, synthes
 
 
 def _formatter(args):
+    """How rationals become text: "p/q" (ints when integral), or `--decimal D` digits.
+
+    Every output goes through it once, in `_emit` and `_csv_text`; commands
+    hand over exact values.
+    """
     digits = getattr(args, "decimal", None)
     if digits is None:
         return format_rational
-    return lambda value: format_decimal(Fraction(value), digits)
+    return lambda value: format_decimal(value, digits)
 
 
 def _read_json(path: str):
@@ -54,8 +59,8 @@ def _read_json(path: str):
     return jsonio.loads(text)
 
 
-def _emit(payload) -> None:
-    sys.stdout.write(jsonio.dumps(payload))
+def _emit(payload, args) -> None:
+    sys.stdout.write(jsonio.dumps(payload, _formatter(args)))
 
 
 def _write_text(path: str, text: str) -> None:
@@ -69,11 +74,12 @@ def _write_text(path: str, text: str) -> None:
         raise InvariantError(f"cannot write {path}: {exc}") from exc
 
 
-def _csv_text(header, rows) -> str:
+def _csv_text(header, rows, args) -> str:
+    fmt = _formatter(args)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerows([fmt(v) if type(v) is Fraction else v for v in row] for row in rows)
     return buf.getvalue()
 
 
@@ -86,26 +92,25 @@ def _problem_from_json(payload):
 def _cmd_feasible(args) -> int:
     law, prior = _problem_from_json(_read_json(args.input))
     verdict = check_feasible(law, prior)
-    _emit(jsonio.verdict_to_json(verdict, _formatter(args)))
+    _emit(jsonio.verdict_to_json(verdict), args)
     return 0
 
 
 def _cmd_synthesize(args) -> int:
     law, prior = _problem_from_json(_read_json(args.input))
     verdict = check_feasible(law, prior)
-    fmt = _formatter(args)
-    out = jsonio.verdict_to_json(verdict, fmt)
+    out = jsonio.verdict_to_json(verdict)
     if verdict.feasible:
         scheme = synthesize(law, prior, verdict.decomposition)
-        out["scheme"] = jsonio.scheme_to_json(scheme, fmt)
-    _emit(out)
+        out["scheme"] = jsonio.scheme_to_json(scheme)
+    _emit(out, args)
     return 0
 
 
 def _cmd_oracle(args) -> int:
     structure = jsonio.structure_from_json(_read_json(args.input))
     law = induced_population_law(structure)
-    _emit(jsonio.law_to_json(law, _formatter(args)))
+    _emit(jsonio.law_to_json(law), args)
     return 0
 
 
@@ -122,22 +127,22 @@ def _scheme_from_input(payload):
 def _cmd_simulate(args) -> int:
     scheme = _scheme_from_input(_read_json(args.input))
     estimate = simulate(scheme, args.samples, args.seed, shards=args.shards)
-    _emit(jsonio.law_to_json(estimate, _formatter(args)))
+    _emit(jsonio.law_to_json(estimate), args)
     return 0
 
 
 def _cmd_polarize(args) -> int:
     n_max = args.n if args.n_max is None else require_int(args.n_max, "--n-max")
-    prior = Prior.binary(parse_rational(args.mu))
-    fmt = _formatter(args)
+    mu = parse_rational(args.mu)
+    prior = Prior.binary(mu)
     report = max_polarization(args.n, prior)
     out = {
         "n": args.n,
-        "mu": fmt(parse_rational(args.mu)),
-        "value": fmt(report.value),
-        "lower_bound": fmt(report.lower_bound),
-        "upper_bound": fmt(report.upper_bound),
-        "structure": jsonio.structure_to_json(report.structure, fmt),
+        "mu": mu,
+        "value": report.value,
+        "lower_bound": report.lower_bound,
+        "upper_bound": report.upper_bound,
+        "structure": jsonio.structure_to_json(report.structure),
     }
     if args.search_denominator is not None:
         best, structure = search_max_polarization(
@@ -145,17 +150,17 @@ def _cmd_polarize(args) -> int:
         )
         out["grid_search"] = {
             "denominator": args.search_denominator,
-            "best": fmt(best),
-            "structure": jsonio.structure_to_json(structure, fmt),
+            "best": best,
+            "structure": jsonio.structure_to_json(structure),
         }
-    _emit(out)
+    _emit(out, args)
     if args.csv:
         rows = []
         for n in range(1, n_max + 1):
             # the achieved value is the lower end of the bracket
             lower, upper = polarization_bounds(n, prior)
-            rows.append((n, fmt(lower), fmt(upper), fmt(lower)))
-        _write_text(args.csv, _csv_text(("n", "lower", "upper", "achieved"), rows))
+            rows.append((n, lower, upper, lower))
+        _write_text(args.csv, _csv_text(("n", "lower", "upper", "achieved"), rows, args))
     return 0
 
 
@@ -169,16 +174,13 @@ def _cmd_product_check(args) -> int:
             raise InvariantError("provide either --q or both --a and --b")
         marginal = binary_marginal(args.mu, args.a, args.b)
     verdict = product_feasible(SymmetricProduct(marginal, args.n), prior)
-    _emit(jsonio.verdict_to_json(verdict, _formatter(args)))
+    _emit(jsonio.verdict_to_json(verdict), args)
     return 0
 
 
 def _cmd_threshold_curve(args) -> int:
     rows = threshold_curve(args.n_max)
-    fmt = _formatter(args)
-    table = [(n, fmt(t)) for n, t in rows]
-    text = _csv_text(("n", "threshold"), table)
-    _write_text(args.csv, text)
+    _write_text(args.csv, _csv_text(("n", "threshold"), rows, args))
     if args.svg:
         _write_text(
             args.svg,
@@ -206,23 +208,20 @@ def _cmd_persuade(args) -> int:
         args.n, parse_rational(args.mu), parse_rational(args.tau), utility
     )
     solution = persuasion_policy(instance)
-    fmt = _formatter(args)
     _emit(
         {
-            "value": fmt(solution.value),
-            "adoption_law": jsonio.scalar_measure_to_json(solution.adoption_law, fmt),
-            "scheme": jsonio.scheme_to_json(solution.scheme, fmt),
-        }
+            "value": solution.value,
+            "adoption_law": jsonio.scalar_measure_to_json(solution.adoption_law),
+            "scheme": jsonio.scheme_to_json(solution.scheme),
+        },
+        args,
     )
     if args.csv or args.svg:
         grid = [Fraction(i, args.n) for i in range(args.n + 1)]
         cav = [grid_concavification(utility, x)[0] for x in grid]
         if args.csv:
-            rows = [
-                (fmt(x), fmt(u), fmt(c))
-                for x, u, c in zip(grid, utility.values, cav)
-            ]
-            _write_text(args.csv, _csv_text(("grid", "u", "cav"), rows))
+            rows = zip(grid, utility.values, cav)
+            _write_text(args.csv, _csv_text(("grid", "u", "cav"), rows, args))
         if args.svg:
             _write_text(
                 args.svg,
@@ -238,7 +237,7 @@ def _cmd_persuade(args) -> int:
 def _cmd_expand(args) -> int:
     scheme = jsonio.scheme_from_json(_read_json(args.input))
     structure = expand_scheme(scheme)
-    _emit(jsonio.structure_to_json(structure, _formatter(args)))
+    _emit(jsonio.structure_to_json(structure), args)
     return 0
 
 

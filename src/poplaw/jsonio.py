@@ -1,10 +1,12 @@
 """JSON schemas for every externally visible value.
 
-Rationals render as ints when integral and "p/q" strings otherwise; on input,
-ints, "p/q" strings and decimal literals are all accepted and converted
-exactly (`loads` parses JSON number literals through their source text, so
-0.3 really means 3/10). Encoders accept an alternative rational formatter for
-display-only decimal output; parsers always rebuild exact values.
+Encoders return trees of exact values: `Fraction` leaves, never text. `dumps`
+is the one place a rational becomes text: as an int when integral and a
+"p/q" string otherwise, or through the formatter it is given, such as
+display-only decimals. On input, ints, "p/q" strings and decimal literals are
+all accepted and converted exactly (`loads` parses JSON number literals
+through their source text, so 0.3 really means 3/10); parsers always rebuild
+exact values.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .mps import (
     SpreadDecomposition,
     SpreadTarget,
 )
-from .rationals import check_exponent, format_rational, parse_rational, require_int
+from .rationals import check_exponent, format_rational, parse_rational, require_int, shown
 from .structures import InformationStructure, SymmetricScheme
 
 
@@ -54,120 +56,154 @@ def _parse_float(text: str) -> Fraction:
     return Fraction(text)
 
 
-def dumps(payload) -> str:
-    """Canonical serialization: sorted keys, stable separators, trailing newline."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+_quote = json.encoder.encode_basestring_ascii
+
+
+def dumps(payload, fmt=format_rational) -> str:
+    """Canonical serialization: sorted keys, stable separators, trailing newline.
+
+    The one place a rational becomes text: each `Fraction` leaf is passed
+    through `fmt` (by default an int or a "p/q" string). The text is byte for
+    byte what `json.dumps(payload, indent=2, sort_keys=True) + "\n"` gives
+    for the formatted tree, written without the standard library's
+    pure-Python encoder, which it uses whenever `indent` is set. Strings,
+    ints, bools, None, lists and dicts with str keys are the only other
+    values; anything else, floats included, raises TypeError.
+    """
+    chunks: list[str] = []
+    _write(payload, fmt, "\n", chunks.append)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _write(value, fmt, newline: str, emit) -> None:
+    kind = type(value)
+    if kind is Fraction:
+        value = fmt(value)
+        kind = type(value)
+    if kind is str:
+        emit(_quote(value))
+    elif kind is int:
+        emit(int.__repr__(value))
+    elif kind is list:
+        if not value:
+            emit("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            emit(sep)
+            sep = "," + inner
+            _write(item, fmt, inner, emit)
+        emit(newline + "]")
+    elif kind is dict:
+        if not value:
+            emit("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        # a key that is not a str makes sorted() or _quote raise TypeError
+        for key in sorted(value):
+            emit(sep + _quote(key) + ": ")
+            sep = "," + inner
+            _write(value[key], fmt, inner, emit)
+        emit(newline + "}")
+    elif value is None:
+        emit("null")
+    elif value is True:
+        emit("true")
+    elif value is False:
+        emit("false")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------- encoders
 
-def belief_to_json(belief: Belief, fmt=format_rational):
-    return [fmt(c) for c in belief.coords]
+def belief_to_json(belief: Belief):
+    return list(belief.coords)
 
 
-def measure_to_json(measure: DiscreteMeasure, fmt=format_rational):
-    return [
-        {"belief": belief_to_json(b, fmt), "weight": fmt(w)} for b, w in measure.atoms
-    ]
+def measure_to_json(measure: DiscreteMeasure):
+    return [{"belief": belief_to_json(b), "weight": w} for b, w in measure.atoms]
 
 
-def scalar_measure_to_json(measure: ScalarMeasure, fmt=format_rational):
-    return [{"value": fmt(v), "weight": fmt(w)} for v, w in measure.atoms]
+def scalar_measure_to_json(measure: ScalarMeasure):
+    return [{"value": v, "weight": w} for v, w in measure.atoms]
 
 
-def empirical_to_json(empirical: EmpiricalDistribution, fmt=format_rational):
+def empirical_to_json(empirical: EmpiricalDistribution):
     return {
         "n": empirical.n,
-        "counts": [
-            {"belief": belief_to_json(b, fmt), "count": c} for b, c in empirical.counts
-        ],
+        "counts": [{"belief": belief_to_json(b), "count": c} for b, c in empirical.counts],
     }
 
 
-def law_to_json(law: PopulationLaw, fmt=format_rational):
+def law_to_json(law: PopulationLaw):
     return {
         "n": law.n,
-        "atoms": [
-            {"empirical": empirical_to_json(e, fmt), "weight": fmt(w)}
-            for e, w in law.atoms
-        ],
+        "atoms": [{"empirical": empirical_to_json(e), "weight": w} for e, w in law.atoms],
     }
 
 
-def target_to_json(target: SpreadTarget, fmt=format_rational):
-    return [
-        {"weight": fmt(w), "measure": measure_to_json(m, fmt)}
-        for w, m in target.components
-    ]
+def target_to_json(target: SpreadTarget):
+    return [{"weight": w, "measure": measure_to_json(m)} for w, m in target.components]
 
 
-def decomposition_to_json(decomposition: SpreadDecomposition, fmt=format_rational):
-    return [
-        {"weight": fmt(w), "law": law_to_json(q, fmt)}
-        for w, q in decomposition.components
-    ]
+def decomposition_to_json(decomposition: SpreadDecomposition):
+    return [{"weight": w, "law": law_to_json(q)} for w, q in decomposition.components]
 
 
-def _side_to_json(side, fmt):
-    if isinstance(side, Belief):
-        return belief_to_json(side, fmt)
-    return fmt(side)
+def _belief_or_value(value):
+    """A `Belief` becomes its coordinate list; anything else passes through."""
+    return belief_to_json(value) if isinstance(value, Belief) else value
 
 
-def certificate_to_json(certificate, fmt=format_rational):
+def certificate_to_json(certificate):
     if isinstance(certificate, MeanMismatch):
         return {
             "kind": certificate.kind,
-            "left": _side_to_json(certificate.left, fmt),
-            "right": _side_to_json(certificate.right, fmt),
+            "left": _belief_or_value(certificate.left),
+            "right": _belief_or_value(certificate.right),
         }
     if isinstance(certificate, QuantileViolation):
         return {
             "kind": certificate.kind,
-            "alpha": fmt(certificate.alpha),
-            "quantile_mean": fmt(certificate.quantile_mean),
-            "low_atom": fmt(certificate.low_atom),
+            "alpha": certificate.alpha,
+            "quantile_mean": certificate.quantile_mean,
+            "low_atom": certificate.low_atom,
         }
     if isinstance(certificate, FarkasCertificate):
-        return {"kind": certificate.kind, "y": [fmt(v) for v in certificate.y]}
+        return {"kind": certificate.kind, "y": list(certificate.y)}
     raise InvariantError(f"unknown certificate type: {certificate!r}")
 
 
-def verdict_to_json(verdict: FeasibilityVerdict, fmt=format_rational):
+def verdict_to_json(verdict: FeasibilityVerdict):
     out = {
         "feasible": verdict.feasible,
         "prior_consistent": verdict.prior_consistent,
-        "base": None if verdict.base is None else target_to_json(verdict.base, fmt),
+        "base": None if verdict.base is None else target_to_json(verdict.base),
     }
     if verdict.decomposition is not None:
-        out["decomposition"] = decomposition_to_json(verdict.decomposition, fmt)
+        out["decomposition"] = decomposition_to_json(verdict.decomposition)
     if verdict.certificate is not None:
-        out["certificate"] = certificate_to_json(verdict.certificate, fmt)
+        out["certificate"] = certificate_to_json(verdict.certificate)
     return out
 
 
-def _label_to_json(label, fmt):
-    if isinstance(label, Belief):
-        return belief_to_json(label, fmt)
-    return label
-
-
-def structure_to_json(structure: InformationStructure, fmt=format_rational):
+def structure_to_json(structure: InformationStructure):
     return {
         "n": structure.n,
         "m": structure.m,
-        "mu": belief_to_json(structure.prior.belief, fmt),
+        "mu": belief_to_json(structure.prior.belief),
         "signal_sets": [
-            [_label_to_json(s, fmt) for s in signals] for signals in structure.signal_sets
+            [_belief_or_value(s) for s in signals] for signals in structure.signal_sets
         ],
         "kernel": [
             {
                 "state": state,
                 "profiles": [
-                    {
-                        "signals": [_label_to_json(s, fmt) for s in profile],
-                        "prob": fmt(prob),
-                    }
+                    {"signals": [_belief_or_value(s) for s in profile], "prob": prob}
                     for profile, prob in structure.kernel[state]
                 ],
             }
@@ -176,12 +212,12 @@ def structure_to_json(structure: InformationStructure, fmt=format_rational):
     }
 
 
-def scheme_to_json(scheme: SymmetricScheme, fmt=format_rational):
+def scheme_to_json(scheme: SymmetricScheme):
     return {
         "n": scheme.n,
-        "mu": belief_to_json(scheme.prior.belief, fmt),
+        "mu": belief_to_json(scheme.prior.belief),
         "state_laws": [
-            {"state": state, "law": law_to_json(law, fmt)}
+            {"state": state, "law": law_to_json(law)}
             for state, law in enumerate(scheme.state_laws)
         ],
     }
@@ -209,7 +245,7 @@ def _require_bool(payload, key, where):
     # type(), not bool(): any non-empty string or non-zero number is truthy
     value = _require(payload, key, where)
     if type(value) is not bool:
-        raise InvariantError(f"{where}: field {key!r} must be true or false, not {value!r}")
+        raise InvariantError(f"{where}: field {key!r} must be true or false, not {shown(value)}")
     return value
 
 
@@ -314,7 +350,7 @@ def certificate_from_json(payload):
         return FarkasCertificate(
             tuple(parse_rational(v) for v in _require_array(payload, "y", "certificate"))
         )
-    raise InvariantError(f"unknown certificate kind: {kind!r}")
+    raise InvariantError(f"unknown certificate kind: {shown(kind)}")
 
 
 def verdict_from_json(payload) -> FeasibilityVerdict:
@@ -343,7 +379,7 @@ def _label_from_json(payload):
         return belief_from_json(payload)
     if isinstance(payload, str):
         return payload
-    raise InvariantError(f"signal label must be a string or a belief array: {payload!r}")
+    raise InvariantError(f"signal label must be a string or a belief array: {shown(payload)}")
 
 
 def _per_state(entries, dimension: int, where: str, decode) -> list:
@@ -381,7 +417,7 @@ def structure_from_json(payload) -> InformationStructure:
     if type(m) is not int or m != prior.dimension:
         raise InvariantError(
             f"information structure: field 'm' must be {prior.dimension}, "
-            f"the number of states in mu, not {m!r}"
+            f"the number of states in mu, not {shown(m)}"
         )
     signal_sets = [
         tuple(_label_from_json(s) for s in _array(signals, "signal set"))

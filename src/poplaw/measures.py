@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InvariantError
-from .rationals import parse_quantile_level, parse_rational, require_int
+from .rationals import parse_quantile_level, parse_rational, require_int, shown
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -51,9 +51,9 @@ class Belief:
         if len(coords) < 2:
             raise InvariantError("a belief needs at least two states")
         if any(c < 0 or c > 1 for c in coords):
-            raise InvariantError(f"belief coordinates must lie in [0, 1]: {coords}")
+            raise InvariantError(f"belief coordinates must lie in [0, 1]: {shown(coords)}")
         if sum(coords) != 1:
-            raise InvariantError(f"belief coordinates must sum to 1: {coords}")
+            raise InvariantError(f"belief coordinates must sum to 1: {shown(coords)}")
         object.__setattr__(self, "coords", coords)
 
     @classmethod
@@ -208,7 +208,7 @@ class EmpiricalDistribution:
                 continue
             merged[belief] = merged.get(belief, 0) + count
         if sum(merged.values()) != n:
-            raise InvariantError(f"counts must sum to n={n}: {sorted(merged.items())}")
+            raise InvariantError(f"counts must sum to n={n}: {shown(sorted(merged.items()))}")
         dims = {belief.dimension for belief in merged}
         if len(dims) != 1:
             raise InvariantError("all beliefs in an empirical distribution must share one state space")

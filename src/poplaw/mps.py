@@ -221,14 +221,14 @@ def _count_table(law: PopulationLaw, beliefs: list[Belief]) -> list[list[int]]:
     return table
 
 
-def _two_point(law: PopulationLaw, target: SpreadTarget):
+def _two_point(law: PopulationLaw, target: SpreadTarget, beliefs: list[Belief]):
     """Read a law and target on exactly two beliefs as scalars (mass at the high one).
 
-    Returns None on any other support; otherwise the scalar law, the index of
-    the law atom behind each scalar value, each component's position and the
-    target weight at each distinct position.
+    `beliefs` is `_beliefs(law, target)`. Returns None on any other support;
+    otherwise the scalar law, the index of the law atom behind each scalar
+    value, each component's position and the target weight at each distinct
+    position.
     """
-    beliefs = _beliefs(law, target)
     if len(beliefs) != 2:
         return None
     values = [Fraction(count, law.n) for count in _count_table(law, beliefs)[1]]
@@ -310,13 +310,13 @@ def mps_decompose(law: PopulationLaw, target: SpreadTarget, route: str = "auto")
         raise InvariantError(f"unknown route {route!r}")
     if target.dimension != law.dimension:
         raise InvariantError("law and target live on different state spaces")
+    beliefs = _beliefs(law, target)
     if route == "auto":
-        two_point = _two_point(law, target)
+        two_point = _two_point(law, target, beliefs)
         if two_point is not None:
             result = _decompose_two_point(law, target, *two_point)
             if result is not None:
                 return result
-    beliefs = _beliefs(law, target)
     table = _count_table(law, beliefs)
     if len(target.components) == 2:
         system = _integer_lp(law, target, beliefs, table, bounded=True)
@@ -472,7 +472,7 @@ def verify_certificate(law: PopulationLaw, target: SpreadTarget, certificate) ->
     if isinstance(certificate, FarkasCertificate):
         rows, rhs = decomposition_lp(law, target)
         return farkas_refutes(rows, rhs, certificate.y)
-    two_point = _two_point(law, target)
+    two_point = _two_point(law, target, _beliefs(law, target))
     if two_point is None:
         return False
     scalar_law, _, _, grouped = two_point

@@ -13,7 +13,8 @@ and digit count goes through `require_int`, every quantile level through
 Numbers are held to CPython's default limit of 4,300 digits for converting
 between int and str: a decimal exponent past it is refused on input, before
 `Fraction` builds 10**exponent, and output that would need longer digit
-strings raises `ResourceLimitError` instead of a bare `ValueError`.
+strings raises `ResourceLimitError` instead of a bare `ValueError`. A refusal
+message echoes the refused value through `shown`, which cuts it short.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .errors import InvariantError, ResourceLimitError
 
 MAX_DIGITS = 4300
 _TOO_LONG = f"a number in the output has more than {MAX_DIGITS} digits"
+SHOWN_CHARS = 60
 
 
 def parse_rational(value) -> Fraction:
@@ -31,7 +33,7 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
-        raise InvariantError(f"not a rational: {value!r}")
+        raise InvariantError(f"not a rational: {shown(value)}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
@@ -43,8 +45,8 @@ def parse_rational(value) -> Fraction:
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise InvariantError(f"not a rational: {value!r}") from exc
-    raise InvariantError(f"not a rational: {value!r}")
+            raise InvariantError(f"not a rational: {shown(value)}") from exc
+    raise InvariantError(f"not a rational: {shown(value)}")
 
 
 def require_int(value, name: str, low: int = 1, high: int | None = None) -> int:
@@ -54,12 +56,22 @@ def require_int(value, name: str, low: int = 1, high: int | None = None) -> int:
     """
     if type(value) is not int or value < low or (high is not None and value >= high):
         bound = f">= {low}" if high is None else f"in [{low}, {high})"
-        try:
-            shown = repr(value)
-        except ValueError:  # an int past the str conversion limit
-            shown = f"with more than {MAX_DIGITS} digits"
-        raise InvariantError(f"{name} {shown} is not an integer {bound}")
+        raise InvariantError(f"{name} {shown(value)} is not an integer {bound}")
     return value
+
+
+def shown(value) -> str:
+    """`repr(value)` cut to SHOWN_CHARS characters, for a refusal message to echo.
+
+    A diagnostic stays one short line however large the refused input is.
+    """
+    try:
+        text = repr(value)
+    except ValueError:  # an int past the str conversion limit
+        return f"with more than {MAX_DIGITS} digits"
+    except RecursionError:
+        return f"<{type(value).__name__} nested too deeply>"
+    return text if len(text) <= SHOWN_CHARS else text[:SHOWN_CHARS] + "..."
 
 
 def parse_quantile_level(value) -> Fraction:

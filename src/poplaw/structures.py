@@ -38,7 +38,7 @@ from .measures import (
     mix_laws,
 )
 from .mps import SpreadDecomposition, verify_decomposition
-from .rationals import parse_rational, require_int
+from .rationals import parse_rational, require_int, shown
 from .rng import MASK64, PHI, TWO64, mix64
 
 ZERO = Fraction(0)
@@ -96,7 +96,7 @@ class InformationStructure:
                 for agent, label in enumerate(profile):
                     if label not in allowed[agent]:
                         raise InvariantError(
-                            f"label {label!r} not in agent {agent}'s signal set"
+                            f"label {shown(label)} not in agent {agent}'s signal set"
                         )
                 prob = parse_rational(prob)
                 if prob < 0:

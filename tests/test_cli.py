@@ -358,6 +358,37 @@ def test_polarize_grid_search_golden(capsys, golden, args):
     assert out == (DATA / golden).read_text()
 
 
+UNIFORM9 = str(DATA / "uniform9.json")
+PRODUCT_CHECK = ("product-check", "--n", "4", "--mu", "1/2", "--a", "0.3", "--b", "0.7")
+GOLDENS = [
+    ("synthesize_uniform9.txt", ("synthesize", UNIFORM9)),
+    ("synthesize_uniform9_decimal12.txt", ("synthesize", UNIFORM9, "--decimal", "12")),
+    (
+        "persuade_n2_mu3-10_tau1-2_decimal6_csv.txt",
+        ("persuade", "--n", "2", "--mu", "3/10", "--tau", "1/2", "--u", "[0,1,1]",
+         "--decimal", "6", "--csv", "-"),
+    ),
+    ("product_check_n4_mu1-2_a0.3_b0.7.txt", PRODUCT_CHECK),
+    ("product_check_n4_mu1-2_a0.3_b0.7_decimal8.txt", (*PRODUCT_CHECK, "--decimal", "8")),
+    (
+        "polarize_n3_mu1-3_csv_nmax6_decimal10.txt",
+        ("polarize", "--n", "3", "--mu", "1/3", "--csv", "-", "--n-max", "6", "--decimal", "10"),
+    ),
+    (
+        "threshold_curve_nmax11_decimal10.txt",
+        ("product-threshold-curve", "--n-max", "11", "--decimal", "10"),
+    ),
+]
+
+
+@pytest.mark.parametrize("golden,args", GOLDENS, ids=[g for g, _ in GOLDENS])
+def test_output_golden(capsys, golden, args):
+    # JSON and CSV under both formatters, rendered through jsonio.dumps and _csv_text
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert out == (DATA / golden).read_text()
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 5)])
 def test_seed_outside_64_bits_exits_two(capsys, seed):
     args = ("simulate", str(DATA / "uniform9.json"), "--samples", "200", "--seed", seed)
@@ -582,3 +613,31 @@ def test_structure_m_that_disagrees_with_mu_exits_two(capsys, tmp_path, m):
         "poplaw: invalid input: information structure: field 'm' must be 2, "
         f"the number of states in mu, not {m!r}\n"
     )
+
+
+COUNTS = ("law", "atoms", 0, "empirical", "counts")
+TOO_LONG = [
+    ("feasible", PROBLEM, (*COUNTS, 0, "belief", 0), "1" * 10**6),
+    ("feasible", PROBLEM, ("law", "n"), "x" * 10**5),
+    ("oracle", STRUCTURE, ("signal_sets", 0, 0), {"label": "x" * 10**5}),
+    ("oracle", STRUCTURE, ("kernel", 0, "profiles", 0, "signals", 0), "x" * 10**5),
+    ("feasible", PROBLEM, (*COUNTS, 0, "belief"), ["1/2"] * 10**4),
+    (
+        "feasible",
+        PROBLEM,
+        COUNTS,
+        [{"belief": [f"{k}/5000", f"{5000 - k}/5000"], "count": 1} for k in range(5000)],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "command,base,path,value",
+    TOO_LONG,
+    ids=["rational", "n", "label-object", "label-not-in-set", "belief-coords", "counts-sum"],
+)
+def test_refusal_of_a_long_value_is_one_short_line(capsys, tmp_path, command, base, path, value):
+    code, out, err = _run_payload(capsys, tmp_path, command, _edited(base, path, value))
+    assert (code, out) == (2, "")
+    assert err.startswith("poplaw: invalid input:") and err.count("\n") == 1
+    assert len(err.encode()) < 200

@@ -1,8 +1,11 @@
+import json
 import random
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _lawgen import random_feasible_instance
 from poplaw import (
@@ -21,7 +24,7 @@ from poplaw import (
     synthesize,
 )
 from poplaw import jsonio
-from poplaw.rationals import format_decimal, format_rational, parse_rational
+from poplaw.rationals import SHOWN_CHARS, format_decimal, format_rational, parse_rational, shown
 
 DATA = Path(__file__).parent / "data"
 
@@ -210,5 +213,94 @@ def test_dumps_is_canonical():
 
 def test_decimal_formatter_mode():
     m = ScalarMeasure([(F(1, 3), F(1))])
-    rendered = jsonio.scalar_measure_to_json(m, fmt=lambda x: format_decimal(x, 3))
+    payload = jsonio.scalar_measure_to_json(m)
+    rendered = jsonio.loads(jsonio.dumps(payload, fmt=lambda x: format_decimal(x, 3)))
     assert rendered == [{"value": "0.333", "weight": "1.000"}]
+
+
+# ------------------------------------------------------------ the canonical writer
+
+CHARACTERS = st.one_of(
+    st.characters(),  # non-ASCII and control characters
+    st.characters(categories=["Cs"]),  # lone surrogates
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x7f\u2028'),
+)
+TEXT = st.text(CHARACTERS, max_size=8)
+LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(max_value=-(10**40)),
+    TEXT,
+    st.fractions(),
+)
+TREES = st.recursive(
+    LEAVES,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(TEXT, children, max_size=4),
+    max_leaves=20,
+)
+FORMATTERS = {"rational": format_rational, "decimal": lambda value: format_decimal(value, 7)}
+
+
+def _formatted(tree, fmt):
+    if type(tree) is F:
+        return fmt(tree)
+    if type(tree) is list:
+        return [_formatted(item, fmt) for item in tree]
+    if type(tree) is dict:
+        return {key: _formatted(item, fmt) for key, item in tree.items()}
+    return tree
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree=TREES)
+@pytest.mark.parametrize("fmt", FORMATTERS.values(), ids=FORMATTERS.keys())
+def test_dumps_matches_the_standard_library(fmt, tree):
+    expected = json.dumps(_formatted(tree, fmt), indent=2, sort_keys=True) + "\n"
+    assert jsonio.dumps(tree, fmt) == expected
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [1.5, [F(1, 2), 0.0], {"a": {1, 2}}, {1: "a"}, {"a": [{"b": 1, 2: 3}]}, (1, 2), b"x"],
+    ids=["float", "nested-float", "set", "int-key", "mixed-keys", "tuple", "bytes"],
+)
+def test_dumps_refuses_what_poplaw_never_emits(payload):
+    with pytest.raises(TypeError):
+        jsonio.dumps(payload)
+
+
+def test_shown_clips_what_a_refusal_echoes():
+    assert shown("1/2") == "'1/2'"
+    long = shown("x" * 10**6)
+    assert len(long) == SHOWN_CHARS + 3 and long.endswith("...")
+    assert shown(-(10**5000)) == "with more than 4300 digits"
+    deep = []
+    for _ in range(10**5):
+        deep = [deep]
+    assert shown(deep) == "<list nested too deeply>"
+
+
+LONG = "x" * 10**5
+STRUCTURE = {
+    "n": 1,
+    "m": 2,
+    "mu": ["1/2", "1/2"],
+    "signal_sets": [["a"]],
+    "kernel": [{"state": s, "profiles": [{"signals": ["a"], "prob": 1}]} for s in (0, 1)],
+}
+
+
+@pytest.mark.parametrize(
+    "decode",
+    [
+        lambda: jsonio.verdict_from_json({"feasible": LONG, "prior_consistent": True}),
+        lambda: jsonio.certificate_from_json({"kind": LONG}),
+        lambda: jsonio.structure_from_json({**STRUCTURE, "m": LONG}),
+    ],
+    ids=["verdict-flag", "certificate-kind", "structure-m"],
+)
+def test_refusals_echo_a_clipped_value(decode):
+    with pytest.raises(InvariantError) as info:
+        decode()
+    assert "xxx..." in str(info.value) and len(str(info.value)) < 200
