@@ -27,7 +27,7 @@ from .mps import (
     SpreadTarget,
     mps_decompose,
 )
-from .rationals import parse_rational
+from .rationals import parse_rational, shown
 
 
 def conditional_tilt(measure: DiscreteMeasure, prior: Prior, state: int) -> DiscreteMeasure:
@@ -118,7 +118,8 @@ def binary_base(mu, a, b) -> BinaryBase:
     """
     mu, a, b = parse_rational(mu), parse_rational(a), parse_rational(b)
     if not 0 <= a < mu < b <= 1:
-        raise InvariantError(f"need 0 <= a < mu < b <= 1, got a={a}, mu={mu}, b={b}")
+        got = f"a={shown(a, str)}, mu={shown(mu, str)}, b={shown(b, str)}"
+        raise InvariantError(f"need 0 <= a < mu < b <= 1, got {got}")
     high = (mu - a) * b / ((b - a) * mu)
     low = (mu - a) * (1 - b) / ((b - a) * (1 - mu))
     return BinaryBase(a=low, b=high, alpha=1 - mu)

@@ -28,13 +28,12 @@ and, for laws, one n. Never pass it outside input.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InvariantError
-from .rationals import parse_quantile_level, parse_rational, require_int, shown
+from .rationals import over_common_denominator, parse_quantile_level, parse_rational, require_int, shown
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -92,7 +91,7 @@ class Prior:
         if not isinstance(belief, Belief):
             belief = Belief(belief)
         if any(c == 0 for c in belief.coords):
-            raise InvariantError(f"prior must have full support: {belief}")
+            raise InvariantError(f"prior must have full support: {shown(belief, str)}")
         object.__setattr__(self, "belief", belief)
 
     @classmethod
@@ -127,7 +126,7 @@ def _merge_atoms(pairs, kind: str):
     for point, weight in pairs:
         weight = parse_rational(weight)
         if weight < 0:
-            raise InvariantError(f"negative weight {weight} in {kind}")
+            raise InvariantError(f"negative weight {shown(weight, str)} in {kind}")
         if weight == 0:
             continue
         merged[point] = merged.get(point, ZERO) + weight
@@ -283,13 +282,13 @@ def barycenter(measure: DiscreteMeasure) -> Belief:
     # summed in integers over the common denominators of the weights and of the
     # coordinates; a convex combination of beliefs is a belief
     atoms = measure.atoms
-    weight_den = math.lcm(*(w.denominator for _, w in atoms))
-    coord_den = math.lcm(*(c.denominator for belief, _ in atoms for c in belief.coords))
-    totals = [0] * measure.dimension
-    for belief, weight in atoms:
-        scaled = weight.numerator * (weight_den // weight.denominator)
-        for i, c in enumerate(belief.coords):
-            totals[i] += scaled * c.numerator * (coord_den // c.denominator)
+    m = measure.dimension
+    weights, weight_den = over_common_denominator([w for _, w in atoms])
+    coords, coord_den = over_common_denominator([c for belief, _ in atoms for c in belief.coords])
+    totals = [0] * m
+    for k, scaled in enumerate(weights):
+        for i, c in enumerate(coords[k * m : (k + 1) * m]):
+            totals[i] += scaled * c
     den = weight_den * coord_den
     return _trusted(Belief, coords=tuple(Fraction(t, den) for t in totals))
 
@@ -305,10 +304,9 @@ def law_expected_measure(law: PopulationLaw) -> DiscreteMeasure:
     # law weight times count, summed in integers over the weights' common
     # denominator times n; positive, and the law's weights summing to 1 with
     # counts summing to n make the total 1
-    common = math.lcm(*(w.denominator for _, w in law.atoms))
+    weights, common = over_common_denominator([w for _, w in law.atoms])
     totals: dict[Belief, int] = {}
-    for empirical, weight in law.atoms:
-        scaled = weight.numerator * (common // weight.denominator)
+    for (empirical, _), scaled in zip(law.atoms, weights):
         for belief, count in empirical.counts:
             totals[belief] = totals.get(belief, 0) + scaled * count
     den = common * law.n

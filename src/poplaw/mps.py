@@ -42,8 +42,8 @@ from .measures import (
     quantile_distribution,
     upper_quantile_distribution,
 )
-from .rationals import parse_rational
-from .simplex import _numerators, _primitive_row, _solve_integer, farkas_refutes
+from .rationals import over_common_denominator, parse_rational, shown
+from .simplex import _primitive_row, _solve_integer, farkas_refutes
 
 ZERO = Fraction(0)
 
@@ -59,9 +59,9 @@ class BinaryBase:
     def __init__(self, a, b, alpha) -> None:
         a, b, alpha = parse_rational(a), parse_rational(b), parse_rational(alpha)
         if not 0 <= a < b <= 1:
-            raise InvariantError(f"need 0 <= a < b <= 1, got a={a}, b={b}")
+            raise InvariantError(f"need 0 <= a < b <= 1, got a={shown(a, str)}, b={shown(b, str)}")
         if not 0 < alpha < 1:
-            raise InvariantError(f"need 0 < alpha < 1, got {alpha}")
+            raise InvariantError(f"need 0 < alpha < 1, got {shown(alpha, str)}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "alpha", alpha)
@@ -353,14 +353,14 @@ def _decompose_two_components(law: PopulationLaw, target: SpreadTarget, table, r
     if not outcome.feasible:
         y = outcome.farkas
         # y.A_j is sum_x Y(x) * count_j(x) / (L * n), Y over y's common denominator L
-        Y, L = _numerators(y)
+        Y, L = over_common_denominator(y)
         z = []
         for counts in zip(*table):
             total = sum(map(operator.mul, Y, counts))
             z.append(Fraction(total, L * law.n) if total > 0 else ZERO)
         return FarkasCertificate((*(-v for v in z), *(w0 * v for v in y), *([ZERO] * len(y))))
-    P, D = _numerators([p for _, p in law.atoms])
-    (W0, W1), DW = _numerators([w0, w1])
+    P, D = over_common_denominator([p for _, p in law.atoms])
+    (W0, W1), DW = over_common_denominator([w0, w1])
     # q0[j] = t_j * p_j / w0 and q1[j] = (1 - t_j) * p_j / w1; both parts sum
     # to 1, as x sums to w0 over the moment rows and p - x to 1 - w0
     low, high = [], []
@@ -389,12 +389,12 @@ def _integer_lp(law: PopulationLaw, target: SpreadTarget, beliefs, table, bounde
     at one of the law's beliefs.
     """
     n = law.n
-    P, D = _numerators([p for _, p in law.atoms])
-    W, DW = _numerators([w for w, _ in target.components])
+    P, D = over_common_denominator([p for _, p in law.atoms])
+    W, DW = over_common_denominator([w for w, _ in target.components])
     masses = []
     for _, measure in target.components:
         mass = dict(measure.atoms)
-        masses.append(_numerators([mass.get(x, ZERO) for x in beliefs]))
+        masses.append(over_common_denominator([mass.get(x, ZERO) for x in beliefs]))
     rows = []
     if bounded:
         (W0, W1), ((A0, B0), (A1, B1)) = W, masses

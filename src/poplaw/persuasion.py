@@ -6,22 +6,26 @@ agents who adopt at posteriors of at least tau. The optimal value is
     mu * u(1) + (1 - mu) * cav_n(u)(mu * (1 - tau) / (tau * (1 - mu)))
 
 where cav_n is the upper concave envelope of u restricted to the 1/n grid,
-evaluated here by an exact upper-hull construction. The optimal policy sends
-the adopt signal to everyone in the good state; in the bad state it draws an
-adoption fraction from the envelope's witness distribution and recommends to
-a uniformly random subset of that size, leaving adopters at posterior tau and
+evaluated on an exact upper hull that each utility builds once and every
+evaluation searches by bisection. The optimal policy sends the adopt signal
+to everyone in the good state; in the bad state it draws an adoption
+fraction from the envelope's witness distribution and recommends to a
+uniformly random subset of that size, leaving adopters at posterior tau and
 everyone else at posterior 0.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .errors import InvariantError
 from .measures import Belief, EmpiricalDistribution, PopulationLaw, Prior, ScalarMeasure
-from .rationals import parse_rational, require_int
+from .rationals import parse_rational, require_int, shown
 from .structures import SymmetricScheme
 
 ZERO = Fraction(0)
@@ -60,9 +64,19 @@ class SenderUtility:
     def n(self) -> int:
         return len(self.values) - 1
 
-    def grid_points(self) -> list[tuple[Fraction, Fraction]]:
-        n = self.n
-        return [(Fraction(i, n), v) for i, v in enumerate(self.values)]
+    @cached_property
+    def _hull(self) -> list[tuple[Fraction, Fraction]]:
+        """Vertices (i/n, u_i) of the upper concave envelope; the first and last always stay."""
+        hull: list[tuple[Fraction, Fraction]] = []
+        for i, v in enumerate(self.values):
+            x = Fraction(i, self.n)
+            while len(hull) >= 2:
+                (ox, oy), (ax, ay) = hull[-2], hull[-1]
+                if (ax - ox) * (v - oy) < (ay - oy) * (x - ox):  # a lies above the chord
+                    break
+                hull.pop()
+            hull.append((x, v))
+        return hull
 
 
 @dataclass(frozen=True)
@@ -79,7 +93,8 @@ class PersuasionInstance:
         mu = parse_rational(mu)
         tau = parse_rational(tau)
         if not 0 < mu < tau < 1:
-            raise InvariantError(f"need 0 < mu < tau < 1, got mu={mu}, tau={tau}")
+            got = f"mu={shown(mu, str)}, tau={shown(tau, str)}"
+            raise InvariantError(f"need 0 < mu < tau < 1, got {got}")
         if utility.n != n:
             raise InvariantError(f"utility grid {utility.n} does not match n={n}")
         object.__setattr__(self, "n", n)
@@ -92,21 +107,6 @@ class PersuasionInstance:
         return self.mu * (1 - self.tau) / (self.tau * (1 - self.mu))
 
 
-def _upper_hull(points: Sequence[tuple[Fraction, Fraction]]):
-    """Vertices of the upper concave envelope, collinear interior points dropped."""
-    hull: list[tuple[Fraction, Fraction]] = []
-    for p in points:
-        while len(hull) >= 2:
-            o, a = hull[-2], hull[-1]
-            cross = (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0])
-            if cross >= 0:
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    return hull
-
-
 def grid_concavification(utility: SenderUtility, y) -> tuple[Fraction, ScalarMeasure]:
     """Value and witness of the grid concavification at y.
 
@@ -116,8 +116,10 @@ def grid_concavification(utility: SenderUtility, y) -> tuple[Fraction, ScalarMea
     """
     y = parse_rational(y)
     if not 0 <= y <= 1:
-        raise InvariantError(f"evaluation point must lie in [0, 1]: {y}")
-    left, right = _bracket(_upper_hull(utility.grid_points()), y)
+        raise InvariantError(f"evaluation point must lie in [0, 1]: {shown(y, str)}")
+    hull = utility._hull
+    i = bisect_left(hull, y, key=itemgetter(0))  # the first vertex at or right of y
+    left, right = (hull[i], hull[i]) if hull[i][0] == y else (hull[i - 1], hull[i])
     lam = ZERO if left == right else (y - left[0]) / (right[0] - left[0])
     value = (1 - lam) * left[1] + lam * right[1]
     n = utility.n
@@ -125,15 +127,6 @@ def grid_concavification(utility: SenderUtility, y) -> tuple[Fraction, ScalarMea
         # y is a grid point attaining the hull: the point mass is the minimal witness
         return value, ScalarMeasure.dirac(y)
     return value, ScalarMeasure([(left[0], 1 - lam), (right[0], lam)])
-
-
-def _bracket(hull, y):
-    for i in range(len(hull)):
-        if hull[i][0] == y:
-            return hull[i], hull[i]
-        if hull[i][0] > y:
-            return hull[i - 1], hull[i]
-    return hull[-1], hull[-1]
 
 
 def persuasion_value(instance: PersuasionInstance) -> Fraction:
@@ -158,8 +151,7 @@ def persuasion_policy(instance: PersuasionInstance) -> PersuasionSolution:
     adoption fraction is drawn from the concavification witness and dealt to
     a uniformly random subset; adopters sit at tau, the rest at 0.
     """
-    target = instance.adoption_target()
-    cav_value, witness = grid_concavification(instance.utility, target)
+    _, witness = grid_concavification(instance.utility, instance.adoption_target())
     n = instance.n
     adopt = Belief.binary(instance.tau)
     reject = Belief.binary(0)
@@ -172,8 +164,7 @@ def persuasion_policy(instance: PersuasionInstance) -> PersuasionSolution:
         )
     bad = PopulationLaw(n, bad_atoms)
     scheme = SymmetricScheme(Prior.binary(instance.mu), (bad, good))
-    value = instance.mu * instance.utility.values[-1] + (1 - instance.mu) * cav_value
-    return PersuasionSolution(value=value, adoption_law=witness, scheme=scheme)
+    return PersuasionSolution(value=persuasion_value(instance), adoption_law=witness, scheme=scheme)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from operator import mul
 
 from .errors import InvariantError
 from .measures import EmpiricalDistribution, PopulationLaw, Prior
-from .rationals import require_int
+from .rationals import over_common_denominator, require_int
 from .structures import InformationStructure, grid_kernel, weight_grid
 
 ZERO = Fraction(0)
@@ -145,11 +145,7 @@ def search_max_polarization(
     if prior.dimension != 2:
         raise InvariantError("grid search is implemented for two states")
     signal_set, profiles, vectors = weight_grid(n, signals_per_agent, denominator)
-    p0 = prior.coordinate(0)
-    p1 = prior.coordinate(1)
-    q = math.lcm(p0.denominator, p1.denominator)
-    w0 = int(p0 * q)
-    w1 = int(p1 * q)
+    (w0, w1), q = over_common_denominator(prior.coords)
     # each agent's flat (agent, signal) slot index in every profile
     columns = [
         [agent * signals_per_agent + profile[agent] for profile in profiles]

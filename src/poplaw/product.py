@@ -24,7 +24,7 @@ from .measures import (
     Prior,
     _trusted,
 )
-from .rationals import parse_quantile_level, parse_rational, require_int
+from .rationals import over_common_denominator, parse_quantile_level, parse_rational, require_int, shown
 from .structures import compositions, max_profiles_bound
 
 
@@ -63,8 +63,7 @@ def multinomial_law(product: SymmetricProduct) -> PopulationLaw:
         raise ResourceLimitError(
             f"multinomial support {support_size} exceeds the bound {bound}"
         )
-    common = math.lcm(*(w.denominator for _, w in atoms))
-    scaled = [w.numerator * (common // w.denominator) for _, w in atoms]
+    scaled, common = over_common_denominator([w for _, w in atoms])
     powers = [[a**c for c in range(n + 1)] for a in scaled]
     factorial = [math.factorial(c) for c in range(n + 1)]
     total = common**n
@@ -114,7 +113,7 @@ def binomial_quantile_expectation(n: int, p, alpha) -> Fraction:
     p = parse_rational(p)
     alpha = parse_quantile_level(alpha)
     if not 0 < p < 1:
-        raise InvariantError(f"success probability must lie in (0, 1): {p}")
+        raise InvariantError(f"success probability must lie in (0, 1): {shown(p, str)}")
     P, Q = p.numerator, p.denominator
     B = alpha.denominator
     slice_mass = alpha.numerator * Q**n
@@ -132,7 +131,8 @@ def binary_marginal(mu, a, b) -> DiscreteMeasure:
     """The marginal on beliefs {a, b} whose mean is the prior's mu."""
     mu, a, b = parse_rational(mu), parse_rational(a), parse_rational(b)
     if not 0 <= a < mu < b <= 1:
-        raise InvariantError(f"need a < mu < b, got a={a}, mu={mu}, b={b}")
+        got = f"a={shown(a, str)}, mu={shown(mu, str)}, b={shown(b, str)}"
+        raise InvariantError(f"need a < mu < b, got {got}")
     high = _weight_on_high(mu, a, b)
     return DiscreteMeasure([(Belief.binary(a), 1 - high), (Belief.binary(b), high)])
 
@@ -150,7 +150,8 @@ def binary_product_feasible_quantile(n: int, mu, a, b) -> bool:
     """
     mu, a, b = parse_rational(mu), parse_rational(a), parse_rational(b)
     if not 0 < a < mu < b < 1:
-        raise InvariantError(f"need 0 < a < mu < b < 1, got a={a}, mu={mu}, b={b}")
+        got = f"a={shown(a, str)}, mu={shown(mu, str)}, b={shown(b, str)}"
+        raise InvariantError(f"need 0 < a < mu < b < 1, got {got}")
     p = _weight_on_high(mu, a, b)
     return binomial_quantile_expectation(n, p, 1 - mu) <= binary_base(mu, a, b).a
 

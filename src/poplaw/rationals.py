@@ -1,4 +1,4 @@
-"""Parsing and formatting of exact rationals.
+"""Parsing, formatting and integer arithmetic of exact rationals.
 
 All probabilities in this package are `fractions.Fraction` values. Accepted
 input spellings are integers, "p/q" strings, and decimal strings such as
@@ -14,18 +14,32 @@ Numbers are held to CPython's default limit of 4,300 digits for converting
 between int and str: a decimal exponent past it is refused on input, before
 `Fraction` builds 10**exponent, and output that would need longer digit
 strings raises `ResourceLimitError` instead of a bare `ValueError`. A refusal
-message echoes the refused value through `shown`, which cuts it short.
+message echoes every refused value through `shown`, which cuts it short.
+
+Exact sums run in integers by one rule, `over_common_denominator`: rationals
+as numerators over their least common denominator. It unpacks a list, not a
+generator, into `lcm`, for the reason its comment gives.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from typing import Sequence
 
 from .errors import InvariantError, ResourceLimitError
 
 MAX_DIGITS = 4300
 _TOO_LONG = f"a number in the output has more than {MAX_DIGITS} digits"
 SHOWN_CHARS = 60
+
+
+def over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Rationals as integer numerators over their least common denominator, and that denominator."""
+    # a list, not a generator: CPython sizes a generator's argument tuple
+    # by resizing, and each such call leaves one more tuple on a free list
+    den = lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def parse_rational(value) -> Fraction:
@@ -60,13 +74,13 @@ def require_int(value, name: str, low: int = 1, high: int | None = None) -> int:
     return value
 
 
-def shown(value) -> str:
-    """`repr(value)` cut to SHOWN_CHARS characters, for a refusal message to echo.
+def shown(value, render=repr) -> str:
+    """`render(value)` cut to SHOWN_CHARS characters, for a refusal message to echo.
 
     A diagnostic stays one short line however large the refused input is.
     """
     try:
-        text = repr(value)
+        text = render(value)
     except ValueError:  # an int past the str conversion limit
         return f"with more than {MAX_DIGITS} digits"
     except RecursionError:
@@ -78,7 +92,7 @@ def parse_quantile_level(value) -> Fraction:
     """Parse a quantile level alpha and require 0 < alpha <= 1."""
     alpha = parse_rational(value)
     if not 0 < alpha <= 1:
-        raise InvariantError(f"quantile level must lie in (0, 1]: {alpha}")
+        raise InvariantError(f"quantile level must lie in (0, 1]: {shown(alpha, str)}")
     return alpha
 
 

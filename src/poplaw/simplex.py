@@ -43,6 +43,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InternalError
+from .rationals import over_common_denominator
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -69,18 +70,10 @@ def _integerize(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     int_rows = []
     scales = []
     for row, b in zip(rows, rhs):
-        ints, scale = _primitive_row(*_numerators([*row, b]))
+        ints, scale = _primitive_row(*over_common_denominator([*row, b]))
         int_rows.append(ints)
         scales.append(scale)
     return int_rows, scales
-
-
-def _numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Rationals as integer numerators over their least common denominator, and that denominator."""
-    # a list, not a generator: CPython sizes a generator's argument tuple
-    # by resizing, and each such call leaves one more tuple on a free list
-    den = math.lcm(*[v.denominator for v in values])
-    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _primitive_row(ints: list[int], mult: int) -> tuple[list[int], Fraction]:

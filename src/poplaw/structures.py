@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
-from math import factorial, lcm
+from math import factorial
 from typing import Hashable, Iterable
 
 from .errors import InvariantError, ResourceLimitError
@@ -38,7 +38,7 @@ from .measures import (
     mix_laws,
 )
 from .mps import SpreadDecomposition, verify_decomposition
-from .rationals import parse_rational, require_int, shown
+from .rationals import over_common_denominator, parse_rational, require_int, shown
 from .rng import MASK64, PHI, TWO64, mix64
 
 ZERO = Fraction(0)
@@ -100,7 +100,7 @@ class InformationStructure:
                         )
                 prob = parse_rational(prob)
                 if prob < 0:
-                    raise InvariantError(f"negative kernel probability {prob}")
+                    raise InvariantError(f"negative kernel probability {shown(prob, str)}")
                 if prob == 0:
                     continue
                 merged[profile] = merged.get(profile, ZERO) + prob
@@ -135,10 +135,9 @@ class InformationStructure:
         numerators: dict[tuple[int, SignalLabel], list[int]] = {}
         commons = []
         for state, state_profiles in enumerate(self.kernel):
-            common = lcm(*{prob.denominator for _, prob in state_profiles})
+            weights, common = over_common_denominator([prob for _, prob in state_profiles])
             commons.append(common)
-            for profile, prob in state_profiles:
-                weight = prob.numerator * (common // prob.denominator)
+            for (profile, _), weight in zip(state_profiles, weights):
                 for key in enumerate(profile):
                     row = numerators.get(key)
                     if row is None:
@@ -305,7 +304,7 @@ def simulate(
     require_int(shards, "shard count")
     require_int(seed, "seed", low=0, high=TWO64)
     tables = (
-        _selection_table(enumerate(scheme.prior.coords)),
+        _selection_table(list(enumerate(scheme.prior.coords))),
         [_selection_table(law.atoms) for law in scheme.state_laws],
     )
     counts: Counter[EmpiricalDistribution] = Counter()
@@ -322,16 +321,17 @@ def _selection_table(atoms):
     """Items plus integer cutoffs: a draw u picks the first item with u < cutoff.
 
     The cutoff for cumulative weight w is ceil(w * 2**64), which agrees exactly
-    with the comparison u / 2**64 < w for integer u.
+    with the comparison u / 2**64 < w for integer u; with w = acc / den over
+    the weights' common denominator, it is -(-(acc << 64) // den).
     """
+    weights, den = over_common_denominator([weight for _, weight in atoms])
     items = []
     cutoffs = []
-    acc = ZERO
-    for item, weight in atoms:
+    acc = 0
+    for (item, _), weight in zip(atoms, weights):
         acc += weight
-        scaled = acc * TWO64
         items.append(item)
-        cutoffs.append(-(-scaled.numerator // scaled.denominator))
+        cutoffs.append(-(-(acc << 64) // den))
     return items, cutoffs
 
 

@@ -378,6 +378,11 @@ GOLDENS = [
         "threshold_curve_nmax11_decimal10.txt",
         ("product-threshold-curve", "--n-max", "11", "--decimal", "10"),
     ),
+    (
+        "persuade_n24_mu3-10_tau1-2_threshold1-3_csv.txt",
+        ("persuade", "--n", "24", "--mu", "3/10", "--tau", "1/2", "--u", "threshold:1/3",
+         "--csv", "-"),
+    ),
 ]
 
 
@@ -616,6 +621,7 @@ def test_structure_m_that_disagrees_with_mu_exits_two(capsys, tmp_path, m):
 
 
 COUNTS = ("law", "atoms", 0, "empirical", "counts")
+TINY = "1/1" + "0" * 4000  # 1/10**4000
 TOO_LONG = [
     ("feasible", PROBLEM, (*COUNTS, 0, "belief", 0), "1" * 10**6),
     ("feasible", PROBLEM, ("law", "n"), "x" * 10**5),
@@ -628,16 +634,44 @@ TOO_LONG = [
         COUNTS,
         [{"belief": [f"{k}/5000", f"{5000 - k}/5000"], "count": 1} for k in range(5000)],
     ),
+    ("feasible", PROBLEM, ("mu",), [1] + [0] * 10**4),
+    ("feasible", PROBLEM, ("law", "atoms", 0, "weight"), "-" + TINY),
+    ("oracle", STRUCTURE, ("kernel", 0, "profiles", 0, "prob"), "-" + TINY),
 ]
 
 
 @pytest.mark.parametrize(
     "command,base,path,value",
     TOO_LONG,
-    ids=["rational", "n", "label-object", "label-not-in-set", "belief-coords", "counts-sum"],
+    ids=[
+        "rational",
+        "n",
+        "label-object",
+        "label-not-in-set",
+        "belief-coords",
+        "counts-sum",
+        "prior-support",
+        "law-weight",
+        "kernel-probability",
+    ],
 )
 def test_refusal_of_a_long_value_is_one_short_line(capsys, tmp_path, command, base, path, value):
     code, out, err = _run_payload(capsys, tmp_path, command, _edited(base, path, value))
+    assert (code, out) == (2, "")
+    assert err.startswith("poplaw: invalid input:") and err.count("\n") == 1
+    assert len(err.encode()) < 200
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("persuade", "--n", "2", "--mu", TINY, "--tau", TINY, "--u", "linear"),
+        ("product-check", "--n", "2", "--mu", "1/2", f"--a={TINY}", f"--b={TINY}"),
+    ],
+    ids=["persuade", "product-check"],
+)
+def test_refusal_of_a_long_argument_is_one_short_line(capsys, args):
+    code, out, err = run(capsys, *args)
     assert (code, out) == (2, "")
     assert err.startswith("poplaw: invalid input:") and err.count("\n") == 1
     assert len(err.encode()) < 200

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -24,7 +25,14 @@ from poplaw import (
     synthesize,
 )
 from poplaw import jsonio
-from poplaw.rationals import SHOWN_CHARS, format_decimal, format_rational, parse_rational, shown
+from poplaw.rationals import (
+    SHOWN_CHARS,
+    format_decimal,
+    format_rational,
+    over_common_denominator,
+    parse_rational,
+    shown,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -44,6 +52,14 @@ def test_parse_rational_forms():
 def test_format_rational():
     assert format_rational(F(3, 10)) == "3/10"
     assert format_rational(F(14, 7)) == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.fractions(max_denominator=10**6), max_size=8))
+def test_over_common_denominator_is_exact(values):
+    numerators, denominator = over_common_denominator(values)
+    assert [F(v, denominator) for v in numerators] == values
+    assert denominator == math.lcm(*[v.denominator for v in values])
 
 
 def test_format_decimal():
@@ -275,6 +291,10 @@ def test_shown_clips_what_a_refusal_echoes():
     long = shown("x" * 10**6)
     assert len(long) == SHOWN_CHARS + 3 and long.endswith("...")
     assert shown(-(10**5000)) == "with more than 4300 digits"
+    assert shown(F(1, 2), str) == "1/2"
+    tiny = shown(F(1, 10**4000), str)
+    assert tiny == "1/1" + "0" * (SHOWN_CHARS - 3) + "..."
+    assert shown(Belief.binary(F(1, 3)), str) == "(2/3, 1/3)"
     deep = []
     for _ in range(10**5):
         deep = [deep]

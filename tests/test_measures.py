@@ -1,12 +1,13 @@
 import dataclasses
 import pickle
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _lawgen import scalar_measures
+from _lawgen import marginals, random_feasible_instance, scalar_measures
 from poplaw import (
     Belief,
     DiscreteMeasure,
@@ -264,6 +265,30 @@ def test_barycenter_is_linear(m1, m2, lam):
         for c1, c2 in zip(barycenter(m1).coords, barycenter(m2).coords)
     )
     assert direct == combined
+
+
+def plain_barycenter(measure):
+    return tuple(
+        sum((w * b.coords[i] for b, w in measure.atoms), F(0)) for i in range(measure.dimension)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(marginals())
+def test_barycenter_is_the_plain_fraction_sum(measure):
+    assert barycenter(measure).coords == plain_barycenter(measure)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_law_expected_measure_is_the_plain_fraction_sum(seed):
+    law, _ = random_feasible_instance(random.Random(seed))
+    totals = {}
+    for empirical, weight in law.atoms:
+        for belief, count in empirical.counts:
+            totals[belief] = totals.get(belief, F(0)) + weight * F(count, law.n)
+    expected = law_expected_measure(law)
+    assert expected.atoms == tuple(sorted(totals.items()))
+    assert barycenter(expected).coords == plain_barycenter(expected)
 
 
 @settings(max_examples=200, deadline=None)

@@ -84,10 +84,12 @@ def test_hull_matches_lp_maximum_random():
             values.append(values[-1] + inc)
         u = SenderUtility(values)
         y = F(rng.randint(0, 24), 24)
-        value, witness = grid_concavification(u, y)
-        assert value == grid_lp_maximum(u.values, y)
-        assert witness.mean() == y
-        assert len(witness.atoms) <= 2
+        # the first evaluation builds the utility's hull, the grid points reuse it
+        for x in (y, *(F(i, n) for i in range(n + 1))):
+            value, witness = grid_concavification(u, x)
+            assert value == grid_lp_maximum(u.values, x)
+            assert witness.mean() == x
+            assert len(witness.atoms) <= 2
 
 
 # ----------------------------------------------------------- value formula

@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _lawgen import random_feasible_instance, scan_induced_law, scan_marginal, scan_posterior
+from _lawgen import (
+    marginals,
+    random_feasible_instance,
+    scan_induced_law,
+    scan_marginal,
+    scan_posterior,
+)
 from poplaw import (
     Belief,
     EmpiricalDistribution,
@@ -32,6 +38,7 @@ from poplaw import (
 )
 from poplaw import jsonio
 from poplaw.rng import mix64
+from poplaw.structures import _selection_table
 
 HALF = Prior.binary(F(1, 2))
 
@@ -488,6 +495,15 @@ def test_simulate_follows_the_substream_rule():
     expected = PopulationLaw(2, [(e, F(c, samples)) for e, c in counts.items()])
     assert simulate(scheme, samples, seed) == expected
     assert simulate(scheme, samples, seed, shards=3) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(marginals())
+def test_selection_cutoffs_are_ceilings_of_cumulative_weights(measure):
+    items, cutoffs = _selection_table(measure.atoms)
+    assert items == [belief for belief, _ in measure.atoms]
+    cumulative = itertools.accumulate(weight for _, weight in measure.atoms)
+    assert cutoffs == [math.ceil(w * 2**64) for w in cumulative]
 
 
 def test_simulate_converges_to_law():
