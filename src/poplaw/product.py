@@ -25,7 +25,7 @@ from .measures import (
     _trusted,
 )
 from .rationals import over_common_denominator, parse_quantile_level, parse_rational, require_int, shown
-from .structures import compositions, max_profiles_bound
+from .structures import capped_multinomial, compositions, max_profiles_bound
 
 
 @dataclass(frozen=True)
@@ -58,10 +58,10 @@ def multinomial_law(product: SymmetricProduct) -> PopulationLaw:
     k = len(atoms)
     n = product.n
     bound = max_profiles_bound()
-    support_size = math.comb(n + k - 1, k - 1)
-    if support_size > bound:
+    # the support holds the C(n + k - 1, k - 1) count vectors of n draws over k atoms
+    if capped_multinomial((n, k - 1), bound) > bound:
         raise ResourceLimitError(
-            f"multinomial support {support_size} exceeds the bound {bound}"
+            f"multinomial support needs more than {bound} atoms; raise the bound or shrink n"
         )
     scaled, common = over_common_denominator([w for _, w in atoms])
     powers = [[a**c for c in range(n + 1)] for a in scaled]

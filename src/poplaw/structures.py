@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
-from math import factorial
+from math import isqrt
 from typing import Hashable, Iterable
 
 from .errors import InvariantError, ResourceLimitError
@@ -56,8 +56,25 @@ def max_profiles_bound() -> int:
     try:
         bound = int(raw)
     except ValueError as exc:
-        raise InvariantError(f"{MAX_PROFILES_ENV} must be an integer: {raw!r}") from exc
+        raise InvariantError(f"{MAX_PROFILES_ENV} must be an integer: {shown(raw)}") from exc
     return require_int(bound, MAX_PROFILES_ENV)
+
+
+def capped_multinomial(counts: Iterable[int], cap: int) -> int:
+    """(sum c)! / prod(c!) exactly when that is at most `cap`, else some value above `cap`.
+
+    Built one binomial factor C(t, k) at a time; every partial product is an
+    integer no larger than the result, so the count stops once one passes `cap`.
+    """
+    value, total = 1, 0
+    for count in counts:
+        total += count
+        k = min(count, total - count)
+        for i in range(1, k + 1):
+            value = value * (total - k + i) // i
+            if value > cap:
+                return value
+    return value
 
 
 @dataclass(frozen=True)
@@ -230,25 +247,25 @@ def synthesize(
     return SymmetricScheme(prior, [q for _, q in decomposition.components])
 
 
-def _assignment_count(empirical: EmpiricalDistribution) -> int:
-    total = factorial(empirical.n)
-    for _, count in empirical.counts:
-        total //= factorial(count)
-    return total
+def _distinct_assignments(counts: list[tuple[Belief, int]]):
+    """All distinct ways to deal the multiset to the agents, without the n! blowup.
 
-
-def _distinct_assignments(counts: list[tuple[Belief, int]], slots: int):
-    """All distinct ways to deal the multiset to the agents, without the n! blowup."""
-    if slots == 0:
-        yield ()
-        return
-    for idx, (belief, count) in enumerate(counts):
-        if count == 0:
-            continue
-        rest = list(counts)
-        rest[idx] = (belief, count - 1)
-        for tail in _distinct_assignments(rest, slots - 1):
-            yield (belief,) + tail
+    Knuth's Algorithm L (TAOCP 4A, 7.2.1.2) steps through the sequences of
+    positions into `counts` in lexicographic order, without recursion.
+    """
+    labels = [label for label, _ in counts]
+    seq = [position for position, (_, count) in enumerate(counts) for _ in range(count)]
+    while True:
+        yield tuple(map(labels.__getitem__, seq))
+        j = len(seq) - 2
+        while j >= 0 and seq[j] >= seq[j + 1]:
+            j -= 1
+        if j < 0:
+            return
+        # the non-increasing tail, reversed, is sorted: swap in its least entry above seq[j]
+        seq[j + 1 :] = seq[:j:-1]
+        k = bisect_right(seq, seq[j], j + 1)
+        seq[j], seq[k] = seq[k], seq[j]
 
 
 def expand_scheme(scheme: SymmetricScheme) -> InformationStructure:
@@ -257,33 +274,31 @@ def expand_scheme(scheme: SymmetricScheme) -> InformationStructure:
     Each distinct assignment of an empirical distribution's beliefs to the
     agents appears as one profile with the multinomial share of the weight.
     The profiles hold the signal set's own `Belief` objects, so equal labels
-    are one object throughout. Raises `ResourceLimitError` when the profile
-    count would exceed the bound (environment variable POPLAW_MAX_PROFILES,
-    default one million).
+    are one object throughout. Raises `ResourceLimitError`, before dealing,
+    when profiles x agents would exceed the bound (environment variable
+    POPLAW_MAX_PROFILES, default one million).
     """
     bound = max_profiles_bound()
-    total = 0
-    for state_law in scheme.state_laws:
-        for empirical, _ in state_law.atoms:
-            total += _assignment_count(empirical)
-            if total > bound:
-                raise ResourceLimitError(
-                    f"expansion needs more than {bound} profiles; raise the bound or simulate"
-                )
+    room = bound // scheme.n
     labels: dict[Belief, Belief] = {}
+    deals = []  # per state, the (share, counts) of each atom
     for state_law in scheme.state_laws:
-        for empirical, _ in state_law.atoms:
-            for belief in empirical.support():
-                labels.setdefault(belief, belief)
-    # distinct empirical distributions deal disjoint sets of profiles
-    kernel = []
-    for state_law in scheme.state_laws:
-        profiles = []
+        deals.append([])
         for empirical, weight in state_law.atoms:
-            share = weight / _assignment_count(empirical)
-            counts = [(labels[belief], count) for belief, count in empirical.counts]
-            profiles.extend((p, share) for p in _distinct_assignments(counts, empirical.n))
-        kernel.append(profiles)
+            size = capped_multinomial([c for _, c in empirical.counts], room)
+            room -= size
+            if room < 0:
+                raise ResourceLimitError(
+                    f"expansion needs more than {bound} profile labels; "
+                    "raise the bound or simulate"
+                )
+            counts = [(labels.setdefault(b, b), c) for b, c in empirical.counts]
+            deals[-1].append((weight / size, counts))
+    # distinct empirical distributions deal disjoint sets of profiles
+    kernel = [
+        [(p, share) for share, counts in atoms for p in _distinct_assignments(counts)]
+        for atoms in deals
+    ]
     return InformationStructure(
         scheme.n, scheme.prior, [tuple(sorted(labels))] * scheme.n, kernel
     )
@@ -383,17 +398,12 @@ def weight_grid(n: int, signals_per_agent: int, denominator: int):
     require_int(denominator, "grid denominator")
     parts = signals_per_agent**n
     bound = max_profiles_bound()
-    # C(d + p - 1, p - 1) = C(high + low, low) one factor at a time, so that a
-    # hopeless grid is refused without computing its full size
-    low, high = sorted((denominator, parts - 1))
-    vectors = 1
-    for i in range(1, low + 1):
-        vectors = vectors * (high + i) // i
-        if vectors * vectors > bound:
-            raise ResourceLimitError(
-                f"grid enumeration needs more than {bound} kernel pairs; "
-                "raise the bound or shrink the grid"
-            )
+    # kernel pairs = vectors**2 > bound exactly when vectors > isqrt(bound)
+    if capped_multinomial((denominator, parts - 1), isqrt(bound)) > isqrt(bound):
+        raise ResourceLimitError(
+            f"grid enumeration needs more than {bound} kernel pairs; "
+            "raise the bound or shrink the grid"
+        )
     signal_set = tuple(f"s{k}" for k in range(signals_per_agent))
     profiles = list(product(range(signals_per_agent), repeat=n))
     return signal_set, profiles, list(compositions(denominator, parts))

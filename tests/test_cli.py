@@ -1,6 +1,7 @@
 import gzip
 import io
 import json
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -241,6 +242,27 @@ def test_resource_bound_exits_one(capsys, monkeypatch, tmp_path):
     code, _, err = run(capsys, "expand", str(scheme_path))
     assert code == 1
     assert "resource limit" in err
+
+
+def _one_atom_scheme(n):
+    """Both states deal belief 1/4 (on state 1) to n - 1 agents and 3/4 to one."""
+    counts = [{"belief": ["3/4", "1/4"], "count": n - 1}, {"belief": ["1/4", "3/4"], "count": 1}]
+    law = {"n": n, "atoms": [{"empirical": {"n": n, "counts": counts}, "weight": 1}]}
+    return {"n": n, "mu": ["1/2", "1/2"], "state_laws": [{"state": s, "law": law} for s in (0, 1)]}
+
+
+# 2,000 profiles of 1,000 labels each (deeper than the recursion limit), and
+# 4e12 profiles of 2e6 labels each
+@pytest.mark.parametrize("n", [1000, 2 * 10**6], ids=["deep", "huge"])
+def test_expansion_past_the_label_bound_exits_one(capsys, tmp_path, n):
+    start = time.perf_counter()
+    code, out, err = _run_payload(capsys, tmp_path, "expand", _one_atom_scheme(n))
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (1, "")
+    assert err == (
+        "poplaw: resource limit: expansion needs more than 1000000 profile labels; "
+        "raise the bound or simulate\n"
+    )
 
 
 def test_oversized_json_integer_exits_two(capsys, tmp_path):
@@ -674,4 +696,12 @@ def test_refusal_of_a_long_argument_is_one_short_line(capsys, args):
     code, out, err = run(capsys, *args)
     assert (code, out) == (2, "")
     assert err.startswith("poplaw: invalid input:") and err.count("\n") == 1
+    assert len(err.encode()) < 200
+
+
+def test_refusal_of_a_long_bound_is_one_short_line(capsys, monkeypatch):
+    monkeypatch.setenv("POPLAW_MAX_PROFILES", "9" * 10**5 + "x")
+    code, out, err = run(capsys, *PRODUCT_CHECK)
+    assert (code, out) == (2, "")
+    assert err.startswith("poplaw: invalid input: POPLAW_MAX_PROFILES") and err.count("\n") == 1
     assert len(err.encode()) < 200

@@ -124,6 +124,12 @@ def test_multinomial_resource_bound(monkeypatch):
     monkeypatch.setenv("POPLAW_MAX_PROFILES", "1000")
     with pytest.raises(ResourceLimitError):
         multinomial_law(SymmetricProduct(wide, 30))
+    # 4 draws over 10 atoms: C(13, 9) = 715 count vectors
+    monkeypatch.setenv("POPLAW_MAX_PROFILES", "714")
+    with pytest.raises(ResourceLimitError, match="more than 714 atoms"):
+        multinomial_law(SymmetricProduct(wide, 4))
+    monkeypatch.setenv("POPLAW_MAX_PROFILES", "715")
+    assert len(multinomial_law(SymmetricProduct(wide, 4)).atoms) == 715
 
 
 # ----------------------------------------------------------- feasibility

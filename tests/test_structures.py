@@ -38,7 +38,7 @@ from poplaw import (
 )
 from poplaw import jsonio
 from poplaw.rng import mix64
-from poplaw.structures import _selection_table
+from poplaw.structures import _distinct_assignments, _selection_table, capped_multinomial
 
 HALF = Prior.binary(F(1, 2))
 
@@ -267,9 +267,41 @@ def test_expansion_bound_env(monkeypatch):
     law, _, _ = footnote_law()
     verdict = check_feasible(law, HALF)
     scheme = synthesize(law, HALF, verdict.decomposition)
-    monkeypatch.setenv("POPLAW_MAX_PROFILES", "2")
-    with pytest.raises(ResourceLimitError):
-        expand_scheme(scheme)
+    # 3 profiles per state, each holding 3 labels: 18 label cells
+    for bound in ("2", "17"):
+        monkeypatch.setenv("POPLAW_MAX_PROFILES", bound)
+        with pytest.raises(ResourceLimitError):
+            expand_scheme(scheme)
+    monkeypatch.setenv("POPLAW_MAX_PROFILES", "18")
+    assert sum(map(len, expand_scheme(scheme).kernel)) == 6
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=12), max_size=5),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_capped_multinomial_is_exact_up_to_the_cap(counts, cap):
+    exact = math.factorial(sum(counts)) // math.prod(map(math.factorial, counts))
+    value = capped_multinomial(counts, cap)
+    if exact <= cap:
+        assert value == exact
+    else:
+        assert value > cap
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from("abcd"), min_size=1, max_size=7))
+def test_dealer_lists_distinct_permutations_in_order(agents):
+    counts = sorted(Counter(agents).items())
+    assert list(_distinct_assignments(counts)) == sorted(set(itertools.permutations(agents)))
+
+
+def test_dealer_handles_more_agents_than_the_recursion_limit():
+    profiles = list(_distinct_assignments([("x", 1499), ("y", 1)]))
+    assert len(profiles) == 1500
+    assert profiles[0] == ("x",) * 1499 + ("y",)
+    assert profiles[-1] == ("y",) + ("x",) * 1499
 
 
 def test_anonymity_of_expansion():
