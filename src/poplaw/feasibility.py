@@ -10,6 +10,7 @@ synthesis) or an infeasibility certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from .errors import InvariantError, PriorInconsistencyError
 from .measures import (
     DiscreteMeasure,
@@ -109,6 +110,15 @@ def check_feasible(law: PopulationLaw, prior: Prior) -> FeasibilityVerdict:
     return FeasibilityVerdict(base, None, result)
 
 
+def binary_bracket(mu, a, b) -> tuple[Fraction, Fraction, Fraction]:
+    """Parse two beliefs a, b about the prior mu, requiring 0 <= a < mu < b <= 1."""
+    mu, a, b = parse_rational(mu), parse_rational(a), parse_rational(b)
+    if not 0 <= a < mu < b <= 1:
+        got = f"a={shown(a, str)}, mu={shown(mu, str)}, b={shown(b, str)}"
+        raise InvariantError(f"need 0 <= a < mu < b <= 1, got {got}")
+    return mu, a, b
+
+
 def binary_base(mu, a, b) -> BinaryBase:
     """Closed-form base for two-state laws whose beliefs take the two values a < mu < b.
 
@@ -116,10 +126,7 @@ def binary_base(mu, a, b) -> BinaryBase:
     (mu - a) * (1 - b) / ((b - a) * (1 - mu)) carries weight 1 - mu; the result
     is oriented with `a` the low atom and alpha = 1 - mu.
     """
-    mu, a, b = parse_rational(mu), parse_rational(a), parse_rational(b)
-    if not 0 <= a < mu < b <= 1:
-        got = f"a={shown(a, str)}, mu={shown(mu, str)}, b={shown(b, str)}"
-        raise InvariantError(f"need 0 <= a < mu < b <= 1, got {got}")
+    mu, a, b = binary_bracket(mu, a, b)
     high = (mu - a) * b / ((b - a) * mu)
     low = (mu - a) * (1 - b) / ((b - a) * (1 - mu))
     return BinaryBase(a=low, b=high, alpha=1 - mu)

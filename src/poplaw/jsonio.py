@@ -175,7 +175,7 @@ def certificate_to_json(certificate):
         }
     if isinstance(certificate, FarkasCertificate):
         return {"kind": certificate.kind, "y": list(certificate.y)}
-    raise InvariantError(f"unknown certificate type: {certificate!r}")
+    raise InvariantError(f"unknown certificate type: {shown(certificate)}")
 
 
 def verdict_to_json(verdict: FeasibilityVerdict):

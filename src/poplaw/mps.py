@@ -14,12 +14,13 @@ belief measures by one chain; each step decides the target or passes it on:
 * the canonical LP `decomposition_lp`, which decides everything left.
 
 Both LP steps build their rows as integers straight from the law's agent
-counts and the integer numerators of the weights and masses (`_integer_lp`):
-exactly the rows and scales `simplex._integerize` makes of the `Fraction`
-systems, solved in the one simplex tableau, so pivots, solutions and Farkas
-vectors are those of the `Fraction` systems. `decomposition_lp` stays the
-`Fraction` statement of the canonical LP. Every Farkas vector is stated over
-its rows, so `verify_certificate` re-checks every refutation from scratch, as
+counts and the integer numerators of the weights and masses (`_integer_lp`),
+each row finished by `simplex._primitive_row`, and solve them through
+`simplex.solve_equalities`: the rows are the `Fraction` systems' rows as
+coprime integers, so pivots, solutions and Farkas vectors are those of the
+`Fraction` systems. `decomposition_lp` stays the `Fraction` statement of the
+canonical LP. Every Farkas vector is stated over its rows, so
+`verify_certificate` re-checks every refutation from scratch, as
 `verify_decomposition` does every decomposition.
 """
 
@@ -43,7 +44,7 @@ from .measures import (
     upper_quantile_distribution,
 )
 from .rationals import over_common_denominator, parse_rational, shown
-from .simplex import _primitive_row, _solve_integer, farkas_refutes
+from .simplex import _primitive_row, farkas_refutes, solve_equalities
 
 ZERO = Fraction(0)
 
@@ -307,7 +308,7 @@ def mps_decompose(law: PopulationLaw, target: SpreadTarget, route: str = "auto")
     which skips the two-belief shortcut to cross-check it.
     """
     if route not in ("auto", "lp"):
-        raise InvariantError(f"unknown route {route!r}")
+        raise InvariantError(f"unknown route {shown(route)}")
     if target.dimension != law.dimension:
         raise InvariantError("law and target live on different state spaces")
     beliefs = _beliefs(law, target)
@@ -322,7 +323,7 @@ def mps_decompose(law: PopulationLaw, target: SpreadTarget, route: str = "auto")
         system = _integer_lp(law, target, beliefs, table, bounded=True)
         if system is not None:
             return _decompose_two_components(law, target, table, *system)
-    outcome = _solve_integer(*_integer_lp(law, target, beliefs, table))
+    outcome = solve_equalities(*_integer_lp(law, target, beliefs, table))
     if not outcome.feasible:
         return FarkasCertificate(outcome.farkas)
     J = len(law.atoms)
@@ -349,7 +350,7 @@ def _decompose_two_components(law: PopulationLaw, target: SpreadTarget, table, r
     y.rhs - z.p > 0.
     """
     (w0, _), (w1, _) = target.components
-    outcome = _solve_integer(rows, scales, bounded=True)
+    outcome = solve_equalities(rows, scales, bounded=True)
     if not outcome.feasible:
         y = outcome.farkas
         # y.A_j is sum_x Y(x) * count_j(x) / (L * n), Y over y's common denominator L
@@ -375,12 +376,13 @@ def _integer_lp(law: PopulationLaw, target: SpreadTarget, beliefs, table, bounde
     """A decomposition system as integer rows, rhs last, and one scale per row.
 
     `beliefs` is `_beliefs(law, target)` and `table` its `_count_table`. The
-    rows and scales are exactly `_integerize`'s for `decomposition_lp(law,
-    target)` or, when `bounded`, for `_decompose_two_components`'s rows with
-    column j times its bound p_j. With p_j = P_j / D, the target's weights
-    w_c = W_c / DW and its masses m_c(x) = A_c(x) / B_c, each over its least
-    common denominator, every row times a positive integer is an integer row
-    that `_primitive_row` finishes as `_integerize` does.
+    rows are those of `decomposition_lp(law, target)` or, when `bounded`, of
+    `_decompose_two_components`'s system with column j times its bound p_j,
+    each as coprime integers with a non-negative rhs, and each scale maps
+    the `Fraction` row to its integer row. With p_j = P_j / D, the target's
+    weights w_c = W_c / DW and its masses m_c(x) = A_c(x) / B_c, each over
+    its least common denominator, every row times a positive integer is an
+    integer row that `_primitive_row` finishes.
 
     The bounded system stands in for the canonical one only when the target
     has two components and its mixture is the law's expected measure; when

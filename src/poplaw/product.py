@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantError, ResourceLimitError
-from .feasibility import FeasibilityVerdict, binary_base, check_feasible
+from .feasibility import FeasibilityVerdict, binary_base, binary_bracket, check_feasible
 from .measures import (
     Belief,
     DiscreteMeasure,
@@ -129,10 +129,7 @@ def binomial_quantile_expectation(n: int, p, alpha) -> Fraction:
 
 def binary_marginal(mu, a, b) -> DiscreteMeasure:
     """The marginal on beliefs {a, b} whose mean is the prior's mu."""
-    mu, a, b = parse_rational(mu), parse_rational(a), parse_rational(b)
-    if not 0 <= a < mu < b <= 1:
-        got = f"a={shown(a, str)}, mu={shown(mu, str)}, b={shown(b, str)}"
-        raise InvariantError(f"need a < mu < b, got {got}")
+    mu, a, b = binary_bracket(mu, a, b)
     high = _weight_on_high(mu, a, b)
     return DiscreteMeasure([(Belief.binary(a), 1 - high), (Belief.binary(b), high)])
 

@@ -1,9 +1,14 @@
 """Self-contained exact linear programming over rationals.
 
-Solves `A x = b, 0 <= x <= u` feasibility with phase 1 of the simplex method,
-returning a Farkas refutation on failure; a system passed without bounds is
-the canonical `A x = b, x >= 0`. Each
-tableau row, the objective row included, is a sparse map from column to
+`solve_equalities` is the one entry. It decides `A x = b, x >= 0`, or with
+`bounded` also `x <= 1`, by phase 1 of the simplex method, and returns a
+Farkas refutation on failure. It takes integer rows: each constraint row and
+its rhs as coprime integers with a non-negative rhs, as `_primitive_row`
+finishes them, plus the row's scale, which maps the Farkas vector back to the
+rows as given. `mps` builds both of its LPs in that form straight from a
+law's counts, and states a column bound p_j by scaling column j by p_j.
+
+Each tableau row, the objective row included, is a sparse map from column to
 integer plus one positive integer denominator of its own, kept coprime with
 the row's entries (Bareiss-style fraction-free elimination applied row by
 row). A pivot rewrites only the rows with a nonzero in the pivot column, over
@@ -12,27 +17,19 @@ not change. Bland's smallest-index rule picks both the entering column and
 the leaving row, which rules out cycling; ties in the ratio test go to the
 smallest basic variable index, so runs are deterministic.
 
-Bounded columns use Dantzig's upper-bounding technique. Column j is first
-scaled by its bound u_j, so its variable t_j = x_j / u_j lies in [0, 1]. A
-variable at its upper bound is kept complemented, as t'_j = 1 - t_j: its
-column is negated and moved into the rhs, so every nonbasic variable rests at
-zero and the entering rule stays the canonical one. The ratio test also
-admits a basic variable rising to its bound, and the entering variable
-flipping to its own bound (ratio 1, so a flip never comes from a degenerate
-step); Bland's smallest-index rule covers both, with a flip indexed by the
-entering column. Bounds of 1 keep every flip integral. Without bounds the
-tableau pivots exactly as the canonical one.
+Bounded columns use Dantzig's upper-bounding technique. A variable at its
+upper bound 1 is kept complemented, as t'_j = 1 - t_j: its column is negated
+and moved into the rhs, so every nonbasic variable rests at zero and the
+entering rule stays the canonical one. The ratio test also admits a basic
+variable rising to its bound, and the entering variable flipping to its own
+bound (ratio 1, so a flip never comes from a degenerate step); Bland's
+smallest-index rule covers both, with a flip indexed by the entering column.
+Bounds of 1 keep every flip integral. Without bounds the tableau pivots
+exactly as the canonical one.
 
 Artificial variables never re-enter the basis once they leave. A redundant
 (rank-deficient) constraint row keeps its artificial basic at value zero,
 which the extracted solution ignores.
-
-The tableau starts from integer rows: each constraint row and its rhs as
-coprime integers with a non-negative rhs, plus the row's scale, which maps
-the Farkas vector back to the rows as given. `solve_equalities` takes
-`Fraction` rows and makes them so (`_integerize`); `_solve_integer` takes rows
-already in that form, which `mps` builds straight from a law's counts. Both
-finish each row by one rule, `_primitive_row`, and pivot in the one tableau.
 """
 
 from __future__ import annotations
@@ -43,7 +40,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InternalError
-from .rationals import over_common_denominator
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -59,21 +55,6 @@ class FeasibilityResult:
     @property
     def feasible(self) -> bool:
         return self.solution is not None
-
-
-def _integerize(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
-    """Scale each constraint row to coprime integers with a non-negative rhs.
-
-    Returns the integer rows (rhs appended) plus the per-row factor mapping the
-    original row to the integer row, used to translate Farkas vectors back.
-    """
-    int_rows = []
-    scales = []
-    for row, b in zip(rows, rhs):
-        ints, scale = _primitive_row(*over_common_denominator([*row, b]))
-        int_rows.append(ints)
-        scales.append(scale)
-    return int_rows, scales
 
 
 def _primitive_row(ints: list[int], mult: int) -> tuple[list[int], Fraction]:
@@ -239,44 +220,15 @@ class _Tableau:
 
 
 def solve_equalities(
-    rows: Sequence[Sequence[Fraction]],
-    rhs: Sequence[Fraction],
-    upper: Sequence[Fraction] | None = None,
-) -> FeasibilityResult:
-    """Find x with `rows @ x == rhs`, 0 <= x <= upper, or a Farkas vector refuting it.
-
-    `upper` gives every column a positive bound; without it x >= 0 is the
-    only bound. The Farkas vector y (one entry per input row) satisfies
-    y.rhs > sum over the columns j of max(0, y.A_j) * upper_j, which no x
-    within the bounds can survive; with no bounds, y.rows <= 0 and y.rhs > 0.
-    """
-    if len(rows) != len(rhs):
-        raise ValueError("rows and rhs lengths differ")
-    if not rows:
-        return FeasibilityResult(solution=(), farkas=None)
-    if upper is not None:
-        if len(upper) != len(rows[0]):
-            raise ValueError("rows and upper bounds differ in width")
-        if any(u <= 0 for u in upper):
-            raise ValueError("upper bounds must be positive")
-        # column j over t_j = x_j / u_j, which lies in [0, 1]
-        rows = [[v * u if v else v for v, u in zip(row, upper)] for row in rows]
-    outcome = _solve_integer(*_integerize(rows, rhs), upper is not None)
-    if upper is None or not outcome.feasible:
-        return outcome
-    return FeasibilityResult(
-        solution=tuple(t * u for t, u in zip(outcome.solution, upper)), farkas=None
-    )
-
-
-def _solve_integer(
     int_rows: list[list[int]], scales: Sequence[Fraction], bounded: bool = False
 ) -> FeasibilityResult:
-    """Phase 1 on integer rows as `_integerize` gives them, with their scales.
+    """Find x >= 0 solving the rows, or a Farkas vector refuting them.
 
-    Each row is coprime integers with its rhs, non-negative, last. With
-    `bounded`, every column lies in [0, 1]. The Farkas vector is stated over
-    the rows before scaling: the tableau's dual times each row's scale.
+    Each row is coprime integers with its rhs, non-negative, last, as
+    `_primitive_row` finishes it, and `scales[i]` maps the row as given to
+    row i. With `bounded`, every column also lies in [0, 1]. The Farkas
+    vector is stated over the rows as given: the tableau's dual times each
+    row's scale.
     """
     sx = _Tableau(int_rows, bounded)
     if sx.phase1():

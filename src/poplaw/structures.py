@@ -174,9 +174,7 @@ def bayes_posterior(structure: InformationStructure, agent: int, label: SignalLa
     ]
     total = sum(weighted, ZERO)
     if total == 0:
-        raise InvariantError(
-            f"signal {label!r} has zero probability for agent {agent}"
-        )
+        raise InvariantError(f"signal {shown(label)} has zero probability for agent {agent}")
     return Belief(w / total for w in weighted)
 
 

@@ -4,7 +4,8 @@ Each law is assembled from an explicit per-state decomposition (multinomial,
 public-signal, or a mixture of the two around prescribed conditional belief
 measures), so feasibility holds by construction and the checker has no excuse.
 The oracles are four for LPs (the integerization, canonical and bounded
-phase 1, and the bounded two-component system in `Fraction`s), a
+phase 1, and the bounded two-component system in `Fraction`s), with
+`solve_fraction_rows` to put `Fraction` rows through the solver, a
 brute-force kernel scan for information structures, and the plain
 `Fraction` formulas for the multinomial law and the binomial quantile mean.
 """
@@ -32,7 +33,7 @@ from poplaw import (
     multinomial_law,
     quantile_distribution,
 )
-from poplaw.simplex import FeasibilityResult
+from poplaw.simplex import FeasibilityResult, solve_equalities
 from poplaw.structures import compositions
 
 
@@ -257,6 +258,21 @@ def reference_integerize(rows, rhs):
         int_rows.append([sign * v // g for v in ints])
         scales.append(Fraction(sign * denlcm, g))
     return int_rows, scales
+
+
+def solve_fraction_rows(rows, rhs, upper=None):
+    """`solve_equalities` on `Fraction` rows, with optional bounds 0 <= x <= upper.
+
+    Column j is scaled by upper[j], so its variable lies in [0, 1]; the rows
+    are integerized by `reference_integerize` and the solution is scaled back.
+    The Farkas vector is the bounded system's, over the rows as given.
+    """
+    if upper is not None:
+        rows = [[Fraction(v) * u for v, u in zip(row, upper)] for row in rows]
+    out = solve_equalities(*reference_integerize(rows, rhs), bounded=upper is not None)
+    if upper is None or not out.feasible:
+        return out
+    return FeasibilityResult(solution=tuple(t * u for t, u in zip(out.solution, upper)), farkas=None)
 
 
 def reference_phase1(rows, rhs):

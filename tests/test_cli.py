@@ -119,6 +119,15 @@ def test_product_check(capsys):
     assert json.loads(out)["feasible"] is True
 
 
+@pytest.mark.parametrize(
+    "a, b", [("-1/2", "7/10"), ("3/10", "3/2")], ids=["a-below-zero", "b-above-one"]
+)
+def test_product_check_refusal_states_the_bracket_it_enforces(capsys, a, b):
+    code, out, err = run(capsys, "product-check", "--n", "4", "--mu", "1/2", f"--a={a}", f"--b={b}")
+    assert (code, out) == (2, "")
+    assert err == f"poplaw: invalid input: need 0 <= a < mu < b <= 1, got a={a}, mu=1/2, b={b}\n"
+
+
 def test_threshold_curve_csv(capsys):
     code, out, _ = run(capsys, "product-threshold-curve", "--n-max", "11", "--csv", "-")
     assert code == 0

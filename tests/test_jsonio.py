@@ -20,6 +20,7 @@ from poplaw import (
     Prior,
     QuantileViolation,
     ScalarMeasure,
+    bayes_posterior,
     check_feasible,
     expand_scheme,
     synthesize,
@@ -317,8 +318,10 @@ STRUCTURE = {
         lambda: jsonio.verdict_from_json({"feasible": LONG, "prior_consistent": True}),
         lambda: jsonio.certificate_from_json({"kind": LONG}),
         lambda: jsonio.structure_from_json({**STRUCTURE, "m": LONG}),
+        lambda: jsonio.certificate_to_json(LONG),
+        lambda: bayes_posterior(jsonio.structure_from_json(STRUCTURE), 0, LONG),
     ],
-    ids=["verdict-flag", "certificate-kind", "structure-m"],
+    ids=["verdict-flag", "certificate-kind", "structure-m", "certificate-type", "zero-signal"],
 )
 def test_refusals_echo_a_clipped_value(decode):
     with pytest.raises(InvariantError) as info:

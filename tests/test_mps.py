@@ -13,6 +13,8 @@ from _lawgen import (
     random_binary_posterior_law,
     random_feasible_instance,
     random_two_component_problem,
+    reference_integerize,
+    solve_fraction_rows,
 )
 from poplaw import (
     Belief,
@@ -33,9 +35,9 @@ from poplaw import (
     verify_certificate,
     verify_decomposition,
 )
+from poplaw import mps
 from poplaw.measures import Prior, _trusted, law_expected_measure, mix_laws
 from poplaw.mps import _beliefs, _count_table, _integer_lp, _restrict, decomposition_lp
-from poplaw.simplex import _integerize, solve_equalities
 
 UNIFORM10 = ScalarMeasure([(F(k, 9), F(1, 10)) for k in range(10)])
 UNIFORM8 = ScalarMeasure([(F(k, 9), F(1, 8)) for k in range(1, 9)])
@@ -161,11 +163,12 @@ def test_uniform8_embedded_law_is_refuted_on_both_routes():
     assert verify_certificate(law, target, via_lp)
 
 
-@pytest.mark.parametrize("route", ["magic", "quantile"])
+@pytest.mark.parametrize("route", ["magic", "quantile", "x" * 10**5], ids=["magic", "quantile", "long"])
 def test_route_validation(route):
     law, target, _, _ = footnote_instance()
-    with pytest.raises(InvariantError, match="unknown route"):
+    with pytest.raises(InvariantError, match="unknown route") as info:
         mps_decompose(law, target, route=route)
+    assert len(str(info.value)) < 200
 
 
 def test_quantile_route_requires_two_point_support():
@@ -370,7 +373,7 @@ def test_bounded_lp_agrees_with_the_canonical_lp(seed):
     """Two-component targets: same verdict as the canonical LP, and evidence that verifies."""
     law, target = random_two_component_problem(random.Random(seed))
     result = mps_decompose(law, target, route="lp")
-    canonical = solve_equalities(*decomposition_lp(law, target))
+    canonical = solve_fraction_rows(*decomposition_lp(law, target))
     assert isinstance(result, SpreadDecomposition) == canonical.feasible
     if law_expected_measure(law) != mixture(target):
         # only the canonical LP decides a target that misses the law's mean
@@ -390,7 +393,7 @@ def test_target_missing_the_law_mean_gets_a_farkas_vector():
     (w0, m0), (w1, _) = target.components
     missed = SpreadTarget([(w0, m0), (w1, m0)])
     result = mps_decompose(law, missed, route="lp")
-    assert result == FarkasCertificate(solve_equalities(*decomposition_lp(law, missed)).farkas)
+    assert result == FarkasCertificate(solve_fraction_rows(*decomposition_lp(law, missed)).farkas)
     assert verify_certificate(law, missed, result)
 
 
@@ -417,7 +420,7 @@ def test_mean_missing_targets_get_the_canonical_farkas_vector(which, route):
     target = targets[which]
     assert law_expected_measure(law) != mixture(target)
     result = mps_decompose(law, target, route=route)
-    assert result == FarkasCertificate(solve_equalities(*decomposition_lp(law, target)).farkas)
+    assert result == FarkasCertificate(solve_fraction_rows(*decomposition_lp(law, target)).farkas)
     assert verify_certificate(law, target, result)
 
 
@@ -439,7 +442,7 @@ def test_three_components_keep_the_canonical_lp(seed):
     while prior.dimension != 3:
         law, prior = random_feasible_instance(rng, max_n=3, max_atoms=3)
     target = base_law(law, prior)
-    outcome = solve_equalities(*decomposition_lp(law, target))
+    outcome = solve_fraction_rows(*decomposition_lp(law, target))
     J = len(law.atoms)
     expected = SpreadDecomposition(
         (w, _restrict(law, enumerate(outcome.solution[c * J : (c + 1) * J])))
@@ -448,17 +451,47 @@ def test_three_components_keep_the_canonical_lp(seed):
     assert mps_decompose(law, target, route="lp") == expected
 
 
+def test_every_lp_step_solves_through_solve_equalities(monkeypatch):
+    """Each LP step calls `solve_equalities` as `mps` binds it; the shortcut calls none.
+
+    Tools that time the simplex wrap that name wherever a module binds it.
+    """
+    solved = []
+    solve = mps.solve_equalities
+
+    def counting(*args, **kwargs):
+        solved.append(kwargs.get("bounded", False))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(mps, "solve_equalities", counting)
+    rng = random.Random(3)
+    law, prior = random_feasible_instance(rng, max_n=3, max_atoms=3)
+    while prior.dimension != 3:
+        law, prior = random_feasible_instance(rng, max_n=3, max_atoms=3)
+    assert isinstance(mps_decompose(law, base_law(law, prior)), SpreadDecomposition)
+    assert solved and not any(solved)  # the canonical LP
+    solved.clear()
+    law = golden_infeasible_law()
+    assert isinstance(mps_decompose(law, base_law(law, Prior.binary(F(11, 24)))), FarkasCertificate)
+    assert solved and all(solved)  # the bounded LP
+    solved.clear()
+    law, target, _, _ = footnote_instance()
+    assert isinstance(mps_decompose(law, target), SpreadDecomposition)
+    assert solved == []
+
+
 # --------------------------------------------------------- integer rows from counts
 # mps_decompose solves the rows `_integer_lp` builds from the law's counts;
-# equal to `_integerize` of the Fraction systems, they pivot as those would.
+# equal to the reference integerization of the Fraction systems, they pivot
+# as those would.
 
 
 def assert_integer_rows_match(law, target):
-    """Both systems against `_integerize`; returns the canonical integer rows and scales."""
+    """Both systems against `reference_integerize`; returns the canonical integer rows and scales."""
     beliefs = _beliefs(law, target)
     table = _count_table(law, beliefs)
     canonical = _integer_lp(law, target, beliefs, table)
-    assert canonical == _integerize(*decomposition_lp(law, target))
+    assert canonical == reference_integerize(*decomposition_lp(law, target))
     if len(target.components) == 2:
         bounded = _integer_lp(law, target, beliefs, table, bounded=True)
         if law_expected_measure(law) != mixture(target):
@@ -466,7 +499,7 @@ def assert_integer_rows_match(law, target):
         else:
             rows, rhs, upper = bounded_decomposition_lp(law, target)
             scaled = [[v * u for v, u in zip(row, upper)] for row in rows]
-            assert bounded == _integerize(scaled, rhs)
+            assert bounded == reference_integerize(scaled, rhs)
     return canonical
 
 
