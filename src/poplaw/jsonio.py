@@ -1,12 +1,12 @@
 """JSON schemas for every externally visible value.
 
-Encoders return trees of exact values: `Fraction` leaves, never text. `dumps`
-is the one place a rational becomes text: as an int when integral and a
-"p/q" string otherwise, or through the formatter it is given, such as
-display-only decimals. On input, ints, "p/q" strings and decimal literals are
-all accepted and converted exactly (`loads` parses JSON number literals
-through their source text, so 0.3 really means 3/10); parsers always rebuild
-exact values.
+Encoders return trees of exact values: `Fraction` and `Belief` leaves, never
+text. `dumps` is the one place either becomes text: a rational as an int when
+integral and a "p/q" string otherwise, or through the formatter it is given,
+such as display-only decimals; a belief as the array of its coordinates. On
+input, ints, "p/q" strings and decimal literals are all accepted and converted
+exactly (`loads` parses JSON number literals through their source text, so 0.3
+really means 3/10); parsers always rebuild exact values.
 """
 
 from __future__ import annotations
@@ -62,13 +62,15 @@ _quote = json.encoder.encode_basestring_ascii
 def dumps(payload, fmt=format_rational) -> str:
     """Canonical serialization: sorted keys, stable separators, trailing newline.
 
-    The one place a rational becomes text: each `Fraction` leaf is passed
-    through `fmt` (by default an int or a "p/q" string). The text is byte for
-    byte what `json.dumps(payload, indent=2, sort_keys=True) + "\n"` gives
-    for the formatted tree, written without the standard library's
-    pure-Python encoder, which it uses whenever `indent` is set. Strings,
-    ints, bools, None, lists and dicts with str keys are the only other
-    values; anything else, floats included, raises TypeError.
+    The one place a rational or a belief becomes text: each `Fraction` leaf is
+    passed through `fmt` (by default an int or a "p/q" string), and each
+    `Belief` leaf is the array of its coordinates, each through `fmt`. The text
+    is byte for byte what `json.dumps(payload, indent=2, sort_keys=True) + "\n"`
+    gives for the formatted tree with each belief replaced by its coordinate
+    list, written without the standard library's pure-Python encoder, which it
+    uses whenever `indent` is set. Strings, ints, bools, None, lists and dicts
+    with str keys are the only other values; anything else, floats and tuples
+    included, raises TypeError.
     """
     chunks: list[str] = []
     _write(payload, fmt, "\n", chunks.append)
@@ -81,6 +83,9 @@ def _write(value, fmt, newline: str, emit) -> None:
     if kind is Fraction:
         value = fmt(value)
         kind = type(value)
+    elif kind is Belief:
+        # the array of its coordinates, read in place: a tuple of Fraction leaves
+        value, kind = value.coords, list
     if kind is str:
         emit(_quote(value))
     elif kind is int:
@@ -125,7 +130,7 @@ def belief_to_json(belief: Belief):
 
 
 def measure_to_json(measure: DiscreteMeasure):
-    return [{"belief": belief_to_json(b), "weight": w} for b, w in measure.atoms]
+    return [{"belief": b, "weight": w} for b, w in measure.atoms]
 
 
 def scalar_measure_to_json(measure: ScalarMeasure):
@@ -135,7 +140,7 @@ def scalar_measure_to_json(measure: ScalarMeasure):
 def empirical_to_json(empirical: EmpiricalDistribution):
     return {
         "n": empirical.n,
-        "counts": [{"belief": belief_to_json(b), "count": c} for b, c in empirical.counts],
+        "counts": [{"belief": b, "count": c} for b, c in empirical.counts],
     }
 
 
@@ -154,17 +159,12 @@ def decomposition_to_json(decomposition: SpreadDecomposition):
     return [{"weight": w, "law": law_to_json(q)} for w, q in decomposition.components]
 
 
-def _belief_or_value(value):
-    """A `Belief` becomes its coordinate list; anything else passes through."""
-    return belief_to_json(value) if isinstance(value, Belief) else value
-
-
 def certificate_to_json(certificate):
     if isinstance(certificate, MeanMismatch):
         return {
             "kind": certificate.kind,
-            "left": _belief_or_value(certificate.left),
-            "right": _belief_or_value(certificate.right),
+            "left": certificate.left,
+            "right": certificate.right,
         }
     if isinstance(certificate, QuantileViolation):
         return {
@@ -195,15 +195,13 @@ def structure_to_json(structure: InformationStructure):
     return {
         "n": structure.n,
         "m": structure.m,
-        "mu": belief_to_json(structure.prior.belief),
-        "signal_sets": [
-            [_belief_or_value(s) for s in signals] for signals in structure.signal_sets
-        ],
+        "mu": structure.prior.belief,
+        "signal_sets": [list(signals) for signals in structure.signal_sets],
         "kernel": [
             {
                 "state": state,
                 "profiles": [
-                    {"signals": [_belief_or_value(s) for s in profile], "prob": prob}
+                    {"signals": list(profile), "prob": prob}
                     for profile, prob in structure.kernel[state]
                 ],
             }
@@ -215,7 +213,7 @@ def structure_to_json(structure: InformationStructure):
 def scheme_to_json(scheme: SymmetricScheme):
     return {
         "n": scheme.n,
-        "mu": belief_to_json(scheme.prior.belief),
+        "mu": scheme.prior.belief,
         "state_laws": [
             {"state": state, "law": law_to_json(law)}
             for state, law in enumerate(scheme.state_laws)
@@ -440,4 +438,12 @@ def scheme_from_json(payload) -> SymmetricScheme:
         "scheme state law",
         lambda entry: law_from_json(_require(entry, "law", "scheme state law")),
     )
-    return SymmetricScheme(prior, laws)
+    scheme = SymmetricScheme(prior, laws)
+    # "n" is redundant with the state laws and optional, but one that disagrees is refused
+    n = payload.get("n", scheme.n)
+    if type(n) is not int or n != scheme.n:
+        raise InvariantError(
+            f"scheme: field 'n' must be {scheme.n}, "
+            f"the population size of the state laws, not {shown(n)}"
+        )
+    return scheme

@@ -214,6 +214,8 @@ class SymmetricScheme:
             raise InvariantError("need one state law per state")
         if len({law.n for law in state_laws}) != 1:
             raise InvariantError("state laws must share one population size")
+        if any(law.dimension != prior.dimension for law in state_laws):
+            raise InvariantError("state laws and prior live on different state spaces")
         object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "state_laws", state_laws)
 

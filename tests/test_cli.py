@@ -577,7 +577,13 @@ def _run_payload(capsys, tmp_path, command, payload):
 
 @pytest.mark.parametrize(
     "command,payload",
-    [("feasible", PROBLEM), ("simulate", SCHEME), ("expand", SCHEME), ("oracle", STRUCTURE)],
+    [
+        ("feasible", PROBLEM),
+        ("simulate", SCHEME),
+        ("expand", SCHEME),
+        ("oracle", STRUCTURE),
+        ("expand", {key: value for key, value in SCHEME.items() if key != "n"}),
+    ],
 )
 def test_valid_bases_of_the_malformed_cases_run(capsys, tmp_path, command, payload):
     code, _, err = _run_payload(capsys, tmp_path, command, payload)
@@ -648,6 +654,28 @@ def test_structure_m_that_disagrees_with_mu_exits_two(capsys, tmp_path, m):
     assert err == (
         "poplaw: invalid input: information structure: field 'm' must be 2, "
         f"the number of states in mu, not {m!r}\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["expand", "simulate"])
+def test_scheme_off_its_prior_state_space_exits_two(capsys, tmp_path, command):
+    # three-state beliefs in every state law under a two-state prior
+    payload = SCHEME
+    for state in (0, 1):
+        path = ("state_laws", state, "law", "atoms", 0, "empirical", "counts", 0, "belief")
+        payload = _edited(payload, path, ["1/3", "1/3", "1/3"])
+    code, out, err = _run_payload(capsys, tmp_path, command, payload)
+    assert (code, out) == (2, "")
+    assert err == "poplaw: invalid input: state laws and prior live on different state spaces\n"
+
+
+@pytest.mark.parametrize("n", [7, True, "1"])
+def test_scheme_n_that_disagrees_with_its_laws_exits_two(capsys, tmp_path, n):
+    code, out, err = _run_payload(capsys, tmp_path, "simulate", _edited(SCHEME, ("n",), n))
+    assert (code, out) == (2, "")
+    assert err == (
+        "poplaw: invalid input: scheme: field 'n' must be 1, "
+        f"the population size of the state laws, not {n!r}\n"
     )
 
 

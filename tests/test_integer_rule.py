@@ -43,7 +43,7 @@ SCHEME = persuasion_policy(
 
 
 def _scheme_with_state(state):
-    payload = jsonio.scheme_to_json(SCHEME)
+    payload = jsonio.loads(jsonio.dumps(jsonio.scheme_to_json(SCHEME)))
     payload["state_laws"][0]["state"] = state
     return jsonio.scheme_from_json(payload)
 

@@ -38,6 +38,11 @@ from poplaw.rationals import (
 DATA = Path(__file__).parent / "data"
 
 
+def _served(tree):
+    """An encoder tree as the CLI serves it: through text, so beliefs become arrays."""
+    return jsonio.loads(jsonio.dumps(tree))
+
+
 def test_parse_rational_forms():
     assert parse_rational("3/10") == F(3, 10)
     assert parse_rational("0.3") == F(3, 10)
@@ -87,7 +92,7 @@ def test_measure_round_trip():
     m = DiscreteMeasure(
         [(Belief.binary(F(1, 4)), F(2, 5)), (Belief.binary(F(2, 3)), F(3, 5))]
     )
-    assert jsonio.measure_from_json(jsonio.measure_to_json(m)) == m
+    assert jsonio.measure_from_json(_served(jsonio.measure_to_json(m))) == m
 
 
 def test_scalar_measure_round_trip():
@@ -104,7 +109,7 @@ def test_law_round_trip():
             (EmpiricalDistribution(3, [(hi, 3)]), F(2, 3)),
         ],
     )
-    assert jsonio.law_from_json(jsonio.law_to_json(law)) == law
+    assert jsonio.law_from_json(_served(jsonio.law_to_json(law))) == law
 
 
 def test_certificate_round_trips():
@@ -115,7 +120,7 @@ def test_certificate_round_trips():
         FarkasCertificate((F(1), F(-1, 3), F(0))),
     ]
     for cert in certs:
-        back = jsonio.certificate_from_json(jsonio.certificate_to_json(cert))
+        back = jsonio.certificate_from_json(_served(jsonio.certificate_to_json(cert)))
         assert back == cert
 
 
@@ -134,7 +139,7 @@ def test_verdict_round_trips_both_ways():
         check_feasible(fam(range(1, 9), F(1, 8)), half),
         check_feasible(fam(range(10), F(1, 10)), Prior.binary(F(2, 5))),
     ):
-        back = jsonio.verdict_from_json(jsonio.verdict_to_json(verdict))
+        back = jsonio.verdict_from_json(_served(jsonio.verdict_to_json(verdict)))
         assert back == verdict
 
 
@@ -145,7 +150,7 @@ def test_verdict_flags_must_be_json_booleans(field, value):
         PopulationLaw(1, [(EmpiricalDistribution.constant(1, Belief.binary(F(1, 2))), 1)]),
         Prior.binary(F(1, 2)),
     )
-    payload = jsonio.verdict_to_json(verdict)
+    payload = _served(jsonio.verdict_to_json(verdict))
     assert jsonio.verdict_from_json(payload) == verdict
     payload[field] = value
     with pytest.raises(InvariantError, match=f"field '{field}' must be true or false"):
@@ -158,8 +163,8 @@ def _verdict_payloads():
         1, [(EmpiricalDistribution.constant(1, Belief.binary(F(1, 2))), 1)]
     )
     return (
-        jsonio.verdict_to_json(check_feasible(law, Prior.binary(F(1, 2)))),
-        jsonio.verdict_to_json(check_feasible(law, Prior.binary(F(1, 3)))),
+        _served(jsonio.verdict_to_json(check_feasible(law, Prior.binary(F(1, 2))))),
+        _served(jsonio.verdict_to_json(check_feasible(law, Prior.binary(F(1, 3))))),
     )
 
 
@@ -217,9 +222,9 @@ def test_structure_and_scheme_round_trip():
     law, prior = random_feasible_instance(rng, max_n=3, max_atoms=3)
     verdict = check_feasible(law, prior)
     scheme = synthesize(law, prior, verdict.decomposition)
-    assert jsonio.scheme_from_json(jsonio.scheme_to_json(scheme)) == scheme
+    assert jsonio.scheme_from_json(_served(jsonio.scheme_to_json(scheme))) == scheme
     structure = expand_scheme(scheme)
-    assert jsonio.structure_from_json(jsonio.structure_to_json(structure)) == structure
+    assert jsonio.structure_from_json(_served(jsonio.structure_to_json(structure))) == structure
 
 
 def test_dumps_is_canonical():
@@ -275,6 +280,54 @@ def _formatted(tree, fmt):
 def test_dumps_matches_the_standard_library(fmt, tree):
     expected = json.dumps(_formatted(tree, fmt), indent=2, sort_keys=True) + "\n"
     assert jsonio.dumps(tree, fmt) == expected
+
+
+def _coordinate_lists(tree):
+    if type(tree) is Belief:
+        return list(tree.coords)
+    if type(tree) is list:
+        return [_coordinate_lists(item) for item in tree]
+    if type(tree) is dict:
+        return {key: _coordinate_lists(item) for key, item in tree.items()}
+    return tree
+
+
+BELIEFS = (
+    st.lists(st.integers(0, 9), min_size=2, max_size=4)
+    .filter(any)
+    .map(lambda ks: Belief(F(k, sum(ks)) for k in ks))
+)
+BELIEF_TREES = st.recursive(
+    st.one_of(LEAVES, BELIEFS),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(TEXT, children, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree=BELIEF_TREES)
+@pytest.mark.parametrize("fmt", FORMATTERS.values(), ids=FORMATTERS.keys())
+def test_dumps_writes_a_belief_as_its_coordinate_list(fmt, tree):
+    assert jsonio.dumps(tree, fmt) == jsonio.dumps(_coordinate_lists(tree), fmt)
+
+
+def test_encoders_hand_over_the_values_own_beliefs():
+    rng = random.Random(5)
+    law, prior = random_feasible_instance(rng, max_n=3, max_atoms=3)
+    tree = jsonio.law_to_json(law)
+    for (empirical, _), atom in zip(law.atoms, tree["atoms"], strict=True):
+        for (belief, _), entry in zip(empirical.counts, atom["empirical"]["counts"], strict=True):
+            assert entry["belief"] is belief
+    structure = expand_scheme(synthesize(law, prior, check_feasible(law, prior).decomposition))
+    tree = jsonio.structure_to_json(structure)
+    assert tree["mu"] is structure.prior.belief
+    pairs = list(zip(structure.signal_sets, tree["signal_sets"], strict=True))
+    for state, entry in enumerate(tree["kernel"]):
+        profiles = zip(structure.kernel[state], entry["profiles"], strict=True)
+        pairs += [(profile, written["signals"]) for (profile, _), written in profiles]
+    for labels, leaves in pairs:
+        for label, leaf in zip(labels, leaves, strict=True):
+            assert type(label) is Belief and leaf is label
 
 
 @pytest.mark.parametrize(
