@@ -6,7 +6,8 @@ integral and a "p/q" string otherwise, or through the formatter it is given,
 such as display-only decimals; a belief as the array of its coordinates. On
 input, ints, "p/q" strings and decimal literals are all accepted and converted
 exactly (`loads` parses JSON number literals through their source text, so 0.3
-really means 3/10); parsers always rebuild exact values.
+really means 3/10); parsers always rebuild exact values. `structure_from_json`
+decodes each distinct belief label once per document.
 """
 
 from __future__ import annotations
@@ -380,6 +381,30 @@ def _label_from_json(payload):
     raise InvariantError(f"signal label must be a string or a belief array: {shown(payload)}")
 
 
+def _label_decoder():
+    """`_label_from_json` that decodes each distinct belief array once, for one document.
+
+    The memo key pairs each element with its type, so `[true, 0]` never finds
+    the entry of `[1, 0]`. A refused label is never stored, so it is refused
+    at its first occurrence.
+    """
+    memo: dict = {}
+
+    def decode(payload):
+        if type(payload) is not list:
+            return _label_from_json(payload)
+        key = tuple([(type(x), x) for x in payload])
+        try:
+            label = memo.get(key)
+        except TypeError:  # a nested array or object: refused below, never stored
+            label = None
+        if label is None:
+            label = memo[key] = _label_from_json(payload)
+        return label
+
+    return decode
+
+
 def _per_state(entries, dimension: int, where: str, decode) -> list:
     """Decode an array of {"state": S, ...} entries into one value per state.
 
@@ -397,10 +422,10 @@ def _per_state(entries, dimension: int, where: str, decode) -> list:
     return decoded
 
 
-def _profiles_from_json(entry):
+def _profiles_from_json(entry, label):
     return tuple(
         (
-            tuple(_label_from_json(s) for s in _require_array(p, "signals", "profile")),
+            tuple(map(label, _require_array(p, "signals", "profile"))),
             parse_rational(_require(p, "prob", "profile")),
         )
         for p in _require_array(entry, "profiles", "kernel entry")
@@ -417,15 +442,16 @@ def structure_from_json(payload) -> InformationStructure:
             f"information structure: field 'm' must be {prior.dimension}, "
             f"the number of states in mu, not {shown(m)}"
         )
+    label = _label_decoder()
     signal_sets = [
-        tuple(_label_from_json(s) for s in _array(signals, "signal set"))
+        tuple(map(label, _array(signals, "signal set")))
         for signals in _require_array(payload, "signal_sets", "information structure")
     ]
     kernel = _per_state(
         _require_array(payload, "kernel", "information structure"),
         prior.dimension,
         "kernel entry",
-        _profiles_from_json,
+        lambda entry: _profiles_from_json(entry, label),
     )
     return InformationStructure(n, prior, signal_sets, kernel)
 

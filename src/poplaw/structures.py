@@ -3,10 +3,19 @@
 An `InformationStructure` is the explicit object: per-agent signal sets plus,
 for each state, a joint distribution over signal profiles. Enumerating it
 exactly (`induced_population_law`) is the brute-force oracle everything else
-is checked against. Each structure builds, on first use, one table from
-(agent, label) to the label's per-state marginals; `signal_marginal`,
-`bayes_posterior` and `induced_population_law` look labels up there by hash
-instead of scanning the kernel.
+is checked against. Each structure builds, on first use, one integer table:
+(agent, label) to the numerators of the label's per-state marginals, all over
+one denominator, the lcm of the states' common denominators.
+`signal_marginal`, `bayes_posterior` and `induced_population_law` look labels
+up there by hash instead of scanning the kernel, and sum in integers.
+
+The three builders of the oracle, `expand_scheme`, `bayes_posterior` and
+`induced_population_law`, set their values' fields through
+`measures._trusted`, without the public constructors' checks: their own
+construction proves the fields canonical, as a comment at each use says.
+Outside input, such as a structure decoded from JSON, still goes through the
+public `InformationStructure` constructor, which sorts each state's profiles
+by the same `str` key as `expand_scheme`.
 
 A `SymmetricScheme` is the compact anonymous form produced by synthesis: per
 state, a population law over empirical distributions whose beliefs double as
@@ -25,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
-from math import isqrt
+from math import isqrt, lcm
 from typing import Hashable, Iterable
 
 from .errors import InvariantError, ResourceLimitError
@@ -35,6 +44,7 @@ from .measures import (
     EmpiricalDistribution,
     PopulationLaw,
     Prior,
+    _trusted,
     mix_laws,
 )
 from .mps import SpreadDecomposition, verify_decomposition
@@ -98,8 +108,7 @@ class InformationStructure:
         allowed = [frozenset(s) for s in signal_sets]
         if any(len(a) != len(s) or not s for a, s in zip(allowed, signal_sets)):
             raise InvariantError("signal sets must be non-empty without duplicates")
-        # profiles sort by their labels' str, built once per distinct label
-        sort_key = {label: str(label) for s in signal_sets for label in s}
+        by_label_str = _by_label_str(signal_sets)
         cleaned = []
         kernel = tuple(kernel)
         if len(kernel) != prior.dimension:
@@ -123,11 +132,7 @@ class InformationStructure:
                 merged[profile] = merged.get(profile, ZERO) + prob
             if sum(merged.values()) != 1:
                 raise InvariantError("each state's kernel must sum to exactly 1")
-            cleaned.append(
-                tuple(
-                    sorted(merged.items(), key=lambda kv: tuple(map(sort_key.__getitem__, kv[0])))
-                )
-            )
+            cleaned.append(tuple(sorted(merged.items(), key=by_label_str)))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "signal_sets", signal_sets)
@@ -139,66 +144,87 @@ class InformationStructure:
 
     def signal_marginal(self, agent: int, label: SignalLabel, state: int) -> Fraction:
         """Probability that the agent sees the label, conditional on the state."""
-        marginals = self._marginals.get((agent, label))
-        return ZERO if marginals is None else marginals[state]
+        rows, den = self._marginals
+        row = rows.get((agent, label))
+        return ZERO if row is None else Fraction(row[state], den)
 
     @cached_property
-    def _marginals(self) -> dict[tuple[int, SignalLabel], list[Fraction]]:
-        """(agent, label) -> per-state probability of seeing it, from one kernel pass.
+    def _marginals(self) -> tuple[dict[tuple[int, SignalLabel], list[int]], int]:
+        """(agent, label) -> per-state numerators of the probability of seeing it, and their denominator.
 
-        Each state's probabilities are summed as integers over their common
-        denominator and reduced once at the end.
+        One kernel pass: each state's probabilities are put over their common
+        denominator, scaled to the lcm of these across the states and summed.
         """
-        numerators: dict[tuple[int, SignalLabel], list[int]] = {}
-        commons = []
-        for state, state_profiles in enumerate(self.kernel):
-            weights, common = over_common_denominator([prob for _, prob in state_profiles])
-            commons.append(common)
+        rows: dict[tuple[int, SignalLabel], list[int]] = {}
+        states = [over_common_denominator([prob for _, prob in ps]) for ps in self.kernel]
+        den = lcm(*[common for _, common in states])
+        for state, (state_profiles, (weights, common)) in enumerate(zip(self.kernel, states)):
+            scale = den // common
             for (profile, _), weight in zip(state_profiles, weights):
+                weight *= scale
                 for key in enumerate(profile):
-                    row = numerators.get(key)
+                    row = rows.get(key)
                     if row is None:
-                        row = numerators[key] = [0] * self.m
+                        row = rows[key] = [0] * self.m
                     row[state] += weight
-        return {
-            key: [Fraction(c, d) for c, d in zip(row, commons)]
-            for key, row in numerators.items()
-        }
+        return rows, den
+
+
+def _by_label_str(signal_sets):
+    """Sort key of a (profile, probability) pair: its labels' str, built once per distinct label."""
+    text = {label: str(label) for s in signal_sets for label in s}
+    return lambda pair: tuple(map(text.__getitem__, pair[0]))
 
 
 def bayes_posterior(structure: InformationStructure, agent: int, label: SignalLabel) -> Belief:
-    """The posterior belief of an agent after seeing one signal label."""
-    weighted = [
-        mu * structure.signal_marginal(agent, label, state)
-        for state, mu in enumerate(structure.prior.coords)
-    ]
-    total = sum(weighted, ZERO)
-    if total == 0:
+    """The posterior belief of an agent after seeing one signal label.
+
+    The prior's numerators times the label's marginal numerators, over their
+    total. Only labels of positive-probability profiles have a table row.
+    """
+    row = structure._marginals[0].get((agent, label))
+    if row is None:
         raise InvariantError(f"signal {shown(label)} has zero probability for agent {agent}")
-    return Belief(w / total for w in weighted)
+    weighted = [mu * w for mu, w in zip(over_common_denominator(structure.prior.coords)[0], row)]
+    total = sum(weighted)
+    # nonnegative integers over their positive sum: coordinates in [0, 1] summing to 1
+    return _trusted(Belief, coords=tuple([Fraction(w, total) for w in weighted]))
 
 
 def induced_population_law(structure: InformationStructure) -> PopulationLaw:
-    """Exact enumeration of the law over empirical posterior distributions."""
-    # number the distinct posteriors; every (agent, label) in the marginal
-    # table occurs in a positive-probability profile
-    numbers: dict[Belief, int] = {}
-    slot = {
-        key: numbers.setdefault(bayes_posterior(structure, *key), len(numbers))
-        for key in structure._marginals
-    }
-    # profiles with equal multisets of posteriors pool their mass
-    masses: dict[tuple[int, ...], Fraction] = {}
-    for mu, state_profiles in zip(structure.prior.coords, structure.kernel):
-        for profile, prob in state_profiles:
+    """Exact enumeration of the law over empirical posterior distributions.
+
+    Each profile adds mu_s * prob to its multiset of posteriors, as integers
+    over the prior's common denominator times the marginal table's.
+    """
+    # number the distinct posteriors in ascending order; every (agent, label)
+    # in the marginal table occurs in a positive-probability profile
+    rows, den = structure._marginals
+    posterior = {key: bayes_posterior(structure, *key) for key in rows}
+    beliefs = sorted(set(posterior.values()))
+    number = {belief: k for k, belief in enumerate(beliefs)}
+    slot = {key: number[belief] for key, belief in posterior.items()}
+    priors, prior_den = over_common_denominator(structure.prior.coords)
+    masses: dict[tuple[int, ...], int] = {}
+    for mu, state_profiles in zip(priors, structure.kernel):
+        weights, common = over_common_denominator([prob for _, prob in state_profiles])
+        scale = mu * (den // common)
+        for (profile, _), weight in zip(state_profiles, weights):
             multiset = tuple(sorted(map(slot.__getitem__, enumerate(profile))))
-            masses[multiset] = masses.get(multiset, ZERO) + mu * prob
-    posteriors = list(numbers)
+            masses[multiset] = masses.get(multiset, 0) + scale * weight
+    # (slot, count) pairs in slot order compare as the (belief, count) pairs would
+    counted = sorted((tuple(Counter(multiset).items()), mass) for multiset, mass in masses.items())
+    n = structure.n
+    total = prior_den * den
     atoms = []
-    for multiset, mass in masses.items():
-        counts = Counter(map(posteriors.__getitem__, multiset))
-        atoms.append((EmpiricalDistribution(structure.n, counts.items()), mass))
-    return PopulationLaw(structure.n, atoms)
+    for counts, mass in counted:
+        # distinct posteriors in ascending order, positive counts summing to n
+        empirical = _trusted(
+            EmpiricalDistribution, n=n, counts=tuple([(beliefs[k], c) for k, c in counts])
+        )
+        atoms.append((empirical, Fraction(mass, total)))
+    # distinct ascending atoms, positive masses summing to sum_s mu_s = 1
+    return _trusted(PopulationLaw, n=n, atoms=tuple(atoms))
 
 
 @dataclass(frozen=True)
@@ -294,13 +320,19 @@ def expand_scheme(scheme: SymmetricScheme) -> InformationStructure:
                 )
             counts = [(labels.setdefault(b, b), c) for b, c in empirical.counts]
             deals[-1].append((weight / size, counts))
-    # distinct empirical distributions deal disjoint sets of profiles
-    kernel = [
-        [(p, share) for share, counts in atoms for p in _distinct_assignments(counts)]
-        for atoms in deals
-    ]
-    return InformationStructure(
-        scheme.n, scheme.prior, [tuple(sorted(labels))] * scheme.n, kernel
+    signal_set = tuple(sorted(labels))
+    by_label_str = _by_label_str([signal_set])
+    kernel = []
+    for atoms in deals:
+        profiles = [(p, share) for share, counts in atoms for p in _distinct_assignments(counts)]
+        kernel.append(tuple(sorted(profiles, key=by_label_str)))
+    # signal-set labels, disjoint profiles per atom, positive shares summing to 1 per state
+    return _trusted(
+        InformationStructure,
+        n=scheme.n,
+        prior=scheme.prior,
+        signal_sets=(signal_set,) * scheme.n,
+        kernel=tuple(kernel),
     )
 
 

@@ -390,9 +390,13 @@ def test_polarize_grid_search_golden(capsys, golden, args):
 
 
 UNIFORM9 = str(DATA / "uniform9.json")
+THREE_STATE = str(DATA / "three_state_n2.json")
 PRODUCT_CHECK = ("product-check", "--n", "4", "--mu", "1/2", "--a", "0.3", "--b", "0.7")
 GOLDENS = [
     ("synthesize_uniform9.txt", ("synthesize", UNIFORM9)),
+    ("synthesize_three_state_n2.txt", ("synthesize", THREE_STATE)),
+    # the oracle on the expansion of that synthesized scheme, the expand golden below
+    ("oracle_three_state_n2.txt", ("oracle", str(DATA / "expand_three_state_n2.txt"))),
     ("synthesize_uniform9_decimal12.txt", ("synthesize", UNIFORM9, "--decimal", "12")),
     (
         "persuade_n2_mu3-10_tau1-2_decimal6_csv.txt",
@@ -508,6 +512,42 @@ def test_expand_and_oracle_golden_uniform9(capsys, tmp_path):
     code, out, _ = run(capsys, "oracle", str(structure))
     assert code == 0
     assert out == (DATA / "oracle_uniform9.txt").read_text()
+
+
+def test_expand_golden_three_states(capsys, tmp_path):
+    # three states whose kernels have different denominators
+    scheme = _synthesized_scheme(capsys, tmp_path, DATA / "three_state_n2.json")
+    code, out, _ = run(capsys, "expand", str(scheme))
+    assert code == 0
+    assert out == (DATA / "expand_three_state_n2.txt").read_text()
+
+
+def test_oracle_on_a_large_expansion_decodes_each_label_once(capsys, tmp_path):
+    # 300 agents dealt 299 copies of one belief and 1 of the other: 600
+    # profiles, 180,000 label cells of 2 distinct beliefs. Decoding each cell
+    # on its own made the oracle call take 5-8 s on a shared 2-core host.
+    low, high = ["299/300", "1/300"], ["1/300", "299/300"]
+
+    def law(a, b):
+        counts = [{"belief": low, "count": a}, {"belief": high, "count": b}]
+        return {"n": 300, "atoms": [{"empirical": {"n": 300, "counts": counts}, "weight": 1}]}
+
+    payload = {"mu": ["1/2", "1/2"], "state_laws": [
+        {"state": 0, "law": law(299, 1)}, {"state": 1, "law": law(1, 299)}
+    ]}
+    scheme = tmp_path / "scheme.json"
+    scheme.write_text(json.dumps(payload))
+    code, out, _ = run(capsys, "expand", str(scheme))
+    assert code == 0
+    structure = tmp_path / "structure.json"
+    structure.write_text(out)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "oracle", str(structure))
+    assert time.perf_counter() - start < 2.5
+    assert code == 0
+    # the labels are Bayes-consistent, so the oracle returns the scheme's law
+    law = jsonio.scheme_from_json(payload).law()
+    assert out == jsonio.dumps(jsonio.law_to_json(law))
 
 
 def test_oracle_and_expand_golden_three_agents(capsys, tmp_path):

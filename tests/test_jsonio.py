@@ -227,6 +227,52 @@ def test_structure_and_scheme_round_trip():
     assert jsonio.structure_from_json(_served(jsonio.structure_to_json(structure))) == structure
 
 
+def _structure_text(signal_set, signals):
+    """JSON text: two agents with signal set `signal_set` see `signals` in both states."""
+    kernel = ", ".join(
+        '{"state": %d, "profiles": [{"signals": %s, "prob": 1}]}' % (s, signals) for s in (0, 1)
+    )
+    return '{"n": 2, "mu": ["1/2", "1/2"], "signal_sets": [%s, %s], "kernel": [%s]}' % (
+        signal_set,
+        signal_set,
+        kernel,
+    )
+
+
+def test_structure_decodes_each_distinct_label_once():
+    text = _structure_text('[["1/4", "3/4"], "s"]', '[["1/4", "3/4"], "s"]')
+    structure = jsonio.structure_from_json(jsonio.loads(text))
+    label = structure.signal_sets[0][0]
+    assert structure.signal_sets[1][0] is label
+    assert all(profile[0] is label for ps in structure.kernel for profile, _ in ps)
+    # an equal belief spelled otherwise is decoded on its own
+    text = _structure_text('[["1/4", "3/4"]]', '[["2/8", "6/8"], ["0.25", 0.75]]')
+    structure = jsonio.structure_from_json(jsonio.loads(text))
+    profile = structure.kernel[0][0][0]
+    assert profile[0] == profile[1] == structure.signal_sets[0][0]
+    assert len({id(x) for x in (*profile, structure.signal_sets[0][0])}) == 3
+
+
+@pytest.mark.parametrize(
+    "signal_set,signals,refused",
+    [
+        # equal as Python values to the decoded [1, 0], but not rationals
+        ("[[1, 0]]", "[[true, 0], [1, 0]]", "[true, 0]"),
+        ("[[1, 0]]", "[[1, 0], [1, false]]", "[1, false]"),
+        ('[["1/2", "1/2"]]', '[["1/2", "1/2"], ["1/2", [1]]]', '["1/2", [1]]'),
+        ('[["1/2", "1/3"]]', '[["1/2", "1/3"], ["1/2", "1/3"]]', '["1/2", "1/3"]'),
+        ('[["1/2", "1/2"]]', '[["1/2", "1/2"], 2]', "2"),
+    ],
+    ids=["true-for-1", "false-for-0", "nested", "sum", "number"],
+)
+def test_structure_label_refusals_survive_the_memo(signal_set, signals, refused):
+    with pytest.raises(InvariantError) as alone:
+        jsonio._label_from_json(jsonio.loads(refused))
+    with pytest.raises(InvariantError) as info:
+        jsonio.structure_from_json(jsonio.loads(_structure_text(signal_set, signals)))
+    assert str(info.value) == str(alone.value)
+
+
 def test_dumps_is_canonical():
     payload = {"b": 1, "a": [1, 2]}
     assert jsonio.dumps(payload) == jsonio.dumps({"a": [1, 2], "b": 1})

@@ -4,6 +4,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -175,6 +176,44 @@ def test_uninformative_induced_law():
     assert induced_population_law(g) == PopulationLaw.dirac(
         EmpiricalDistribution.constant(3, HALF.belief)
     )
+
+
+def three_states_with_a_duplicated_profile():
+    """String labels, one profile listed twice, and a label agent 1 never sees."""
+    prior = Prior([F(1, 2), F(1, 3), F(1, 6)])
+    kernel = [
+        [(("a", "x"), F(1, 4)), (("b", "y"), F(1, 2)), (("a", "x"), F(1, 4))],
+        [(("a", "y"), F(2, 3)), (("b", "x"), F(1, 3))],
+        [(("b", "y"), F(1, 5)), (("a", "y"), F(4, 5))],
+    ]
+    return InformationStructure(2, prior, [("a", "b"), ("x", "y", "z")], kernel)
+
+
+def reference_structures():
+    """Hand-built structures, none of them a scheme's expansion."""
+    text = (Path(__file__).parent / "data" / "three_agent_example.json").read_text()
+    yield jsonio.structure_from_json(jsonio.loads(text))
+    yield from enumerate_grid_structures(2, Prior.binary(F(2, 5)), 2, 2)
+    yield three_states_with_a_duplicated_profile()
+
+
+def test_oracle_matches_a_plain_fraction_enumeration():
+    zero_labels = 0
+    for structure in reference_structures():
+        assert induced_population_law(structure) == scan_induced_law(structure)
+        for agent, labels in enumerate(structure.signal_sets):
+            for label in labels:
+                expected = scan_posterior(structure, agent, label)
+                if expected is not None:
+                    assert bayes_posterior(structure, agent, label) == expected
+                    continue
+                zero_labels += 1
+                with pytest.raises(InvariantError) as info:
+                    bayes_posterior(structure, agent, label)
+                assert str(info.value) == (
+                    f"signal {label!r} has zero probability for agent {agent}"
+                )
+    assert zero_labels > 0
 
 
 def test_martingale_over_grid_structures():
@@ -350,13 +389,15 @@ def test_expansion_deals_the_signal_sets_own_beliefs():
                 assert all(id(label) in own for label in profile)
 
 
-# Labels for structures decoded from JSON: each belief has two spellings, so a
-# profile's label is equal to its signal set's entry but decoded separately.
+# Labels for structures decoded from JSON: each belief has three spellings.
+# Signal sets use the first and profiles the other two, so a profile's label is
+# equal to its signal set's entry but decoded separately, and equal labels
+# within the kernel may be one object or two.
 BELIEF_SPELLINGS = [
-    (["1/4", "3/4"], ["2/8", "6/8"]),
-    (["1/2", "1/2"], ["0.5", "2/4"]),
-    (["1", "0"], ["3/3", "0/5"]),
-    (["1/3", "2/3"], ["2/6", "4/6"]),
+    (["1/4", "3/4"], ["2/8", "6/8"], ["0.25", "0.75"]),
+    (["1/2", "1/2"], ["0.5", "2/4"], ["1/2", "0.50"]),
+    (["1", "0"], ["3/3", "0/5"], [1, 0]),
+    (["1/3", "2/3"], ["2/6", "4/6"], ["3/9", "6/9"]),
 ]
 
 
@@ -396,7 +437,7 @@ def structure_payloads(draw):
                     "state": state,
                     "profiles": [
                         {
-                            "signals": [spell(i, draw(st.integers(0, 1))) for i in profile],
+                            "signals": [spell(i, draw(st.integers(1, 2))) for i in profile],
                             "prob": f"{w}/{total}",
                         }
                         for profile, w in zip(profiles, weights)

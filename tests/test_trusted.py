@@ -9,6 +9,7 @@ types and the same hash.
 import dataclasses
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,20 +24,26 @@ from poplaw import (
     Belief,
     BinaryBase,
     EmpiricalDistribution,
+    InformationStructure,
     PopulationLaw,
     SpreadDecomposition,
     SymmetricProduct,
     barycenter,
     base_law,
+    bayes_posterior,
     check_feasible,
     conditional_tilt,
+    expand_scheme,
+    induced_population_law,
     is_mps_binary_base,
     law_expected_measure,
     mps_decompose,
     multinomial_law,
     quantile_distribution,
+    synthesize,
     upper_quantile_distribution,
 )
+from poplaw import jsonio
 from poplaw.mps import _scalar_split
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -151,3 +158,41 @@ def test_decomposition_parts_on_both_routes(seed):
         verdict = check_feasible(law, prior)
         assert_law_parts_canonical(verdict.decomposition)
         assert_law_parts_canonical(mps_decompose(law, verdict.base, route="lp"))
+
+
+def assert_structure_canonical(structure):
+    """The structure, its induced law and every posterior equal their public rebuilds."""
+    public = InformationStructure(
+        structure.n, structure.prior, structure.signal_sets, structure.kernel
+    )
+    assert public.signal_sets == structure.signal_sets
+    assert public.kernel == structure.kernel
+    assert hash(public) == hash(structure)
+    assert all(type(prob) is F for state in structure.kernel for _, prob in state)
+    assert_canonical(induced_population_law(structure))
+    for agent, labels in enumerate(structure.signal_sets):
+        for label in labels:
+            assert_canonical(bayes_posterior(structure, agent, label))
+
+
+def _expanded(law, prior):
+    verdict = check_feasible(law, prior)
+    return expand_scheme(synthesize(law, prior, verdict.decomposition))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds)
+def test_expanded_structures_laws_and_posteriors(seed):
+    # random_feasible_instance draws three states a quarter of the time
+    law, prior = random_feasible_instance(random.Random(seed))
+    structure = _expanded(law, prior)
+    assert_structure_canonical(structure)
+    assert induced_population_law(structure) == law
+
+
+def test_three_state_golden_problem():
+    problem = jsonio.loads((Path(__file__).parent / "data" / "three_state_n2.json").read_text())
+    law = jsonio.law_from_json(problem["law"])
+    structure = _expanded(law, jsonio.prior_from_json(problem["mu"]))
+    assert structure.m == 3
+    assert_structure_canonical(structure)
