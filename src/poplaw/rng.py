@@ -16,21 +16,65 @@ owns an independent substream keyed only by (seed, index), so any partition of
 the sample indices across workers reproduces the single-threaded result
 exactly.
 
-`structures.simulate` applies the rule inline: draw 0 picks the state and
-draw 1 the empirical distribution, each as the first item whose cumulative
-weight w satisfies u < ceil(w * 2**64) for the 64-bit draw u.
+`substream_draws` is the rule's one definition, in batch form: it draws for
+a whole range of sample indices at once. The range's values sit in one Python
+int as 128-bit lanes, little-endian: lane k holds the value of index
+start + k in its low 64 bits, and its high 64 bits are zero between
+operations. A product with a 64-bit constant therefore stays inside its lane,
+and what a right shift moves into a neighbour's high half is masked off with
+`low`, 2**64 - 1 in every lane. Each finalizer round is a handful of
+whole-int operations over all lanes together (`mix_lanes`).
+
+`structures.simulate` draws in fixed blocks: draw 0 picks the state and draw
+1 the empirical distribution, each as the first item whose cumulative weight
+w satisfies u < ceil(w * 2**64) for the 64-bit draw u.
 """
 
 from __future__ import annotations
 
+import struct
+
 MASK64 = (1 << 64) - 1
 PHI = 0x9E3779B97F4A7C15
 TWO64 = 1 << 64
+LANE_BYTES = 16
 
 
-def mix64(z: int) -> int:
-    """SplitMix's 64-bit output finalizer."""
-    z &= MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-    return z ^ (z >> 31)
+def mix_lanes(z: int, low: int) -> int:
+    """SplitMix's 64-bit output finalizer, applied to every 128-bit lane of z at once.
+
+    Each lane's value must be below 2**64; `low` is 2**64 - 1 in every lane.
+    """
+    z = ((z ^ ((z >> 30) & low)) * 0xBF58476D1CE4E5B9) & low
+    z = ((z ^ ((z >> 27) & low)) * 0x94D049BB133111EB) & low
+    return z ^ ((z >> 31) & low)
+
+
+def pack_lanes(values) -> int:
+    """The 64-bit values as one int, value k in the low half of lane k."""
+    lanes = [0] * (2 * len(values))
+    lanes[::2] = values
+    return int.from_bytes(struct.pack(f"<{len(lanes)}Q", *lanes), "little")
+
+
+def unpack_lanes(z: int, count: int) -> tuple[int, ...]:
+    """The low halves of the first `count` lanes of z; the inverse of `pack_lanes`."""
+    return struct.unpack(f"<{2 * count}Q", z.to_bytes(LANE_BYTES * count, "little"))[::2]
+
+
+def substream_draws(seed: int, start: int, stop: int, draws: int) -> list[tuple[int, ...]]:
+    """Draws 0 to draws - 1 of every sample index in [start, stop), under the rule above.
+
+    Entry j of the result holds draw j of each index, in index order.
+    """
+    count = stop - start
+    repunit = int.from_bytes((b"\x01" + bytes(LANE_BYTES - 1)) * count, "little")
+    low = repunit * MASK64
+    # lane k: s + (start + k + 1) * PHI, below 2**64 * (count + 1) before the mask
+    first = (seed + (start + 1) * PHI) & MASK64
+    base = mix_lanes((first * repunit + PHI * pack_lanes(range(count))) & low, low)
+    step = PHI * repunit
+    return [
+        unpack_lanes(mix_lanes((base + j * step) & low, low), count)
+        for j in range(1, draws + 1)
+    ]

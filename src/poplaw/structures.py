@@ -32,9 +32,10 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations, product
 from math import isqrt, lcm
+from operator import add
 from typing import Hashable, Iterable
 
 from .errors import InvariantError, ResourceLimitError
@@ -49,7 +50,7 @@ from .measures import (
 )
 from .mps import SpreadDecomposition, verify_decomposition
 from .rationals import over_common_denominator, parse_rational, require_int, shown
-from .rng import MASK64, PHI, TWO64, mix64
+from .rng import TWO64, substream_draws
 
 ZERO = Fraction(0)
 
@@ -336,6 +337,9 @@ def expand_scheme(scheme: SymmetricScheme) -> InformationStructure:
     )
 
 
+SIMULATE_BLOCK = 1 << 14  # sample indices drawn per `substream_draws` call
+
+
 def simulate(
     scheme: SymmetricScheme, samples: int, seed: int, shards: int = 1
 ) -> PopulationLaw:
@@ -343,24 +347,35 @@ def simulate(
 
     Per sample: draw the state from the prior, then an empirical distribution
     from that state's law, each from the sample's own substream (see `rng`).
-    The result depends only on (samples, seed), never on `shards`, because
-    sharding just partitions the sample indices. The seed must lie in
+    The draws of sample index i depend only on (seed, i), so the result
+    depends only on (samples, seed). `shards` is validated for compatibility
+    but changes neither the draws nor the work: the indices are drawn in
+    blocks of SIMULATE_BLOCK, whatever the shard count. The seed must lie in
     [0, 2**64).
     """
     require_int(samples, "sample count")
     require_int(shards, "shard count")
     require_int(seed, "seed", low=0, high=TWO64)
-    tables = (
-        _selection_table(list(enumerate(scheme.prior.coords))),
-        [_selection_table(law.atoms) for law in scheme.state_laws],
-    )
-    counts: Counter[EmpiricalDistribution] = Counter()
-    shards = min(shards, samples)
-    bounds = [samples * k // shards for k in range(shards + 1)]
-    for shard in range(shards):
-        counts.update(_simulate_range(tables, seed, bounds[shard], bounds[shard + 1]))
+    _, state_cutoffs = _selection_table(list(enumerate(scheme.prior.coords)))
+    pick_state = partial(bisect_right, state_cutoffs)
+    # every law's last cutoff is exactly 2**64, so the key (state << 64) + u
+    # falls among state's own cutoffs, each offset by state << 64
+    empiricals = []
+    offset_cutoffs = []
+    for state, law in enumerate(scheme.state_laws):
+        items, cutoffs = _selection_table(law.atoms)
+        empiricals += items
+        offset_cutoffs += [(state << 64) + cutoff for cutoff in cutoffs]
+    pick_atom = partial(bisect_right, offset_cutoffs)
+    shift = (64).__rlshift__  # state -> state << 64
+    atom_counts: Counter[int] = Counter()
+    for start in range(0, samples, SIMULATE_BLOCK):
+        u_state, u_emp = substream_draws(seed, start, min(start + SIMULATE_BLOCK, samples), 2)
+        keys = map(add, map(shift, map(pick_state, u_state)), u_emp)
+        atom_counts.update(map(pick_atom, keys))
+    # the constructor merges the counts of a distribution several states share
     return PopulationLaw(
-        scheme.n, [(emp, Fraction(c, samples)) for emp, c in counts.items()]
+        scheme.n, [(empiricals[atom], Fraction(c, samples)) for atom, c in atom_counts.items()]
     )
 
 
@@ -380,20 +395,6 @@ def _selection_table(atoms):
         items.append(item)
         cutoffs.append(-(-(acc << 64) // den))
     return items, cutoffs
-
-
-def _simulate_range(tables, seed, start, stop):
-    (states, state_cutoffs), law_tables = tables
-    counts: Counter[EmpiricalDistribution] = Counter()
-    for index in range(start, stop):
-        # substream rule from `rng`: draw j of sample i is mix(mix(seed+(i+1)PHI)+(j+1)PHI)
-        base = mix64((seed + (index + 1) * PHI) & MASK64)
-        u_state = mix64((base + PHI) & MASK64)
-        state = states[bisect_right(state_cutoffs, u_state)]
-        empiricals, cutoffs = law_tables[state]
-        u_emp = mix64((base + 2 * PHI) & MASK64)
-        counts[empiricals[bisect_right(cutoffs, u_emp)]] += 1
-    return counts
 
 
 def enumerate_grid_structures(

@@ -572,6 +572,14 @@ def test_simulate_golden(capsys, shards):
     assert out == (DATA / "simulate_uniform9_n2000_seed31.txt").read_text()
 
 
+def test_simulate_golden_several_blocks(capsys):
+    # 40000 samples span more than two of simulate's draw blocks plus a remainder
+    args = ("--samples", "40000", "--seed", "2024", "--shards", "7")
+    code, out, _ = run(capsys, "simulate", str(DATA / "uniform9.json"), *args)
+    assert code == 0
+    assert out == (DATA / "simulate_uniform9_n40000_seed2024.txt").read_text()
+
+
 def test_byte_identical_reruns(capsys):
     code1, out1, _ = run(capsys, "feasible", str(DATA / "uniform9.json"))
     code2, out2, _ = run(capsys, "feasible", str(DATA / "uniform9.json"))

@@ -37,9 +37,14 @@ from poplaw import (
     simulate,
     synthesize,
 )
-from poplaw import jsonio
-from poplaw.rng import mix64
-from poplaw.structures import _distinct_assignments, _selection_table, capped_multinomial
+from poplaw import jsonio, structures
+from poplaw.rng import mix_lanes, pack_lanes, substream_draws, unpack_lanes
+from poplaw.structures import (
+    SIMULATE_BLOCK,
+    _distinct_assignments,
+    _selection_table,
+    capped_multinomial,
+)
 
 HALF = Prior.binary(F(1, 2))
 
@@ -524,13 +529,72 @@ def test_simulate_more_shards_than_samples():
     assert sharded == simulate(scheme, 3, seed=77)
 
 
+def mix64(z):
+    """SplitMix's 64-bit output finalizer, one value at a time: the reference for `rng`."""
+    z %= 2**64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+    return z ^ (z >> 31)
+
+
 def test_splitmix64_reference_outputs():
     # the published SplitMix64 stream for seed 0: state advances by PHI, output is mix64
-    state, outputs = 0, []
+    state, outputs, states = 0, [], []
     for _ in range(3):
         state = (state + 0x9E3779B97F4A7C15) % 2**64
+        states.append(state)
         outputs.append(mix64(state))
-    assert outputs == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    published = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    assert outputs == published
+    # the lane finalizer gives the same stream, each state in its own lane
+    low = pack_lanes([2**64 - 1] * 3)
+    mixed = mix_lanes(pack_lanes(states), low)
+    assert mixed & ~low == 0  # every lane's high half stays zero
+    assert list(unpack_lanes(mixed, 3)) == published
+
+
+def reference_draws(seed, start, stop, draws):
+    phi = 0x9E3779B97F4A7C15
+    return [
+        tuple(mix64(mix64(seed + (i + 1) * phi) + (j + 1) * phi) for i in range(start, stop))
+        for j in range(draws)
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+    start=st.one_of(
+        st.just(0),
+        st.builds(
+            lambda k, d: max(0, k * SIMULATE_BLOCK + d), st.integers(1, 3), st.integers(-3, 3)
+        ),
+        st.integers(0, 2**70),
+    ),
+    length=st.one_of(st.integers(0, 40), st.sampled_from([SIMULATE_BLOCK, SIMULATE_BLOCK + 2])),
+    draws=st.integers(1, 3),
+)
+def test_substream_draws_match_the_scalar_rule(seed, start, length, draws):
+    stop = start + length
+    assert substream_draws(seed, start, stop, draws) == reference_draws(seed, start, stop, draws)
+
+
+@pytest.mark.parametrize("shards", [1, 8, "samples"])
+def test_simulate_calls_the_kernel_once_per_block(monkeypatch, shards):
+    """Shards cost nothing: the draws come in the same blocks whatever the shard count."""
+    law, _, _ = footnote_law()
+    scheme = synthesize(law, HALF, check_feasible(law, HALF).decomposition)
+    samples = 3 * SIMULATE_BLOCK + 1
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1:3])
+        return substream_draws(*args)
+
+    monkeypatch.setattr(structures, "substream_draws", counted)
+    simulate(scheme, samples, seed=9, shards=samples if shards == "samples" else shards)
+    block = SIMULATE_BLOCK
+    assert calls == [(0, block), (block, 2 * block), (2 * block, 3 * block), (3 * block, samples)]
 
 
 def test_simulate_follows_the_substream_rule():
