@@ -38,8 +38,8 @@ from .structures import expand_scheme, induced_population_law, simulate, synthes
 def _formatter(args):
     """How rationals become text: "p/q" (ints when integral), or `--decimal D` digits.
 
-    Every output goes through it once, in `_emit` and `_csv_text`; commands
-    hand over exact values.
+    Every output goes through it once, in `_json_text` and `_csv_text`;
+    commands hand over exact values.
     """
     digits = getattr(args, "decimal", None)
     if digits is None:
@@ -59,19 +59,28 @@ def _read_json(path: str):
     return jsonio.loads(text)
 
 
-def _emit(payload, args) -> None:
-    sys.stdout.write(jsonio.dumps(payload, _formatter(args)))
+def _json_text(payload, args) -> str:
+    return jsonio.dumps(payload, _formatter(args))
 
 
-def _write_text(path: str, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-        return
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise InvariantError(f"cannot write {path}: {exc}") from exc
+def _write_outputs(outputs) -> None:
+    """Write a command's rendered (path, text) outputs: every file, then stdout's parts.
+
+    Parts for path "-" go to stdout in the command's order. Commands render
+    every text before anything is written, so a refused render or an
+    unwritable file leaves stdout empty.
+    """
+    for path, text in outputs:
+        if path == "-":
+            continue
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvariantError(f"cannot write {path}: {exc}") from exc
+    for path, text in outputs:
+        if path == "-":
+            sys.stdout.write(text)
 
 
 def _csv_text(header, rows, args) -> str:
@@ -89,29 +98,26 @@ def _problem_from_json(payload):
     return law, prior
 
 
-def _cmd_feasible(args) -> int:
+def _cmd_feasible(args):
     law, prior = _problem_from_json(_read_json(args.input))
     verdict = check_feasible(law, prior)
-    _emit(jsonio.verdict_to_json(verdict), args)
-    return 0
+    return [("-", _json_text(jsonio.verdict_to_json(verdict), args))]
 
 
-def _cmd_synthesize(args) -> int:
+def _cmd_synthesize(args):
     law, prior = _problem_from_json(_read_json(args.input))
     verdict = check_feasible(law, prior)
     out = jsonio.verdict_to_json(verdict)
     if verdict.feasible:
         scheme = synthesize(law, prior, verdict.decomposition)
         out["scheme"] = jsonio.scheme_to_json(scheme)
-    _emit(out, args)
-    return 0
+    return [("-", _json_text(out, args))]
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args):
     structure = jsonio.structure_from_json(_read_json(args.input))
     law = induced_population_law(structure)
-    _emit(jsonio.law_to_json(law), args)
-    return 0
+    return [("-", _json_text(jsonio.law_to_json(law), args))]
 
 
 def _scheme_from_input(payload):
@@ -124,14 +130,13 @@ def _scheme_from_input(payload):
     return synthesize(law, prior, verdict.decomposition)
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args):
     scheme = _scheme_from_input(_read_json(args.input))
     estimate = simulate(scheme, args.samples, args.seed, shards=args.shards)
-    _emit(jsonio.law_to_json(estimate), args)
-    return 0
+    return [("-", _json_text(jsonio.law_to_json(estimate), args))]
 
 
-def _cmd_polarize(args) -> int:
+def _cmd_polarize(args):
     n_max = args.n if args.n_max is None else require_int(args.n_max, "--n-max")
     mu = parse_rational(args.mu)
     prior = Prior.binary(mu)
@@ -153,18 +158,18 @@ def _cmd_polarize(args) -> int:
             "best": best,
             "structure": jsonio.structure_to_json(structure),
         }
-    _emit(out, args)
+    outputs = [("-", _json_text(out, args))]
     if args.csv:
         rows = []
         for n in range(1, n_max + 1):
             # the achieved value is the lower end of the bracket
             lower, upper = polarization_bounds(n, prior)
             rows.append((n, lower, upper, lower))
-        _write_text(args.csv, _csv_text(("n", "lower", "upper", "achieved"), rows, args))
-    return 0
+        outputs.append((args.csv, _csv_text(("n", "lower", "upper", "achieved"), rows, args)))
+    return outputs
 
 
-def _cmd_product_check(args) -> int:
+def _cmd_product_check(args):
     prior = Prior.binary(parse_rational(args.mu))
     if args.q is not None:
         scalar = jsonio.scalar_measure_from_json(jsonio.loads(args.q))
@@ -174,19 +179,17 @@ def _cmd_product_check(args) -> int:
             raise InvariantError("provide either --q or both --a and --b")
         marginal = binary_marginal(args.mu, args.a, args.b)
     verdict = product_feasible(SymmetricProduct(marginal, args.n), prior)
-    _emit(jsonio.verdict_to_json(verdict), args)
-    return 0
+    return [("-", _json_text(jsonio.verdict_to_json(verdict), args))]
 
 
-def _cmd_threshold_curve(args) -> int:
+def _cmd_threshold_curve(args):
     rows = threshold_curve(args.n_max)
-    _write_text(args.csv, _csv_text(("n", "threshold"), rows, args))
+    outputs = [(args.csv, _csv_text(("n", "threshold"), rows, args))]
     if args.svg:
-        _write_text(
-            args.svg,
-            svg.bar_chart(rows, title="feasible low atoms by population size"),
+        outputs.append(
+            (args.svg, svg.bar_chart(rows, title="feasible low atoms by population size"))
         )
-    return 0
+    return outputs
 
 
 def _parse_utility(expr: str, n: int) -> SenderUtility:
@@ -202,43 +205,38 @@ def _parse_utility(expr: str, n: int) -> SenderUtility:
     return SenderUtility(values)
 
 
-def _cmd_persuade(args) -> int:
+def _cmd_persuade(args):
     utility = _parse_utility(args.u, args.n)
     instance = PersuasionInstance(
         args.n, parse_rational(args.mu), parse_rational(args.tau), utility
     )
     solution = persuasion_policy(instance)
-    _emit(
-        {
-            "value": solution.value,
-            "adoption_law": jsonio.scalar_measure_to_json(solution.adoption_law),
-            "scheme": jsonio.scheme_to_json(solution.scheme),
-        },
-        args,
-    )
+    out = {
+        "value": solution.value,
+        "adoption_law": jsonio.scalar_measure_to_json(solution.adoption_law),
+        "scheme": jsonio.scheme_to_json(solution.scheme),
+    }
+    outputs = [("-", _json_text(out, args))]
     if args.csv or args.svg:
         grid = [Fraction(i, args.n) for i in range(args.n + 1)]
         cav = [grid_concavification(utility, x)[0] for x in grid]
         if args.csv:
             rows = zip(grid, utility.values, cav)
-            _write_text(args.csv, _csv_text(("grid", "u", "cav"), rows, args))
+            outputs.append((args.csv, _csv_text(("grid", "u", "cav"), rows, args)))
         if args.svg:
-            _write_text(
-                args.svg,
-                svg.point_line_chart(
-                    list(zip(grid, utility.values)),
-                    list(zip(grid, cav)),
-                    title="utility and its grid concavification",
-                ),
+            chart = svg.point_line_chart(
+                list(zip(grid, utility.values)),
+                list(zip(grid, cav)),
+                title="utility and its grid concavification",
             )
-    return 0
+            outputs.append((args.svg, chart))
+    return outputs
 
 
-def _cmd_expand(args) -> int:
+def _cmd_expand(args):
     scheme = jsonio.scheme_from_json(_read_json(args.input))
     structure = expand_scheme(scheme)
-    _emit(jsonio.structure_to_json(structure), args)
-    return 0
+    return [("-", _json_text(jsonio.structure_to_json(structure), args))]
 
 
 SCHEMA_NOTES = """\
@@ -345,7 +343,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        _write_outputs(args.func(args))
+        return 0
     except ResourceLimitError as exc:
         print(f"poplaw: resource limit: {exc}", file=sys.stderr)
         return 1

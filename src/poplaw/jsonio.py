@@ -6,14 +6,16 @@ integral and a "p/q" string otherwise, or through the formatter it is given,
 such as display-only decimals; a belief as the array of its coordinates. On
 input, ints, "p/q" strings and decimal literals are all accepted and converted
 exactly (`loads` parses JSON number literals through their source text, so 0.3
-really means 3/10); parsers always rebuild exact values. `structure_from_json`
-decodes each distinct belief label once per document.
+really means 3/10); parsers always rebuild exact values. Within one measure,
+law, scheme, structure, spread target or decomposition, each distinct belief
+array is decoded once.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import partial
 
 from .errors import InvariantError
 from .feasibility import FeasibilityVerdict
@@ -248,81 +250,104 @@ def _require_bool(payload, key, where):
     return value
 
 
+def _pairs(items, where, first, read_first, second, read_second):
+    """Read each object of `items` as the pair of its two fields, each through its reader.
+
+    A generator, so the constructor it feeds reports the first fault in
+    document order.
+    """
+    for item in items:
+        yield read_first(_require(item, first, where)), read_second(_require(item, second, where))
+
+
 def belief_from_json(payload) -> Belief:
     return Belief(parse_rational(c) for c in _array(payload, "belief"))
+
+
+def _beliefs():
+    """`belief_from_json` for one document, decoding each distinct belief array once.
+
+    The memo key pairs each element with its type, so `[true, 0]` never finds
+    the entry of `[1, 0]`, nor `["0.25", 0.75]` that of `["1/4", "3/4"]`. A
+    refused array is never stored, so it is refused at its first occurrence.
+    """
+    memo: dict = {}
+
+    def belief(payload):
+        if type(payload) is not list:
+            return belief_from_json(payload)
+        key = tuple([(type(x), x) for x in payload])
+        try:
+            found = memo.get(key)
+        except TypeError:  # a nested array or object: refused below, never stored
+            found = None
+        if found is None:
+            found = memo[key] = belief_from_json(payload)
+        return found
+
+    return belief
 
 
 def prior_from_json(payload) -> Prior:
     return Prior(belief_from_json(payload))
 
 
-def measure_from_json(payload) -> DiscreteMeasure:
+def _measure(payload, belief) -> DiscreteMeasure:
+    atoms = _array(payload, "measure")
     return DiscreteMeasure(
-        (
-            belief_from_json(_require(atom, "belief", "measure atom")),
-            parse_rational(_require(atom, "weight", "measure atom")),
-        )
-        for atom in _array(payload, "measure")
+        _pairs(atoms, "measure atom", "belief", belief, "weight", parse_rational)
     )
+
+
+def measure_from_json(payload) -> DiscreteMeasure:
+    return _measure(payload, _beliefs())
 
 
 def scalar_measure_from_json(payload) -> ScalarMeasure:
+    atoms = _array(payload, "scalar measure")
     return ScalarMeasure(
-        (
-            parse_rational(_require(atom, "value", "scalar atom")),
-            parse_rational(_require(atom, "weight", "scalar atom")),
-        )
-        for atom in _array(payload, "scalar measure")
+        _pairs(atoms, "scalar atom", "value", parse_rational, "weight", parse_rational)
     )
 
 
-def empirical_from_json(payload) -> EmpiricalDistribution:
+def _empirical(payload, belief) -> EmpiricalDistribution:
     n = _require(payload, "n", "empirical distribution")
     counts = _require_array(payload, "counts", "empirical distribution")
-    return EmpiricalDistribution(
-        n,
-        (
-            (
-                belief_from_json(_require(entry, "belief", "count entry")),
-                _require(entry, "count", "count entry"),
-            )
-            for entry in counts
-        ),
+    # the constructor checks each count
+    entries = _pairs(counts, "count entry", "belief", belief, "count", lambda count: count)
+    return EmpiricalDistribution(n, entries)
+
+
+def empirical_from_json(payload) -> EmpiricalDistribution:
+    return _empirical(payload, _beliefs())
+
+
+def _law(payload, belief) -> PopulationLaw:
+    n = _require(payload, "n", "population law")
+    atoms = _require_array(payload, "atoms", "population law")
+    empirical = partial(_empirical, belief=belief)
+    return PopulationLaw(
+        n, _pairs(atoms, "law atom", "empirical", empirical, "weight", parse_rational)
     )
 
 
 def law_from_json(payload) -> PopulationLaw:
-    n = _require(payload, "n", "population law")
-    atoms = _require_array(payload, "atoms", "population law")
-    return PopulationLaw(
-        n,
-        (
-            (
-                empirical_from_json(_require(atom, "empirical", "law atom")),
-                parse_rational(_require(atom, "weight", "law atom")),
-            )
-            for atom in atoms
-        ),
-    )
+    return _law(payload, _beliefs())
 
 
 def target_from_json(payload) -> SpreadTarget:
+    components = _array(payload, "spread target")
+    measure = partial(_measure, belief=_beliefs())
     return SpreadTarget(
-        (
-            parse_rational(_require(comp, "weight", "target component")),
-            measure_from_json(_require(comp, "measure", "target component")),
-        )
-        for comp in _array(payload, "spread target")
+        _pairs(components, "target component", "weight", parse_rational, "measure", measure)
     )
 
 
 def decomposition_from_json(payload) -> SpreadDecomposition:
+    components = _array(payload, "decomposition")
+    law = partial(_law, belief=_beliefs())
     return SpreadDecomposition(
-        (
-            parse_rational(_require(comp, "weight", "decomposition component")),
-            law_from_json(_require(comp, "law", "decomposition component")),
-        )
-        for comp in _array(payload, "decomposition")
+        _pairs(components, "decomposition component", "weight", parse_rational, "law", law)
     )
 
 
@@ -330,7 +355,6 @@ def _side_from_json(payload):
     if isinstance(payload, list):
         return belief_from_json(payload)
     return parse_rational(payload)
-
 
 def certificate_from_json(payload):
     kind = _require(payload, "kind", "certificate")
@@ -373,36 +397,12 @@ def verdict_from_json(payload) -> FeasibilityVerdict:
     return verdict
 
 
-def _label_from_json(payload):
+def _label_from_json(payload, belief=belief_from_json):
     if isinstance(payload, list):
-        return belief_from_json(payload)
+        return belief(payload)
     if isinstance(payload, str):
         return payload
     raise InvariantError(f"signal label must be a string or a belief array: {shown(payload)}")
-
-
-def _label_decoder():
-    """`_label_from_json` that decodes each distinct belief array once, for one document.
-
-    The memo key pairs each element with its type, so `[true, 0]` never finds
-    the entry of `[1, 0]`. A refused label is never stored, so it is refused
-    at its first occurrence.
-    """
-    memo: dict = {}
-
-    def decode(payload):
-        if type(payload) is not list:
-            return _label_from_json(payload)
-        key = tuple([(type(x), x) for x in payload])
-        try:
-            label = memo.get(key)
-        except TypeError:  # a nested array or object: refused below, never stored
-            label = None
-        if label is None:
-            label = memo[key] = _label_from_json(payload)
-        return label
-
-    return decode
 
 
 def _per_state(entries, dimension: int, where: str, decode) -> list:
@@ -423,13 +423,11 @@ def _per_state(entries, dimension: int, where: str, decode) -> list:
 
 
 def _profiles_from_json(entry, label):
-    return tuple(
-        (
-            tuple(map(label, _require_array(p, "signals", "profile"))),
-            parse_rational(_require(p, "prob", "profile")),
-        )
-        for p in _require_array(entry, "profiles", "kernel entry")
-    )
+    def signals(payload):
+        return tuple(map(label, _array(payload, "profile: field 'signals'")))
+
+    profiles = _require_array(entry, "profiles", "kernel entry")
+    return tuple(_pairs(profiles, "profile", "signals", signals, "prob", parse_rational))
 
 
 def structure_from_json(payload) -> InformationStructure:
@@ -442,7 +440,7 @@ def structure_from_json(payload) -> InformationStructure:
             f"information structure: field 'm' must be {prior.dimension}, "
             f"the number of states in mu, not {shown(m)}"
         )
-    label = _label_decoder()
+    label = partial(_label_from_json, belief=_beliefs())
     signal_sets = [
         tuple(map(label, _array(signals, "signal set")))
         for signals in _require_array(payload, "signal_sets", "information structure")
@@ -458,11 +456,12 @@ def structure_from_json(payload) -> InformationStructure:
 
 def scheme_from_json(payload) -> SymmetricScheme:
     prior = prior_from_json(_require(payload, "mu", "scheme"))
+    belief = _beliefs()
     laws = _per_state(
         _require_array(payload, "state_laws", "scheme"),
         prior.dimension,
         "scheme state law",
-        lambda entry: law_from_json(_require(entry, "law", "scheme state law")),
+        lambda entry: _law(_require(entry, "law", "scheme state law"), belief),
     )
     scheme = SymmetricScheme(prior, laws)
     # "n" is redundant with the state laws and optional, but one that disagrees is refused

@@ -462,16 +462,107 @@ def test_nonpositive_polarize_n_max_exits_two(capsys, tmp_path, n_max):
     [
         ("polarize", "--n", "2", "--mu", "1/2", "--csv", "{missing}/x.csv"),
         ("product-threshold-curve", "--n-max", "3", "--svg", "{missing}/x.svg"),
+        ("product-threshold-curve", "--n-max", "3", "--csv", "-", "--svg", "{missing}/x.svg"),
         ("persuade", "--n", "2", "--mu", "1/4", "--tau", "1/2", "--u", "linear", "--csv", "{dir}"),
+        ("persuade", "--n", "1", "--mu", "1/3", "--tau", "1/2", "--u", "[0, 1]",
+         "--svg", "{missing}/x.svg"),
     ],
-    ids=["polarize-csv", "threshold-svg", "persuade-csv-directory"],
+    ids=["polarize-csv", "threshold-svg", "threshold-stdout-csv-svg", "persuade-csv-directory",
+         "persuade-svg"],
 )
 def test_unwritable_output_exits_two(capsys, tmp_path, args):
     args = [a.format(missing=tmp_path / "missing", dir=tmp_path) for a in args]
-    code, _, err = run(capsys, *args)
+    code, out, err = run(capsys, *args)
     assert code == 2
+    # every output is rendered, and every file written, before stdout gets any of it
+    assert out == ""
     assert err.startswith(f"poplaw: invalid input: cannot write {args[-1]}: ")
     assert err.count("\n") == 1
+
+
+_HALF = ["1/2", "1/2"]
+
+
+def _law(*atoms):
+    return {"n": 1, "atoms": list(atoms)}
+
+
+def _atom(*counts, weight=1):
+    return {"empirical": {"n": 1, "counts": list(counts)}, "weight": weight}
+
+
+def _count(belief=_HALF, count=1):
+    return {"belief": belief, "count": count}
+
+
+def _problem(law):
+    return "feasible", {"mu": _HALF, "law": law}
+
+
+def _scheme(*laws):
+    state_laws = [{"state": s, "law": law} for s, law in enumerate(laws)]
+    return "expand", {"n": 1, "mu": _HALF, "state_laws": state_laws}
+
+
+# the one-line refusals of malformed laws and schemes, each the first fault in document order
+REFUSED_DOCUMENTS = {
+    "atoms-not-array": (
+        _problem({"n": 1, "atoms": 3}),
+        "population law: field 'atoms' must be an array",
+    ),
+    "counts-not-array": (
+        _problem(_law({"empirical": {"n": 1, "counts": {}}, "weight": 1})),
+        "empirical distribution: field 'counts' must be an array",
+    ),
+    "atom-not-object": (_problem(_law(3)), "law atom: missing field 'empirical'"),
+    "missing-weight": (
+        _problem(_law({"empirical": {"n": 1, "counts": [_count()]}})),
+        "law atom: missing field 'weight'",
+    ),
+    "missing-empirical": (_problem(_law({"weight": 1})), "law atom: missing field 'empirical'"),
+    "missing-count": (
+        _problem(_law(_atom({"belief": _HALF}))),
+        "count entry: missing field 'count'",
+    ),
+    "belief-true": (_problem(_law(_atom(_count([True, 0])))), "not a rational: True"),
+    "belief-nested": (_problem(_law(_atom(_count([[1], 0])))), "not a rational: [1]"),
+    "belief-string": (_problem(_law(_atom(_count("x")))), "belief must be an array"),
+    "nan-weight": (
+        _problem(_law(_atom(_count(), weight=float("nan")))),
+        'refusing float nan: pass a string like "3/10" or "0.3" for exactness',
+    ),
+    "negative-weight-then-missing": (
+        _problem(_law(_atom(_count(), weight=-1), {"weight": 1})),
+        "negative weight -1 in population law",
+    ),
+    "bad-count-then-bad-belief": (
+        _problem(_law(_atom(_count(count=-1), _count([True, 0])))),
+        "count -1 is not an integer >= 0",
+    ),
+    "repeated-bad-belief": (
+        _problem(_law(_atom(_count(), weight="1/2"), _atom(_count([1, "1/3"])),
+                      _atom(_count([1, "1/3"])))),
+        "belief coordinates must sum to 1: (Fraction(1, 1), Fraction(1, 3))",
+    ),
+    "scheme-second-law": (
+        _scheme(_law(_atom(_count([1, 0]))), _law(_atom(_count([True, 0])))),
+        "not a rational: True",
+    ),
+}
+
+
+@pytest.mark.parametrize("command_document,message", REFUSED_DOCUMENTS.values(),
+                         ids=REFUSED_DOCUMENTS.keys())
+def test_malformed_laws_and_schemes_are_refused_in_one_line(
+    capsys, tmp_path, command_document, message
+):
+    command, document = command_document
+    path = tmp_path / "document.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"poplaw: invalid input: {message}\n"
 
 
 def test_undecodable_input_exits_two(capsys, tmp_path):

@@ -239,20 +239,69 @@ def _structure_text(signal_set, signals):
     )
 
 
-def test_structure_decodes_each_distinct_label_once():
-    text = _structure_text('[["1/4", "3/4"], "s"]', '[["1/4", "3/4"], "s"]')
-    structure = jsonio.structure_from_json(jsonio.loads(text))
-    label = structure.signal_sets[0][0]
-    assert structure.signal_sets[1][0] is label
-    assert all(profile[0] is label for ps in structure.kernel for profile, _ in ps)
+def _law_text(*beliefs):
+    """JSON text: one two-agent atom per belief, each beside its own second belief."""
+    count = '{"belief": %s, "count": 1}'
+    atoms = ", ".join(
+        '{"empirical": {"n": 2, "counts": [%s, %s]}, "weight": "1/%d"}'
+        # the second beliefs ["1/2", "1/2"], ["2/3", "1/3"], ... are distinct and never 1/4
+        % (count % belief, count % f'["{i + 1}/{i + 2}", "1/{i + 2}"]', len(beliefs))
+        for i, belief in enumerate(beliefs)
+    )
+    return '{"n": 2, "atoms": [%s]}' % atoms
+
+
+# for each document kind: its text from two lists of belief texts, its parser, and
+# every belief the parsed value holds
+_DOCUMENTS = {
+    "structure": (
+        lambda first, second: _structure_text(
+            "[%s]" % ", ".join(first), "[%s]" % ", ".join(second)
+        ),
+        jsonio.structure_from_json,
+        lambda structure: [
+            *(label for signals in structure.signal_sets for label in signals),
+            *(label for ps in structure.kernel for profile, _ in ps for label in profile),
+        ],
+    ),
+    "law": (
+        lambda first, second: _law_text(*first, *second),
+        jsonio.law_from_json,
+        lambda law: [belief for e, _ in law.atoms for belief, _ in e.counts],
+    ),
+    "scheme": (
+        lambda first, second: '{"mu": ["1/2", "1/2"], "state_laws": [%s, %s]}'
+        % tuple(
+            '{"state": %d, "law": %s}' % (state, _law_text(*beliefs))
+            for state, beliefs in enumerate((first, second))
+        ),
+        jsonio.scheme_from_json,
+        lambda scheme: [
+            belief for law in scheme.state_laws for e, _ in law.atoms for belief, _ in e.counts
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", _DOCUMENTS)
+def test_structure_decodes_each_distinct_label_once(kind):
+    # as signal labels, and across the atoms of a law and the state laws of a scheme
+    build, parse, beliefs_of = _DOCUMENTS[kind]
+    quarter = Belief([F(1, 4), F(3, 4)])
+
+    def decoded(first, second):
+        value = parse(jsonio.loads(build(first, second)))
+        return [belief for belief in beliefs_of(value) if belief == quarter]
+
+    spelled = '["1/4", "3/4"]'
+    labels = decoded([spelled], [spelled, spelled])
+    assert len(labels) >= 3 and len({id(x) for x in labels}) == 1
     # an equal belief spelled otherwise is decoded on its own
-    text = _structure_text('[["1/4", "3/4"]]', '[["2/8", "6/8"], ["0.25", 0.75]]')
-    structure = jsonio.structure_from_json(jsonio.loads(text))
-    profile = structure.kernel[0][0][0]
-    assert profile[0] == profile[1] == structure.signal_sets[0][0]
-    assert len({id(x) for x in (*profile, structure.signal_sets[0][0])}) == 3
+    labels = decoded([spelled], ['["2/8", "6/8"]', '["0.25", 0.75]'])
+    assert len(labels) >= 3 and len({id(x) for x in labels}) == 3
 
 
+@pytest.mark.parametrize("kind", _DOCUMENTS)
 @pytest.mark.parametrize(
     "signal_set,signals,refused",
     [
@@ -265,12 +314,16 @@ def test_structure_decodes_each_distinct_label_once():
     ],
     ids=["true-for-1", "false-for-0", "nested", "sum", "number"],
 )
-def test_structure_label_refusals_survive_the_memo(signal_set, signals, refused):
-    with pytest.raises(InvariantError) as alone:
-        jsonio._label_from_json(jsonio.loads(refused))
+def test_structure_label_refusals_survive_the_memo(kind, signal_set, signals, refused):
+    # a law or scheme reads a belief where a structure reads a label
+    build, parse, _ = _DOCUMENTS[kind]
+    alone = jsonio._label_from_json if kind == "structure" else jsonio.belief_from_json
+    with pytest.raises(InvariantError) as expected:
+        alone(jsonio.loads(refused))
+    first, second = ([json.dumps(x) for x in json.loads(text)] for text in (signal_set, signals))
     with pytest.raises(InvariantError) as info:
-        jsonio.structure_from_json(jsonio.loads(_structure_text(signal_set, signals)))
-    assert str(info.value) == str(alone.value)
+        parse(jsonio.loads(build(first, second)))
+    assert str(info.value) == str(expected.value)
 
 
 def test_dumps_is_canonical():
