@@ -261,7 +261,7 @@ def _pairs(items, where, first, read_first, second, read_second):
 
 
 def belief_from_json(payload) -> Belief:
-    return Belief(parse_rational(c) for c in _array(payload, "belief"))
+    return Belief(_array(payload, "belief"))
 
 
 def _beliefs():
@@ -316,10 +316,6 @@ def _empirical(payload, belief) -> EmpiricalDistribution:
     # the constructor checks each count
     entries = _pairs(counts, "count entry", "belief", belief, "count", lambda count: count)
     return EmpiricalDistribution(n, entries)
-
-
-def empirical_from_json(payload) -> EmpiricalDistribution:
-    return _empirical(payload, _beliefs())
 
 
 def _law(payload, belief) -> PopulationLaw:

@@ -231,13 +231,6 @@ class EmpiricalDistribution:
     def support(self) -> tuple[Belief, ...]:
         return tuple(belief for belief, _ in self.counts)
 
-    def beliefs(self) -> tuple[Belief, ...]:
-        """The n agent beliefs with multiplicity, in canonical order."""
-        out = []
-        for belief, count in self.counts:
-            out.extend([belief] * count)
-        return tuple(out)
-
     def __hash__(self) -> int:
         # the dataclass hash, kept after first use
         try:
@@ -335,12 +328,8 @@ def mix_laws(components: Sequence[tuple[Fraction, PopulationLaw]]) -> Population
 
 
 def project(measure: DiscreteMeasure, state: int) -> ScalarMeasure:
-    """Project a belief measure onto one coordinate, merging collisions."""
-    weights: dict[Fraction, Fraction] = {}
-    for belief, weight in measure.atoms:
-        value = belief.coordinate(state)
-        weights[value] = weights.get(value, ZERO) + weight
-    return ScalarMeasure(weights.items())
+    """Project a belief measure onto one coordinate; `ScalarMeasure` merges collisions."""
+    return ScalarMeasure((belief.coordinate(state), weight) for belief, weight in measure.atoms)
 
 
 def quantile_distribution(measure: ScalarMeasure, alpha) -> ScalarMeasure:

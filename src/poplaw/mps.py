@@ -70,9 +70,6 @@ class BinaryBase:
     def mean(self) -> Fraction:
         return self.alpha * self.a + (1 - self.alpha) * self.b
 
-    def as_scalar_measure(self) -> ScalarMeasure:
-        return ScalarMeasure([(self.a, self.alpha), (self.b, 1 - self.alpha)])
-
 
 @dataclass(frozen=True)
 class SpreadTarget:

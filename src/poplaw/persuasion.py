@@ -174,10 +174,6 @@ class LimitReport:
     values: tuple[tuple[int, Fraction], ...]
     monotone: bool
 
-    @property
-    def final(self) -> Fraction:
-        return self.values[-1][1]
-
 
 def persuasion_limit_value(mu, tau, utility_fn: Callable, schedule: Sequence[int]) -> LimitReport:
     """Evaluate the value along increasingly fine grids.

@@ -73,11 +73,7 @@ class PolarizationReport:
     value: Fraction
     lower_bound: Fraction
     upper_bound: Fraction
-    structure: InformationStructure | None
-
-    def __post_init__(self):
-        if not self.lower_bound <= self.value <= self.upper_bound:
-            raise InvariantError("polarization report bounds do not bracket the value")
+    structure: InformationStructure
 
 
 def polarization_bounds(n: int, prior: Prior) -> tuple[Fraction, Fraction]:

@@ -49,7 +49,9 @@ def multinomial_law(product: SymmetricProduct) -> PopulationLaw:
 
         n! / prod_k(c_k!) * prod_k(a_k ** c_k) / D ** n,
 
-    an integer over D ** n that becomes one `Fraction` per atom.
+    an integer over D ** n that becomes one `Fraction` per atom. The
+    multinomial coefficient is built as `structures.capped_multinomial`
+    states it, one binomial factor C(c_1 + ... + c_j, c_j) per part.
 
     Raises `ResourceLimitError` when the support would exceed the bound
     (environment variable POPLAW_MAX_PROFILES, default one million).
@@ -64,8 +66,6 @@ def multinomial_law(product: SymmetricProduct) -> PopulationLaw:
             f"multinomial support needs more than {bound} atoms; raise the bound or shrink n"
         )
     scaled, common = over_common_denominator([w for _, w in atoms])
-    powers = [[a**c for c in range(n + 1)] for a in scaled]
-    factorial = [math.factorial(c) for c in range(n + 1)]
     total = common**n
     beliefs = [belief for belief, _ in atoms]
     # marginal atoms are sorted and distinct, so comparing empirical distributions
@@ -75,10 +75,10 @@ def multinomial_law(product: SymmetricProduct) -> PopulationLaw:
     )
     law_atoms = []
     for support in supports:
-        weight = factorial[n]
+        weight, drawn = 1, 0
         for j, c in support:
-            # exact: prod of c! over any part of the counts divides n!
-            weight = weight // factorial[c] * powers[j][c]
+            drawn += c
+            weight *= math.comb(drawn, c) * scaled[j] ** c
         empirical = _trusted(
             EmpiricalDistribution, n=n, counts=tuple((beliefs[j], c) for j, c in support)
         )
@@ -144,11 +144,10 @@ def binary_product_feasible_quantile(n: int, mu, a, b) -> bool:
     With the marginal pinned by the prior (`binary_marginal`), the product is
     feasible iff the mean of the (1 - mu)-quantile slice of the binomial is at
     most the low atom of the closed-form base (`feasibility.binary_base`).
+    mu, a and b are read through `feasibility.binary_bracket`, so a = 0 and
+    b = 1 are accepted here as by `binary_marginal` and `product-check`.
     """
-    mu, a, b = parse_rational(mu), parse_rational(a), parse_rational(b)
-    if not 0 < a < mu < b < 1:
-        got = f"a={shown(a, str)}, mu={shown(mu, str)}, b={shown(b, str)}"
-        raise InvariantError(f"need 0 < a < mu < b < 1, got {got}")
+    mu, a, b = binary_bracket(mu, a, b)
     p = _weight_on_high(mu, a, b)
     return binomial_quantile_expectation(n, p, 1 - mu) <= binary_base(mu, a, b).a
 

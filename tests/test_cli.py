@@ -405,6 +405,18 @@ GOLDENS = [
     ),
     ("product_check_n4_mu1-2_a0.3_b0.7.txt", PRODUCT_CHECK),
     ("product_check_n4_mu1-2_a0.3_b0.7_decimal8.txt", (*PRODUCT_CHECK, "--decimal", "8")),
+    # a feasible product: its decomposition pins the multinomial weights of 25 and 24 atoms
+    (
+        "product_check_n24_mu2-5_a0.35_b0.45.txt",
+        ("product-check", "--n", "24", "--mu", "2/5", "--a", "0.35", "--b", "0.45"),
+    ),
+    # an infeasible product: a Farkas vector over a 496-atom three-belief law
+    (
+        "product_check_n30_mu1-2_q3.txt",
+        ("product-check", "--n", "30", "--mu", "1/2", "--q",
+         '[{"value":"1/4","weight":"1/3"},{"value":"1/2","weight":"1/3"},'
+         '{"value":"3/4","weight":"1/3"}]'),
+    ),
     (
         "polarize_n3_mu1-3_csv_nmax6_decimal10.txt",
         ("polarize", "--n", "3", "--mu", "1/3", "--csv", "-", "--n-max", "6", "--decimal", "10"),

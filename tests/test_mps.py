@@ -113,7 +113,8 @@ def test_uniform8_is_not_a_spread():
 
 
 def test_base_spreads_itself():
-    verdict = is_mps_binary_base(BASE.as_scalar_measure(), BASE)
+    itself = ScalarMeasure([(BASE.a, BASE.alpha), (BASE.b, 1 - BASE.alpha)])
+    verdict = is_mps_binary_base(itself, BASE)
     assert verdict.is_spread
 
 
@@ -540,7 +541,7 @@ def test_zero_moment_row_keeps_scale_one():
 def test_boundary_flip():
     """At the quantile boundary the verdict is feasible; any push past it flips."""
     base = BinaryBase(F(1, 4), F(3, 4), F(1, 2))
-    at_boundary = base.as_scalar_measure()
+    at_boundary = ScalarMeasure([(F(1, 4), F(1, 2)), (F(3, 4), F(1, 2))])
     assert is_mps_binary_base(at_boundary, base).is_spread
     for eps_denom in (10, 1000, 10**6):
         eps = F(1, eps_denom)

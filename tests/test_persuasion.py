@@ -178,7 +178,7 @@ def test_limit_linear_is_constant():
     report = persuasion_limit_value(F(3, 10), F(1, 2), lambda x: x, [2, 4, 8, 16])
     assert all(v == F(3, 5) for _, v in report.values)
     assert report.monotone
-    assert report.final == F(3, 5)
+    assert report.values[-1] == (16, F(3, 5))
 
 
 def test_limit_indicator_even_grids():

@@ -235,7 +235,8 @@ def farey(limit):
 
 
 def test_quantile_criterion_matches_lp_small_grid():
-    grid = farey(5)
+    # a = 0 and b = 1 are in the bracket every product entry point shares
+    grid = [F(0), *farey(5), F(1)]
     for a, mu, b in itertools.combinations(grid, 3):
         for n in (1, 2, 3, 4):
             q = binary_marginal(a, b, mu)
