@@ -248,8 +248,8 @@ input schemas (rationals: ints, "p/q" strings, or decimal literals, all exact):
   scheme     {"n": N, "mu": belief, "state_laws": [{"state": S, "law": law}, ...]}
   structure  {"n": N, "m": M, "mu": belief, "signal_sets": [[label, ...], ...],
               "kernel": [{"state": S, "profiles": [{"signals": [...], "prob": P}]}]}
-environment: POPLAW_MAX_PROFILES (default 1000000) caps expand's profiles x agents,
-  the grid search's kernel pairs and product-check's multinomial atoms.
+environment: POPLAW_MAX_PROFILES (default 1000000) caps expand's and polarize's
+  profiles x agents, the grid search's kernel pairs and product-check's multinomial atoms.
 exit codes: 0 ok, 1 resource bound exceeded, 2 invalid input, 3 internal error.
 """
 

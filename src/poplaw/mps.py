@@ -11,17 +11,17 @@ belief measures by one chain; each step decides the target or passes it on:
   measure (every two-state base law): x_j = w0 * q0[j] with 0 <= x_j <= p_j,
   one row per belief of the law, as the bound stands in for the mass rows
   and the law's mean for component 1's rows;
-* the canonical LP `decomposition_lp`, which decides everything left.
+* the canonical LP, which decides everything left.
 
-Both LP steps build their rows as integers straight from the law's agent
-counts and the integer numerators of the weights and masses (`_integer_lp`),
-each row finished by `simplex._primitive_row`, and solve them through
-`simplex.solve_equalities`: the rows are the `Fraction` systems' rows as
-coprime integers, so pivots, solutions and Farkas vectors are those of the
-`Fraction` systems. `decomposition_lp` stays the `Fraction` statement of the
-canonical LP. Every Farkas vector is stated over its rows, so
-`verify_certificate` re-checks every refutation from scratch, as
-`verify_decomposition` does every decomposition.
+`_canonical_columns` states the canonical LP once, as each column's nonzeros
+and the rhs; `decomposition_lp` is its dense `Fraction` view. Both LP steps
+build their rows as integers straight from the law's agent counts and the
+integer numerators of the weights and masses (`_integer_lp`), each finished by
+`simplex._primitive_row`, and solve them through `simplex.solve_equalities`,
+so pivots, solutions and Farkas vectors are those of the `Fraction` systems.
+Every Farkas vector is stated over the canonical rows, and `verify_certificate`
+checks it column by column from scratch, as `verify_decomposition` does every
+decomposition.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .measures import (
     upper_quantile_distribution,
 )
 from .rationals import over_common_denominator, parse_rational, shown
-from .simplex import _primitive_row, farkas_refutes, solve_equalities
+from .simplex import _primitive_row, solve_equalities
 
 ZERO = Fraction(0)
 
@@ -265,33 +265,38 @@ def _decompose_two_point(law, target, scalar_law, index_of, positions, grouped):
     )
 
 
-def decomposition_lp(law: PopulationLaw, target: SpreadTarget):
-    """The canonical LP system (rows, rhs) deciding the decomposition.
+def _canonical_columns(law: PopulationLaw, target: SpreadTarget):
+    """The canonical LP, stated once: each column's nonzero (row, value) pairs, and the rhs.
 
     Variables: q[c][j] >= 0 for component c and law atom j (column c*J + j).
     Rows, in order: one mass-balance row per law atom j, then one moment row
-    per (component c, belief x) over the sorted union of all supports, with
-    count_j(x) / n in column c*J + j.
+    per (component c, belief x) over `_beliefs(law, target)`. Column (c, j)
+    holds w_c on mass row j and count_j(x) / n on row (c, x) for each belief x
+    of atom j. The rhs is the law's weights, then each component's masses.
     """
-    comps = target.components
     beliefs = _beliefs(law, target)
-    table = _count_table(law, beliefs)
-    n = law.n
-    J = len(law.atoms)
-    ncols = len(comps) * J
-    rows: list[list[Fraction]] = []
-    for j in range(J):
-        row = [ZERO] * ncols
-        for c, (c_weight, _) in enumerate(comps):
-            row[c * J + j] = c_weight
-        rows.append(row)
-    for c in range(len(comps)):
-        for counts in table:
-            row = [ZERO] * ncols
-            row[c * J : (c + 1) * J] = [Fraction(v, n) for v in counts]
-            rows.append(row)
+    J, B = len(law.atoms), len(beliefs)
+    row_of = {belief: J + i for i, belief in enumerate(beliefs)}  # component 0's moment rows
+    shares = [[(row_of[x], Fraction(k, law.n)) for x, k in emp.counts] for emp, _ in law.atoms]
+    columns = [
+        [(j, weight), *((row + c * B, share) for row, share in shares[j])]
+        for c, (weight, _) in enumerate(target.components)
+        for j in range(J)
+    ]
     rhs = [p for _, p in law.atoms]
-    rhs.extend(measure.mass(belief) for _, measure in comps for belief in beliefs)
+    for _, measure in target.components:
+        mass = dict(measure.atoms)
+        rhs.extend(mass.get(x, ZERO) for x in beliefs)
+    return columns, rhs
+
+
+def decomposition_lp(law: PopulationLaw, target: SpreadTarget):
+    """The canonical LP as dense `Fraction` rows and rhs: `_canonical_columns` scattered."""
+    columns, rhs = _canonical_columns(law, target)
+    rows = [[ZERO] * len(columns) for _ in rhs]
+    for col, column in enumerate(columns):
+        for i, value in column:
+            rows[i][col] = value
     return rows, rhs
 
 
@@ -469,8 +474,12 @@ def verify_decomposition(
 def verify_certificate(law: PopulationLaw, target: SpreadTarget, certificate) -> bool:
     """Re-check a refutation from scratch; True only if it genuinely refutes."""
     if isinstance(certificate, FarkasCertificate):
-        rows, rhs = decomposition_lp(law, target)
-        return farkas_refutes(rows, rhs, certificate.y)
+        columns, rhs = _canonical_columns(law, target)
+        y = certificate.y
+        # y.b > 0 and y.A <= 0 column by column, exactly
+        return len(y) == len(rhs) and sum(map(operator.mul, y, rhs)) > 0 and all(
+            sum(y[i] * v for i, v in column) <= 0 for column in columns
+        )
     two_point = _two_point(law, target, _beliefs(law, target))
     if two_point is None:
         return False

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .errors import InvariantError
+from .errors import InvariantError, ResourceLimitError
 from .measures import EmpiricalDistribution, PopulationLaw, Prior
 from .rationals import over_common_denominator, require_int
-from .structures import InformationStructure, grid_kernel, weight_grid
+from .structures import InformationStructure, grid_kernel, max_profiles_bound, weight_grid
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -55,6 +55,11 @@ def expected_polarization(law: PopulationLaw) -> Fraction:
 def reveal_half_structure(n: int, prior: Prior) -> InformationStructure:
     """Reveal the state to ceil(n/2) agents, tell the rest nothing."""
     require_int(n, "population size")
+    bound = max_profiles_bound()
+    if prior.dimension * n > bound:  # m profiles x n labels, as `expand_scheme` counts them
+        raise ResourceLimitError(
+            f"reveal-half structure needs more than {bound} profile labels; raise the bound"
+        )
     informed = (n + 1) // 2
     state_labels = tuple(f"state{j}" for j in range(prior.dimension))
     silent = ("quiet",)

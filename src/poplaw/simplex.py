@@ -235,16 +235,3 @@ def solve_equalities(
         return FeasibilityResult(solution=tuple(sx.solution()), farkas=None)
     y = sx.farkas()
     return FeasibilityResult(solution=None, farkas=tuple(s * v for s, v in zip(scales, y)))
-
-
-def farkas_refutes(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction], y: Sequence[Fraction]
-) -> bool:
-    """Check y.rows <= 0 componentwise and y.rhs > 0, exactly."""
-    if len(y) != len(rows) or not rows:
-        return False
-    ncols = len(rows[0])
-    for j in range(ncols):
-        if sum((y[i] * rows[i][j] for i in range(len(rows))), ZERO) > 0:
-            return False
-    return sum((y[i] * rhs[i] for i in range(len(rows))), ZERO) > 0

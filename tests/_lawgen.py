@@ -3,9 +3,10 @@
 Each law is assembled from an explicit per-state decomposition (multinomial,
 public-signal, or a mixture of the two around prescribed conditional belief
 measures), so feasibility holds by construction and the checker has no excuse.
-The oracles are four for LPs (the integerization, canonical and bounded
-phase 1, and the bounded two-component system in `Fraction`s), with
-`solve_fraction_rows` to put `Fraction` rows through the solver, a
+The oracles are six for LPs (the integerization, canonical and bounded
+phase 1, the canonical and the bounded two-component systems as dense
+`Fraction` rows, and the dense Farkas check), with `solve_fraction_rows` to
+put `Fraction` rows through the solver, a
 brute-force kernel scan for information structures, and the plain
 `Fraction` formulas for the multinomial law and the binomial quantile mean.
 """
@@ -396,6 +397,54 @@ def reference_bounded_phase1(rows, rhs, upper):
             t[var] = value[i]
     x = tuple(v * u for v, u in zip(t, upper))
     return FeasibilityResult(solution=x, farkas=None)
+
+
+def reference_decomposition_lp(law, target):
+    """The canonical LP system (rows, rhs) as dense `Fraction` rows.
+
+    Variables: q[c][j] >= 0 for component c and law atom j (column c*J + j).
+    Rows, in order: one mass-balance row per law atom j, then one moment row
+    per (component c, belief x) over the sorted union of all supports, with
+    count_j(x) / n in column c*J + j. The reference for `decomposition_lp`,
+    and with `farkas_refutes` for `verify_certificate`.
+    """
+    comps = target.components
+    beliefs = sorted(
+        {belief for empirical, _ in law.atoms for belief in empirical.support()}
+        | {belief for _, measure in comps for belief in measure.support()}
+    )
+    n = law.n
+    J = len(law.atoms)
+    ncols = len(comps) * J
+    rows = []
+    for j in range(J):
+        row = [Fraction(0)] * ncols
+        for c, (c_weight, _) in enumerate(comps):
+            row[c * J + j] = c_weight
+        rows.append(row)
+    for c in range(len(comps)):
+        for belief in beliefs:
+            row = [Fraction(0)] * ncols
+            row[c * J : (c + 1) * J] = [
+                Fraction(dict(empirical.counts).get(belief, 0), n) for empirical, _ in law.atoms
+            ]
+            rows.append(row)
+    rhs = [p for _, p in law.atoms]
+    rhs.extend(measure.mass(belief) for _, measure in comps for belief in beliefs)
+    return rows, rhs
+
+
+def farkas_refutes(rows, rhs, y):
+    """Check y.rows <= 0 componentwise and y.rhs > 0, exactly, reading every cell.
+
+    Zero cells add nothing and are skipped.
+    """
+    if len(y) != len(rows) or not rows:
+        return False
+    for column in zip(*rows):
+        if sum((yi * v for yi, v in zip(y, column) if v), Fraction(0)) > 0:
+            return False
+    return sum((yi * b for yi, b in zip(y, rhs)), Fraction(0)) > 0
 
 
 def bounded_decomposition_lp(law, target):

@@ -707,15 +707,21 @@ STRUCTURE = {
 }
 
 
+DELETED = object()  # as an edit's value: remove the entry
+
+
 def _edited(payload, path, value):
-    """A deep copy of the payload with the entry at `path` (or the whole) replaced."""
+    """A deep copy of the payload with the entry at `path` (or the whole) replaced or deleted."""
     if not path:
         return value
     payload = json.loads(json.dumps(payload))
     node = payload
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = value
+    if value is DELETED:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
     return payload
 
 
@@ -893,3 +899,45 @@ def test_refusal_of_a_long_bound_is_one_short_line(capsys, monkeypatch):
     assert (code, out) == (2, "")
     assert err.startswith("poplaw: invalid input: POPLAW_MAX_PROFILES") and err.count("\n") == 1
     assert len(err.encode()) < 200
+
+
+# --------------------------------------------------------- single-point edits
+# Every leaf of two committed inputs replaced by one odd value, or deleted:
+# each run ends in exit 0, 1 or 2 with at most one line on stderr, never a
+# traceback.
+
+EDIT_VALUES = [-1, 0, "x", None, True, [], {}, "1/0", "1e5000", [[1]], DELETED]
+EDITED_INPUTS = [("oracle", "three_agent_example.json"), ("synthesize", "three_beliefs_infeasible.json")]
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _leaf_paths(child, (*path, key))
+    else:
+        yield path
+
+
+def assert_clean_exit(code, out, err):
+    assert code in (0, 1, 2) and err.count("\n") <= 1
+    assert code == 0 or out == ""
+
+
+@pytest.mark.parametrize("value", EDIT_VALUES, ids=[*map(json.dumps, EDIT_VALUES[:-1]), "deleted"])
+def test_single_leaf_edits_exit_cleanly(capsys, tmp_path, value):
+    for command, name in EDITED_INPUTS:
+        document = json.loads((DATA / name).read_text())
+        for path in _leaf_paths(document):
+            assert_clean_exit(*_run_payload(capsys, tmp_path, command, _edited(document, path, value)))
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("polarize", "--mu", "1/2"), ("product-check", "--mu", "1/2", "--a", "0.3", "--b", "0.7")],
+    ids=["polarize", "product-check"],
+)
+@pytest.mark.parametrize("n", ["0", "-1", str(10**20)])
+def test_population_size_edits_exit_cleanly(capsys, command, n):
+    code, out, err = run(capsys, *command, "--n", n)
+    assert_clean_exit(code, out, err)
+    assert code == (1 if n == str(10**20) else 2)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -9,10 +10,12 @@ from hypothesis import strategies as st
 
 from _lawgen import (
     bounded_decomposition_lp,
+    farkas_refutes,
     mixture,
     random_binary_posterior_law,
     random_feasible_instance,
     random_two_component_problem,
+    reference_decomposition_lp,
     reference_integerize,
     solve_fraction_rows,
 )
@@ -29,9 +32,12 @@ from poplaw import (
     ScalarMeasure,
     SpreadDecomposition,
     SpreadTarget,
+    SymmetricProduct,
     base_law,
+    check_feasible,
     is_mps_binary_base,
     mps_decompose,
+    multinomial_law,
     verify_certificate,
     verify_decomposition,
 )
@@ -368,11 +374,34 @@ def test_two_belief_route_on_hand_built_targets(instance):
 # --------------------------------------------------------- bounded two-component LP
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2**32))
-def test_bounded_lp_agrees_with_the_canonical_lp(seed):
-    """Two-component targets: same verdict as the canonical LP, and evidence that verifies."""
-    law, target = random_two_component_problem(random.Random(seed))
+WIDE_PRIOR = Prior.binary(F(1, 3))
+
+
+def wide_product_problem(n):
+    """Three equally weighted beliefs 1/6, 1/3 and 1/2 for n agents, and the base law at prior 1/3.
+
+    The target is feasible up to n = 7 and refuted from n = 8 on.
+    """
+    marginal = DiscreteMeasure([(Belief.binary(F(k, 6)), F(1, 3)) for k in (1, 2, 3)])
+    law = multinomial_law(SymmetricProduct(marginal, n))
+    return law, base_law(law, WIDE_PRIOR)
+
+
+def _forged_farkas(y):
+    """Each entry plus 1/7, negated and zeroed; y cut by one entry; y extended by a zero."""
+    for i, v in enumerate(y):
+        for forged in (v + F(1, 7), -v, F(0)):
+            yield (*y[:i], forged, *y[i + 1 :])
+    yield y[:-1]
+    yield (*y, F(0))
+
+
+def assert_bounded_lp_agrees_with_the_canonical_lp(law, target):
+    """Same verdict as the canonical LP, and evidence that verifies.
+
+    Each Farkas vector, and every forgery of it, gets the same answer from
+    `verify_certificate` as from the dense reference check.
+    """
     result = mps_decompose(law, target, route="lp")
     canonical = solve_fraction_rows(*decomposition_lp(law, target))
     assert isinstance(result, SpreadDecomposition) == canonical.feasible
@@ -387,6 +416,32 @@ def test_bounded_lp_agrees_with_the_canonical_lp(seed):
     else:
         assert isinstance(result, FarkasCertificate)
         assert verify_certificate(law, target, result)
+        rows, rhs = reference_decomposition_lp(law, target)
+        for y in (result.y, *_forged_farkas(result.y)):
+            expected = farkas_refutes(rows, rhs, y)
+            assert verify_certificate(law, target, FarkasCertificate(y)) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32))
+def test_bounded_lp_agrees_with_the_canonical_lp(seed):
+    """Two-component targets: same verdict as the canonical LP, and evidence that verifies."""
+    assert_bounded_lp_agrees_with_the_canonical_lp(*random_two_component_problem(random.Random(seed)))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_bounded_lp_agrees_with_the_canonical_lp_on_wide_products(n):
+    assert_bounded_lp_agrees_with_the_canonical_lp(*wide_product_problem(n))
+
+
+def test_wide_refutation_verifies_in_time():
+    """The n = 40 refutation (861 atoms) verifies in under half a second."""
+    law, target = wide_product_problem(40)
+    verdict = check_feasible(law, WIDE_PRIOR)
+    assert verdict.base == target and isinstance(verdict.certificate, FarkasCertificate)
+    start = time.perf_counter()
+    assert verify_certificate(law, target, verdict.certificate)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_target_missing_the_law_mean_gets_a_farkas_vector():
@@ -492,6 +547,7 @@ def assert_integer_rows_match(law, target):
     beliefs = _beliefs(law, target)
     table = _count_table(law, beliefs)
     canonical = _integer_lp(law, target, beliefs, table)
+    assert decomposition_lp(law, target) == reference_decomposition_lp(law, target)
     assert canonical == reference_integerize(*decomposition_lp(law, target))
     if len(target.components) == 2:
         bounded = _integer_lp(law, target, beliefs, table, bounded=True)

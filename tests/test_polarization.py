@@ -219,6 +219,17 @@ def test_grid_size_checked_before_enumeration():
         next(enumerate_grid_structures(6, HALF, 2, 10))
 
 
+def test_reveal_half_size_checked_before_building(monkeypatch):
+    # two profiles of n labels each, against the default bound of 10**6
+    for n in (500_001, 10**20):
+        with pytest.raises(ResourceLimitError):
+            max_polarization(n, HALF)
+    monkeypatch.setenv("POPLAW_MAX_PROFILES", "10")
+    assert reveal_half_structure(5, HALF).n == 5
+    with pytest.raises(ResourceLimitError):
+        reveal_half_structure(6, HALF)
+
+
 def test_grid_bound_follows_the_environment(monkeypatch):
     # n = 2, denominator 2: C(5, 3) = 10 weight vectors, so 100 kernel pairs
     monkeypatch.setenv("POPLAW_MAX_PROFILES", "99")

@@ -8,6 +8,7 @@ from _lawgen import (
     bounded_as_canonical,
     bounded_decomposition_lp,
     bounded_farkas_as_canonical,
+    farkas_refutes,
     mixture,
     random_binary_posterior_law,
     random_feasible_instance,
@@ -20,7 +21,7 @@ from _lawgen import (
 from poplaw import base_law, law_expected_measure
 from poplaw.mps import decomposition_lp
 from poplaw.rationals import over_common_denominator
-from poplaw.simplex import _primitive_row, farkas_refutes
+from poplaw.simplex import _primitive_row
 
 
 def test_feasible_system_solution_is_exact():
