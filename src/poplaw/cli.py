@@ -28,11 +28,13 @@ from .polarization import max_polarization, polarization_bounds, search_max_pola
 from .product import (
     SymmetricProduct,
     binary_marginal,
+    curve_sizes,
     product_feasible,
+    symmetric_threshold,
     threshold_curve,
 )
 from .rationals import format_decimal, format_rational, parse_rational, require_int
-from .structures import expand_scheme, induced_population_law, simulate, synthesize
+from .structures import expand_scheme, induced_population_law, require_within_bound, simulate, synthesize
 
 
 def _formatter(args):
@@ -138,6 +140,8 @@ def _cmd_simulate(args):
 
 def _cmd_polarize(args):
     n_max = args.n if args.n_max is None else require_int(args.n_max, "--n-max")
+    if args.csv:
+        require_within_bound(n_max, "polarization table", "rows")
     mu = parse_rational(args.mu)
     prior = Prior.binary(mu)
     report = max_polarization(args.n, prior)
@@ -183,6 +187,8 @@ def _cmd_product_check(args):
 
 
 def _cmd_threshold_curve(args):
+    # past the row gate, render the last, longest row: an unprintable run is refused at once
+    _formatter(args)(symmetric_threshold(curve_sizes(args.n_max)[-1]))
     rows = threshold_curve(args.n_max)
     outputs = [(args.csv, _csv_text(("n", "threshold"), rows, args))]
     if args.svg:
@@ -249,7 +255,8 @@ input schemas (rationals: ints, "p/q" strings, or decimal literals, all exact):
   structure  {"n": N, "m": M, "mu": belief, "signal_sets": [[label, ...], ...],
               "kernel": [{"state": S, "profiles": [{"signals": [...], "prob": P}]}]}
 environment: POPLAW_MAX_PROFILES (default 1000000) caps expand's and polarize's
-  profiles x agents, the grid search's kernel pairs and product-check's multinomial atoms.
+  profiles x agents, the grid search's kernel pairs, product-check's multinomial atoms,
+  persuade's utility grid values, polarize's --csv rows and product-threshold-curve's rows.
 exit codes: 0 ok, 1 resource bound exceeded, 2 invalid input, 3 internal error.
 """
 

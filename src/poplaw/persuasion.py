@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Sequence
 from .errors import InvariantError
 from .measures import Belief, EmpiricalDistribution, PopulationLaw, Prior, ScalarMeasure
 from .rationals import parse_rational, require_int, shown
-from .structures import SymmetricScheme
+from .structures import SymmetricScheme, require_within_bound
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -48,7 +48,8 @@ class SenderUtility:
 
     @classmethod
     def from_function(cls, fn: Callable, n: int) -> "SenderUtility":
-        return cls(fn(Fraction(i, n)) for i in range(require_int(n, "agent count") + 1))
+        require_within_bound(require_int(n, "agent count") + 1, "sender utility", "grid values")
+        return cls(fn(Fraction(i, n)) for i in range(n + 1))
 
     @classmethod
     def linear(cls, n: int) -> "SenderUtility":

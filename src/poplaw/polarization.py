@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .errors import InvariantError, ResourceLimitError
+from .errors import InvariantError
 from .measures import EmpiricalDistribution, PopulationLaw, Prior
 from .rationals import over_common_denominator, require_int
-from .structures import InformationStructure, grid_kernel, max_profiles_bound, weight_grid
+from .structures import InformationStructure, grid_kernel, require_within_bound, weight_grid
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -55,11 +55,7 @@ def expected_polarization(law: PopulationLaw) -> Fraction:
 def reveal_half_structure(n: int, prior: Prior) -> InformationStructure:
     """Reveal the state to ceil(n/2) agents, tell the rest nothing."""
     require_int(n, "population size")
-    bound = max_profiles_bound()
-    if prior.dimension * n > bound:  # m profiles x n labels, as `expand_scheme` counts them
-        raise ResourceLimitError(
-            f"reveal-half structure needs more than {bound} profile labels; raise the bound"
-        )
+    require_within_bound(prior.dimension * n, "reveal-half structure", "profile labels")
     informed = (n + 1) // 2
     state_labels = tuple(f"state{j}" for j in range(prior.dimension))
     silent = ("quiet",)

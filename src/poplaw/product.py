@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvariantError, ResourceLimitError
+from .errors import InvariantError
 from .feasibility import FeasibilityVerdict, binary_base, binary_bracket, check_feasible
 from .measures import (
     Belief,
@@ -25,7 +25,7 @@ from .measures import (
     _trusted,
 )
 from .rationals import over_common_denominator, parse_quantile_level, parse_rational, require_int, shown
-from .structures import capped_multinomial, compositions, max_profiles_bound
+from .structures import capped_multinomial, compositions, max_profiles_bound, require_within_bound
 
 
 @dataclass(frozen=True)
@@ -53,18 +53,14 @@ def multinomial_law(product: SymmetricProduct) -> PopulationLaw:
     multinomial coefficient is built as `structures.capped_multinomial`
     states it, one binomial factor C(c_1 + ... + c_j, c_j) per part.
 
-    Raises `ResourceLimitError` when the support would exceed the bound
-    (environment variable POPLAW_MAX_PROFILES, default one million).
+    Raises `ResourceLimitError` when the support would exceed the bound.
     """
     atoms = product.marginal.atoms
     k = len(atoms)
     n = product.n
-    bound = max_profiles_bound()
     # the support holds the C(n + k - 1, k - 1) count vectors of n draws over k atoms
-    if capped_multinomial((n, k - 1), bound) > bound:
-        raise ResourceLimitError(
-            f"multinomial support needs more than {bound} atoms; raise the bound or shrink n"
-        )
+    support = capped_multinomial((n, k - 1), max_profiles_bound())
+    require_within_bound(support, "multinomial support", "atoms", " or shrink n")
     scaled, common = over_common_denominator([w for _, w in atoms])
     total = common**n
     beliefs = [belief for belief, _ in atoms]
@@ -162,7 +158,12 @@ def symmetric_threshold(n: int) -> Fraction:
     return Fraction(1, 2) - Fraction(math.comb(2 * m, m), 2 ** (2 * m + 1))
 
 
+def curve_sizes(n_max: int) -> range:
+    """The threshold curve's population sizes 2 .. n_max, refused when its rows pass the bound."""
+    require_within_bound(require_int(n_max, "n_max", low=2) - 1, "threshold curve", "rows")
+    return range(2, n_max + 1)
+
+
 def threshold_curve(n_max: int) -> list[tuple[int, Fraction]]:
     """Rows (n, symmetric_threshold(n)) for n = 2 .. n_max."""
-    last = require_int(n_max, "n_max", low=2)
-    return [(n, symmetric_threshold(n)) for n in range(2, last + 1)]
+    return [(n, symmetric_threshold(n)) for n in curve_sizes(n_max)]

@@ -71,6 +71,13 @@ def max_profiles_bound() -> int:
     return require_int(bound, MAX_PROFILES_ENV)
 
 
+def require_within_bound(count: int, what: str, unit: str, remedy: str = "") -> None:
+    """The size policy: refuse a count past the bound (a capped count stands for all above it)."""
+    bound = max_profiles_bound()
+    if count > bound:
+        raise ResourceLimitError(f"{what} needs more than {bound} {unit}; raise the bound{remedy}")
+
+
 def capped_multinomial(counts: Iterable[int], cap: int) -> int:
     """(sum c)! / prod(c!) exactly when that is at most `cap`, else some value above `cap`.
 
@@ -302,25 +309,20 @@ def expand_scheme(scheme: SymmetricScheme) -> InformationStructure:
     agents appears as one profile with the multinomial share of the weight.
     The profiles hold the signal set's own `Belief` objects, so equal labels
     are one object throughout. Raises `ResourceLimitError`, before dealing,
-    when profiles x agents would exceed the bound (environment variable
-    POPLAW_MAX_PROFILES, default one million).
+    when profiles x agents would exceed the bound.
     """
-    bound = max_profiles_bound()
-    room = bound // scheme.n
+    cap = max_profiles_bound() // scheme.n
     labels: dict[Belief, Belief] = {}
+    sizes = []  # each atom's profile count, capped at cap
     deals = []  # per state, the (share, counts) of each atom
     for state_law in scheme.state_laws:
         deals.append([])
         for empirical, weight in state_law.atoms:
-            size = capped_multinomial([c for _, c in empirical.counts], room)
-            room -= size
-            if room < 0:
-                raise ResourceLimitError(
-                    f"expansion needs more than {bound} profile labels; "
-                    "raise the bound or simulate"
-                )
+            sizes.append(capped_multinomial([c for _, c in empirical.counts], cap))
             counts = [(labels.setdefault(b, b), c) for b, c in empirical.counts]
-            deals[-1].append((weight / size, counts))
+            deals[-1].append((weight / sizes[-1], counts))
+    # the sizes are exact if they sum to at most cap, else n * sum >= n * (cap + 1) > bound
+    require_within_bound(scheme.n * sum(sizes), "expansion", "profile labels", " or simulate")
     signal_set = tuple(sorted(labels))
     by_label_str = _by_label_str([signal_set])
     kernel = []
@@ -429,14 +431,12 @@ def weight_grid(n: int, signals_per_agent: int, denominator: int):
     require_int(n, "agent count")
     require_int(signals_per_agent, "signals per agent")
     require_int(denominator, "grid denominator")
-    parts = signals_per_agent**n
-    bound = max_profiles_bound()
+    cap = isqrt(max_profiles_bound())
+    # d >= 1 gives at least s**n vectors, and s**n > cap for s >= 2 from n = cap.bit_length() on
+    parts = signals_per_agent ** min(n, cap.bit_length())
     # kernel pairs = vectors**2 > bound exactly when vectors > isqrt(bound)
-    if capped_multinomial((denominator, parts - 1), isqrt(bound)) > isqrt(bound):
-        raise ResourceLimitError(
-            f"grid enumeration needs more than {bound} kernel pairs; "
-            "raise the bound or shrink the grid"
-        )
+    vectors = capped_multinomial((denominator, parts - 1), cap)
+    require_within_bound(vectors**2, "grid enumeration", "kernel pairs", " or shrink the grid")
     signal_set = tuple(f"s{k}" for k in range(signals_per_agent))
     profiles = list(product(range(signals_per_agent), repeat=n))
     return signal_set, profiles, list(compositions(denominator, parts))

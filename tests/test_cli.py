@@ -333,11 +333,14 @@ def test_nonpositive_search_denominator_exits_two(capsys, denominator):
         ("product-check", "--n", "3", "--mu", "1/2", "--a", "1/" + "7" * 2201, "--b", "2/3"),
         ("polarize", "--n", "2", "--mu", "1/2", "--decimal", "5000"),
         ("polarize", "--n", "2", "--mu", "1/2", "--decimal", "4300"),
+        ("product-threshold-curve", "--n-max", "15000"),
     ],
-    ids=["long-denominator", "decimal-5000", "decimal-4300"],
+    ids=["long-denominator", "decimal-5000", "decimal-4300", "threshold-curve"],
 )
 def test_output_past_the_digit_limit_exits_one(capsys, args):
+    start = time.perf_counter()
     code, out, err = run(capsys, *args)
+    assert time.perf_counter() - start < 2
     assert code == 1
     assert out == ""
     assert err.startswith("poplaw: resource limit:") and err.count("\n") == 1
@@ -941,3 +944,36 @@ def test_population_size_edits_exit_cleanly(capsys, command, n):
     code, out, err = run(capsys, *command, "--n", n)
     assert_clean_exit(code, out, err)
     assert code == (1 if n == str(10**20) else 2)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("persuade", "--mu", "1/4", "--tau", "1/2", "--u", "linear", "--n"),
+        ("polarize", "--n", "2", "--mu", "1/2", "--csv", "{path}", "--n-max"),
+        ("product-threshold-curve", "--n-max"),
+    ],
+    ids=["persuade", "polarize-csv", "threshold-curve"],
+)
+def test_grid_and_table_sizes_past_the_bound_exit_one(capsys, tmp_path, args):
+    # a utility grid of n + 1 values, a table of n_max rows, a curve of n_max - 1 rows
+    start = time.perf_counter()
+    code, out, err = run(capsys, *(a.format(path=tmp_path / "rows.csv") for a in args), str(10**20))
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (1, "")
+    assert err.startswith("poplaw: resource limit:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n_max", ["10", "11"])
+def test_polarization_table_rows_are_bounded(capsys, monkeypatch, n_max):
+    monkeypatch.setenv("POPLAW_MAX_PROFILES", "10")
+    args = ("polarize", "--n", "2", "--mu", "1/2", "--csv", "-", "--n-max", n_max)
+    code, out, err = run(capsys, *args)
+    if n_max == "10":
+        assert code == 0
+        assert out[out.index("n,lower,upper,achieved\n") :].count("\n") == 11  # header and 10 rows
+    else:
+        assert (code, out) == (1, "")
+        assert err == (
+            "poplaw: resource limit: polarization table needs more than 10 rows; raise the bound\n"
+        )

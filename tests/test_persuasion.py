@@ -10,6 +10,7 @@ from poplaw import (
     InvariantError,
     PersuasionInstance,
     Prior,
+    ResourceLimitError,
     ScalarMeasure,
     SenderUtility,
     bayes_posterior,
@@ -31,6 +32,15 @@ def test_utility_must_be_non_decreasing():
     with pytest.raises(InvariantError):
         SenderUtility([0, 1, F(1, 2)])
     SenderUtility([0, 0, 1])  # plateaus allowed
+
+
+def test_utility_grid_is_bounded(monkeypatch):
+    # n + 1 grid values
+    monkeypatch.setenv("POPLAW_MAX_PROFILES", "10")
+    assert SenderUtility.linear(9).n == 9
+    with pytest.raises(ResourceLimitError) as info:
+        SenderUtility.linear(10)
+    assert str(info.value) == "sender utility needs more than 10 grid values; raise the bound"
 
 
 def test_utility_presets():

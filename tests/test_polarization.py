@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -213,10 +214,30 @@ def test_search_three_agents_denominator_three():
 
 def test_grid_size_checked_before_enumeration():
     # C(10 + 63, 63)**2 is about 3.9e23 kernel pairs
-    with pytest.raises(ResourceLimitError):
+    message = (
+        "grid enumeration needs more than 1000000 kernel pairs; raise the bound or shrink the grid"
+    )
+    with pytest.raises(ResourceLimitError) as info:
         search_max_polarization(6, HALF, denominator=10)
+    assert str(info.value) == message
     with pytest.raises(ResourceLimitError):
         next(enumerate_grid_structures(6, HALF, 2, 10))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: search_max_polarization(10**9, HALF, 2, 2),
+        lambda: next(enumerate_grid_structures(10**9, HALF, 2, 2)),
+    ],
+    ids=["search", "enumerate"],
+)
+def test_grid_refuses_a_huge_population_without_the_power(call):
+    # at least 2**(2n) kernel pairs: n alone passes the bound, so 2**n is never built
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        call()
+    assert time.perf_counter() - start < 0.5
 
 
 def test_reveal_half_size_checked_before_building(monkeypatch):
@@ -226,8 +247,10 @@ def test_reveal_half_size_checked_before_building(monkeypatch):
             max_polarization(n, HALF)
     monkeypatch.setenv("POPLAW_MAX_PROFILES", "10")
     assert reveal_half_structure(5, HALF).n == 5
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError) as info:
         reveal_half_structure(6, HALF)
+    message = "reveal-half structure needs more than 10 profile labels; raise the bound"
+    assert str(info.value) == message
 
 
 def test_grid_bound_follows_the_environment(monkeypatch):

@@ -204,6 +204,15 @@ def test_threshold_requires_two_agents():
         symmetric_threshold(1)
 
 
+def test_threshold_curve_rows_are_bounded(monkeypatch):
+    # n_max - 1 rows
+    monkeypatch.setenv("POPLAW_MAX_PROFILES", "10")
+    assert len(threshold_curve(11)) == 10
+    with pytest.raises(ResourceLimitError) as info:
+        threshold_curve(12)
+    assert str(info.value) == "threshold curve needs more than 10 rows; raise the bound"
+
+
 def test_threshold_curve_rows():
     rows = threshold_curve(11)
     assert rows[0] == (2, F(1, 4))
