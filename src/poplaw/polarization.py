@@ -5,9 +5,10 @@ Polarization of a population snapshot is the variance of the agents' beliefs
 in general). Revealing the state to half of the agents and nothing to the
 rest attains the maximum mu*(1-mu)/4 for even populations; odd populations
 get a bracket plus the structure that achieves its lower end. An exhaustive
-grid search over small structures probes the odd case: it scores kernel pairs
-in integers over one common denominator per pair and returns the first
-maximizer in enumeration order.
+grid search over small structures probes the odd case. Its integer scores do
+not change when agents or one agent's signals are renamed, so it scores one
+state-0 margin group per relabeling orbit and then recovers the first
+maximizer in enumeration order from the maximizers' joint orbits.
 """
 
 from __future__ import annotations
@@ -118,8 +119,8 @@ def search_max_polarization(
 ) -> tuple[Fraction, InformationStructure]:
     """Exhaustive search over two-state kernels with probabilities on a 1/denominator grid.
 
-    Scores every pair (v0, v1) of per-state weight vectors over all signal
-    profiles and returns the best value with the first maximizing pair in
+    Returns the best value over all pairs (v0, v1) of per-state weight
+    vectors over the signal profiles, with the first maximizing pair in
     (v0, v1) enumeration order, the structure `enumerate_grid_structures`
     yields first among the maximizers. Intended for small n; the result is a
     certified lower bound for the true maximum on that grid, not a claim
@@ -135,9 +136,19 @@ def search_max_polarization(
     num = n*L*sum(B*X over slots) - sum(mass*sum(X)^2 over profiles).
     X depends on a vector only through its margins, and mass = mass0 + mass1
     is linear, so within a pair of margin groups each state's vector is the
-    first one minimizing its own mass term. Values compare by
-    cross-multiplication, ties go to the earlier pair, and the Fraction is
-    built once.
+    first one minimizing its own mass term.
+
+    Renaming the agents, or one agent's signals, permutes the slots and the
+    profiles; done to both states at once, it leaves the score unchanged. So
+    the best value is found by scoring one state-0 margin group per orbit,
+    keyed by the sorted tuple of the agents' sorted slot blocks, against
+    every state-1 group. Each maximizing group pair lies in the joint orbit
+    of one found there, keyed by the sorted tuple of the agents' sorted
+    blocks of (state-0, state-1) slot pairs, and every pair in such an orbit
+    maximizes; so the first maximizer is the smallest (i0, i1) over those
+    orbits' pairs, each scored again. State-0 groups are visited in order of
+    their first member, a lower bound on their i0, until it exceeds the best
+    i0. Values compare by cross-multiplication and the Fraction is built once.
     """
     if prior.dimension != 2:
         raise InvariantError("grid search is implemented for two states")
@@ -155,6 +166,7 @@ def search_max_polarization(
             for slot, w in zip(column, vec):
                 margin[slot] += w
         groups.setdefault(tuple(margin), []).append(i)
+    margins = list(groups)  # in order of first member
     sides = [
         [
             ([w * m for m in margin], [([w * x for x in vectors[i]], i) for i in members])
@@ -162,23 +174,43 @@ def search_max_polarization(
         ]
         for w in (w0, w1)
     ]
-    best_num, best_scale, best_pair = -1, 1, None
-    for a_slots, members0 in sides[0]:
-        for b_slots, members1 in sides[1]:
-            totals = [a + b or 1 for a, b in zip(a_slots, b_slots)]  # b = 0 where T = 0
-            lcm = math.lcm(*totals)
-            xs = [b * (lcm // t) for b, t in zip(b_slots, totals)]
-            # sum(X)^2 over each profile's agents
-            sums = list(map(sum, zip(*[map(xs.__getitem__, c) for c in columns])))
-            squares = list(map(mul, sums, sums))
-            cost0, i0 = min((sum(map(mul, mass, squares)), i) for mass, i in members0)
-            cost1, i1 = min((sum(map(mul, mass, squares)), i) for mass, i in members1)
-            num = n * lcm * sum(map(mul, b_slots, xs)) - cost0 - cost1
-            scale = lcm * lcm
-            # cross-multiplied; equal values keep the earlier pair
-            lhs, rhs = num * best_scale, best_num * scale
-            if lhs > rhs or lhs == rhs and (i0, i1) < best_pair:
-                best_num, best_scale, best_pair = num, scale, (i0, i1)
+
+    def orbit(*state_margins):
+        # the agents' sorted blocks of one margin, or of zipped state-0, state-1 margins
+        return tuple(sorted(
+            tuple(sorted(zip(*(m[a:a + signals_per_agent] for m in state_margins))))
+            for a in range(0, n * signals_per_agent, signals_per_agent)
+        ))
+
+    def score(k0, k1):
+        (a_slots, members0), (b_slots, members1) = sides[0][k0], sides[1][k1]
+        totals = [a + b or 1 for a, b in zip(a_slots, b_slots)]  # b = 0 where T = 0
+        lcm = math.lcm(*totals)
+        xs = [b * (lcm // t) for b, t in zip(b_slots, totals)]
+        # sum(X)^2 over each profile's agents
+        sums = list(map(sum, zip(*[map(xs.__getitem__, c) for c in columns])))
+        squares = list(map(mul, sums, sums))
+        cost0, i0 = min((sum(map(mul, mass, squares)), i) for mass, i in members0)
+        cost1, i1 = min((sum(map(mul, mass, squares)), i) for mass, i in members1)
+        return n * lcm * sum(map(mul, b_slots, xs)) - cost0 - cost1, lcm * lcm, i0, i1
+
+    keys = [orbit(margin) for margin in margins]
+    best_num, best_scale, tied = -1, 1, {}
+    for k0 in dict(zip(keys, range(len(keys)))).values():  # one group per orbit
+        for k1 in range(len(margins)):
+            num, scale, _, _ = score(k0, k1)
+            lhs, rhs = num * best_scale, best_num * scale  # cross-multiplied
+            if lhs > rhs:
+                best_num, best_scale, tied = num, scale, {}
+            if lhs >= rhs:
+                tied.setdefault(keys[k0], set()).add(orbit(margins[k0], margins[k1]))
+    best_pair = (len(vectors), len(vectors))
+    for k0, margin0 in enumerate(margins):
+        if groups[margin0][0] > best_pair[0]:
+            break
+        for k1, margin1 in enumerate(margins if keys[k0] in tied else ()):
+            if orbit(margin0, margin1) in tied[keys[k0]]:
+                best_pair = min(best_pair, score(k0, k1)[2:])
     best = Fraction(best_num, q * denominator * n * n * best_scale)
     kernel = [grid_kernel(signal_set, profiles, vectors[i], denominator) for i in best_pair]
     return best, InformationStructure(n, prior, [signal_set] * n, kernel)

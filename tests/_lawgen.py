@@ -6,14 +6,16 @@ measures), so feasibility holds by construction and the checker has no excuse.
 The oracles are six for LPs (the integerization, canonical and bounded
 phase 1, the canonical and the bounded two-component systems as dense
 `Fraction` rows, and the dense Farkas check), with `solve_fraction_rows` to
-put `Fraction` rows through the solver, a
-brute-force kernel scan for information structures, and the plain
-`Fraction` formulas for the multinomial law and the binomial quantile mean.
+put `Fraction` rows through the solver, a brute-force kernel scan for
+information structures, the full pair scan of the polarization grid search,
+and the plain `Fraction` formulas for the multinomial law and the binomial
+quantile mean.
 """
 
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 from hypothesis import strategies as st
 
@@ -34,8 +36,9 @@ from poplaw import (
     multinomial_law,
     quantile_distribution,
 )
+from poplaw.rationals import over_common_denominator
 from poplaw.simplex import FeasibilityResult, solve_equalities
-from poplaw.structures import compositions
+from poplaw.structures import InformationStructure, compositions, grid_kernel, weight_grid
 
 
 def _binary_belief_pool():
@@ -536,6 +539,53 @@ def _merge_equal(pairs):
         else:
             out.append((item, amount))
     return out
+
+
+def reference_search_max_polarization(n, prior, signals_per_agent=2, denominator=4):
+    """The grid search as a full scan of every pair of margin groups.
+
+    The same integer score as `search_max_polarization`, over all state-0
+    groups rather than one per relabeling orbit; ties go to the earlier
+    (i0, i1), so the result is the first maximizer in enumeration order.
+    """
+    signal_set, profiles, vectors = weight_grid(n, signals_per_agent, denominator)
+    (w0, w1), q = over_common_denominator(prior.coords)
+    columns = [
+        [agent * signals_per_agent + profile[agent] for profile in profiles]
+        for agent in range(n)
+    ]
+    groups = {}
+    for i, vec in enumerate(vectors):
+        margin = [0] * (n * signals_per_agent)
+        for column in columns:
+            for slot, w in zip(column, vec):
+                margin[slot] += w
+        groups.setdefault(tuple(margin), []).append(i)
+    sides = [
+        [
+            ([w * m for m in margin], [([w * x for x in vectors[i]], i) for i in members])
+            for margin, members in groups.items()
+        ]
+        for w in (w0, w1)
+    ]
+    best_num, best_scale, best_pair = -1, 1, None
+    for a_slots, members0 in sides[0]:
+        for b_slots, members1 in sides[1]:
+            totals = [a + b or 1 for a, b in zip(a_slots, b_slots)]
+            lcm = math.lcm(*totals)
+            xs = [b * (lcm // t) for b, t in zip(b_slots, totals)]
+            sums = list(map(sum, zip(*[map(xs.__getitem__, c) for c in columns])))
+            squares = list(map(mul, sums, sums))
+            cost0, i0 = min((sum(map(mul, mass, squares)), i) for mass, i in members0)
+            cost1, i1 = min((sum(map(mul, mass, squares)), i) for mass, i in members1)
+            num = n * lcm * sum(map(mul, b_slots, xs)) - cost0 - cost1
+            scale = lcm * lcm
+            lhs, rhs = num * best_scale, best_num * scale
+            if lhs > rhs or lhs == rhs and (i0, i1) < best_pair:
+                best_num, best_scale, best_pair = num, scale, (i0, i1)
+    best = Fraction(best_num, q * denominator * n * n * best_scale)
+    kernel = [grid_kernel(signal_set, profiles, vectors[i], denominator) for i in best_pair]
+    return best, InformationStructure(n, prior, [signal_set] * n, kernel)
 
 
 def reference_multinomial_law(product):

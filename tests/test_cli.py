@@ -380,6 +380,7 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     "golden,args",
     [
         ("polarize_n3_mu1-3_d3.txt", ("--n", "3", "--mu", "1/3", "--search-denominator", "3")),
+        ("polarize_n4_mu1-2_d2.txt", ("--n", "4", "--mu", "1/2", "--search-denominator", "2")),
         (
             "polarize_n2_mu2-5_d5_decimal30.txt",
             ("--n", "2", "--mu", "2/5", "--search-denominator", "5", "--decimal", "30"),

@@ -26,6 +26,8 @@ from poplaw import (
 from poplaw import enumerate_grid_structures
 from poplaw.structures import InformationStructure
 
+from _lawgen import reference_search_max_polarization
+
 HALF = Prior.binary(F(1, 2))
 
 
@@ -295,3 +297,39 @@ def test_search_matches_brute_force_first_maximizer(grid, mu):
         if best is None or value > best:
             best, first = value, structure
     assert search_max_polarization(n, prior, signals, denominator) == (best, first)
+
+
+# grids past brute force, up to about 2 * 10**4 kernel pairs, plus one signal per agent
+REFERENCE_GRIDS = [
+    (2, 2, 4), (2, 2, 5), (2, 2, 6), (3, 2, 2), (3, 2, 3), (4, 2, 1), (4, 2, 2),
+    (5, 2, 1), (2, 3, 2), (1, 3, 3), (3, 1, 3),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(REFERENCE_GRIDS),
+    st.one_of(st.sampled_from(SMALL_PRIORS), st.just(LONG_PRIOR)),
+)
+@example((4, 2, 1), F(1, 2))
+@example((3, 2, 2), F(1, 2))
+@example((2, 2, 6), F(1, 2))
+def test_search_matches_the_full_pair_scan(grid, mu):
+    """One state-0 group per relabeling orbit finds the full scan's value and first maximizer."""
+    n, signals, denominator = grid
+    prior = Prior.binary(mu)
+    expected = reference_search_max_polarization(n, prior, signals, denominator)
+    assert search_max_polarization(n, prior, signals, denominator) == expected
+
+
+@pytest.mark.parametrize(
+    "n,mu,denominator,budget",
+    [(5, F(2, 5), 2, 0.5), (9, F(1, 3), 1, 3.0)],
+    ids=["n5-d2", "n9-d1"],
+)
+def test_search_time_on_admitted_grids(n, mu, denominator, budget):
+    # the full pair scan took over 1 s at (5, 2, 2) and over a minute at (9, 2, 1);
+    # at (9, 2, 1) the tie stage must stop once groups start past the best i0
+    start = time.perf_counter()
+    search_max_polarization(n, Prior.binary(mu), 2, denominator)
+    assert time.perf_counter() - start < budget
