@@ -23,7 +23,11 @@ start + k in its low 64 bits, and its high 64 bits are zero between
 operations. A product with a 64-bit constant therefore stays inside its lane,
 and what a right shift moves into a neighbour's high half is masked off with
 `low`, 2**64 - 1 in every lane. Each finalizer round is a handful of
-whole-int operations over all lanes together (`mix_lanes`).
+whole-int operations over all lanes together (`mix_lanes`). The ints that
+depend only on the block length, not on the seed, are built once per length
+and memoized for the last two lengths (`lane_constants`): the repunit (1 in
+every lane), `low`, PHI times each lane's index, and the step PHI in every
+lane. `unpack_lanes` reads only each lane's low half.
 
 `structures.simulate` draws in fixed blocks: draw 0 picks the state and draw
 1 the empirical distribution, each as the first item whose cumulative weight
@@ -33,6 +37,7 @@ w satisfies u < ceil(w * 2**64) for the 64-bit draw u.
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
 
 MASK64 = (1 << 64) - 1
 PHI = 0x9E3779B97F4A7C15
@@ -59,7 +64,15 @@ def pack_lanes(values) -> int:
 
 def unpack_lanes(z: int, count: int) -> tuple[int, ...]:
     """The low halves of the first `count` lanes of z; the inverse of `pack_lanes`."""
-    return struct.unpack(f"<{2 * count}Q", z.to_bytes(LANE_BYTES * count, "little"))[::2]
+    # each lane's low word, then its high word skipped as pad bytes
+    return struct.unpack("<" + "Q8x" * count, z.to_bytes(LANE_BYTES * count, "little"))
+
+
+@lru_cache(maxsize=2)  # one full block of `structures.simulate` and one shorter tail
+def lane_constants(count: int) -> tuple[int, int, int, int]:
+    """The seed-free ints of a `count`-lane block: repunit, low, PHI * lane index, PHI * repunit."""
+    repunit = int.from_bytes((b"\x01" + bytes(LANE_BYTES - 1)) * count, "little")
+    return repunit, repunit * MASK64, PHI * pack_lanes(range(count)), PHI * repunit
 
 
 def substream_draws(seed: int, start: int, stop: int, draws: int) -> list[tuple[int, ...]]:
@@ -68,12 +81,10 @@ def substream_draws(seed: int, start: int, stop: int, draws: int) -> list[tuple[
     Entry j of the result holds draw j of each index, in index order.
     """
     count = stop - start
-    repunit = int.from_bytes((b"\x01" + bytes(LANE_BYTES - 1)) * count, "little")
-    low = repunit * MASK64
+    repunit, low, offsets, step = lane_constants(count)
     # lane k: s + (start + k + 1) * PHI, below 2**64 * (count + 1) before the mask
     first = (seed + (start + 1) * PHI) & MASK64
-    base = mix_lanes((first * repunit + PHI * pack_lanes(range(count))) & low, low)
-    step = PHI * repunit
+    base = mix_lanes((first * repunit + offsets) & low, low)
     return [
         unpack_lanes(mix_lanes((base + j * step) & low, low), count)
         for j in range(1, draws + 1)

@@ -103,9 +103,10 @@ class _Tableau:
         self.dens = [1] * (m + 1)
         self.basis = list(range(n, n + m))
 
-    def _entering(self) -> int | None:
-        n = self.n
-        return min((j for j, v in self.rows[-1].items() if j < n and v < 0), default=None)
+    def _entering(self, start: int) -> int | None:
+        """The first structural column from `start` on with a negative reduced cost."""
+        obj = self.rows[-1]
+        return next((j for j in range(start, self.n) if obj.get(j, 0) < 0), None)
 
     def _leaving(self, c: int) -> int | None:
         """The row of the leaving variable, `m` for a bound flip of c, None if unbounded.
@@ -187,11 +188,17 @@ class _Tableau:
         self.basis[r] = c
 
     def phase1(self) -> bool:
-        """Drive the artificial sum to zero. True means the system is feasible."""
+        """Drive the artificial sum to zero. True means the system is feasible.
+
+        A flip of c changes only c's reduced cost, to positive, and every
+        column below c was already non-negative, so Bland's scan resumes at
+        c + 1; a real pivot restarts it at 0.
+        """
+        start = 0
         while True:
             if self.rhs not in self.rows[-1]:
                 return True
-            c = self._entering()
+            c = self._entering(start)
             if c is None:
                 return False
             r = self._leaving(c)
@@ -199,7 +206,9 @@ class _Tableau:
                 raise InternalError("phase-1 objective cannot be unbounded")
             if r == self.m:
                 self._complement(c)
+                start = c + 1
                 continue
+            start = 0
             if self.rows[r][c] < 0:  # the basic variable leaves at its upper bound
                 self._complement(self.basis[r])
             self._pivot(r, c)

@@ -9,8 +9,8 @@ one denominator, the lcm of the states' common denominators.
 `signal_marginal`, `bayes_posterior` and `induced_population_law` look labels
 up there by hash instead of scanning the kernel, and sum in integers.
 
-The three builders of the oracle, `expand_scheme`, `bayes_posterior` and
-`induced_population_law`, set their values' fields through
+The three builders of the oracle (`expand_scheme`, `bayes_posterior` and
+`induced_population_law`) and `simulate` set their values' fields through
 `measures._trusted`, without the public constructors' checks: their own
 construction proves the fields canonical, as a comment at each use says.
 Outside input, such as a structure decoded from JSON, still goes through the
@@ -360,24 +360,31 @@ def simulate(
     require_int(seed, "seed", low=0, high=TWO64)
     _, state_cutoffs = _selection_table(list(enumerate(scheme.prior.coords)))
     pick_state = partial(bisect_right, state_cutoffs)
-    # every law's last cutoff is exactly 2**64, so the key (state << 64) + u
-    # falls among state's own cutoffs, each offset by state << 64
+    # atom offset[s] + k is item k of state s; every state's last cutoff is
+    # exactly 2**64, so bisect_right over its own cutoffs stays in its atoms
     empiricals = []
-    offset_cutoffs = []
-    for state, law in enumerate(scheme.state_laws):
+    cutoffs_of = []
+    offset_of = []
+    for law in scheme.state_laws:
         items, cutoffs = _selection_table(law.atoms)
+        offset_of.append(len(empiricals))
         empiricals += items
-        offset_cutoffs += [(state << 64) + cutoff for cutoff in cutoffs]
-    pick_atom = partial(bisect_right, offset_cutoffs)
-    shift = (64).__rlshift__  # state -> state << 64
+        cutoffs_of.append(cutoffs)
     atom_counts: Counter[int] = Counter()
     for start in range(0, samples, SIMULATE_BLOCK):
         u_state, u_emp = substream_draws(seed, start, min(start + SIMULATE_BLOCK, samples), 2)
-        keys = map(add, map(shift, map(pick_state, u_state)), u_emp)
-        atom_counts.update(map(pick_atom, keys))
-    # the constructor merges the counts of a distribution several states share
-    return PopulationLaw(
-        scheme.n, [(empiricals[atom], Fraction(c, samples)) for atom, c in atom_counts.items()]
+        states = list(map(pick_state, u_state))
+        picks = map(bisect_right, map(cutoffs_of.__getitem__, states), u_emp)
+        atom_counts.update(map(add, picks, map(offset_of.__getitem__, states)))
+    counts: Counter[EmpiricalDistribution] = Counter()
+    for atom, c in atom_counts.items():
+        counts[empiricals[atom]] += c  # states may share a distribution
+    # distinct distributions in ascending order of one scheme's n and state
+    # space, positive counts summing to samples
+    return _trusted(
+        PopulationLaw,
+        n=scheme.n,
+        atoms=tuple([(e, Fraction(c, samples)) for e, c in sorted(counts.items())]),
     )
 
 

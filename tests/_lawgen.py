@@ -9,7 +9,7 @@ phase 1, the canonical and the bounded two-component systems as dense
 put `Fraction` rows through the solver, a brute-force kernel scan for
 information structures, the full pair scan of the polarization grid search,
 and the plain `Fraction` formulas for the multinomial law and the binomial
-quantile mean.
+quantile mean. `wide_product_problem` is the family of wide, short LPs.
 """
 
 import math
@@ -614,3 +614,17 @@ def reference_binomial_quantile_expectation(n, p, alpha):
         for i in range(n + 1)
     )
     return ScalarMeasure(quantile_distribution(binomial, alpha).atoms).mean()
+
+
+WIDE_PRIOR = Prior.binary(Fraction(1, 3))
+
+
+def wide_product_problem(n):
+    """Three equally weighted beliefs 1/6, 1/3 and 1/2 for n agents, and the base law at prior 1/3.
+
+    The target is feasible up to n = 7 and refuted from n = 8 on.
+    """
+    third = Fraction(1, 3)
+    marginal = DiscreteMeasure([(Belief.binary(Fraction(k, 6)), third) for k in (1, 2, 3)])
+    law = multinomial_law(SymmetricProduct(marginal, n))
+    return law, base_law(law, WIDE_PRIOR)

@@ -687,6 +687,14 @@ def test_simulate_golden_several_blocks(capsys):
     assert out == (DATA / "simulate_uniform9_n40000_seed2024.txt").read_text()
 
 
+def test_simulate_golden_three_states(capsys):
+    # three states, each two of which share an empirical distribution
+    args = ("--samples", "40000", "--seed", "5", "--shards", "2")
+    code, out, _ = run(capsys, "simulate", str(DATA / "three_state_n2.json"), *args)
+    assert code == 0
+    assert out == (DATA / "simulate_three_state_n2_n40000_seed5.txt").read_text()
+
+
 def test_byte_identical_reruns(capsys):
     code1, out1, _ = run(capsys, "feasible", str(DATA / "uniform9.json"))
     code2, out2, _ = run(capsys, "feasible", str(DATA / "uniform9.json"))

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _lawgen import (
+    WIDE_PRIOR,
     bounded_decomposition_lp,
     farkas_refutes,
     mixture,
@@ -18,6 +19,7 @@ from _lawgen import (
     reference_decomposition_lp,
     reference_integerize,
     solve_fraction_rows,
+    wide_product_problem,
 )
 from poplaw import (
     Belief,
@@ -32,12 +34,10 @@ from poplaw import (
     ScalarMeasure,
     SpreadDecomposition,
     SpreadTarget,
-    SymmetricProduct,
     base_law,
     check_feasible,
     is_mps_binary_base,
     mps_decompose,
-    multinomial_law,
     verify_certificate,
     verify_decomposition,
 )
@@ -372,19 +372,6 @@ def test_two_belief_route_on_hand_built_targets(instance):
 
 
 # --------------------------------------------------------- bounded two-component LP
-
-
-WIDE_PRIOR = Prior.binary(F(1, 3))
-
-
-def wide_product_problem(n):
-    """Three equally weighted beliefs 1/6, 1/3 and 1/2 for n agents, and the base law at prior 1/3.
-
-    The target is feasible up to n = 7 and refuted from n = 8 on.
-    """
-    marginal = DiscreteMeasure([(Belief.binary(F(k, 6)), F(1, 3)) for k in (1, 2, 3)])
-    law = multinomial_law(SymmetricProduct(marginal, n))
-    return law, base_law(law, WIDE_PRIOR)
 
 
 def _forged_farkas(y):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,11 +18,12 @@ from _lawgen import (
     reference_integerize,
     reference_phase1,
     solve_fraction_rows,
+    wide_product_problem,
 )
 from poplaw import base_law, law_expected_measure
 from poplaw.mps import decomposition_lp
 from poplaw.rationals import over_common_denominator
-from poplaw.simplex import _primitive_row
+from poplaw.simplex import _primitive_row, _Tableau
 
 
 def test_feasible_system_solution_is_exact():
@@ -213,3 +215,19 @@ def test_bounded_decomposition_lps_follow_reference_pivots(seed):
     law, target = random_two_component_problem(rng)
     if law_expected_measure(law) == mixture(target):
         assert_bounded_matches_reference(*bounded_decomposition_lp(law, target))
+
+
+@pytest.mark.parametrize("n, pivots, complements", [(8, 21, 36), (12, 44, 105)])
+def test_wide_decomposition_lps_follow_reference_pivots(monkeypatch, n, pivots, complements):
+    """Many bound flips, each resuming Bland's scan past the flipped column."""
+    counts = {"_pivot": 0, "_complement": 0}
+    for name in counts:
+
+        def counted(self, *args, _name=name, _method=getattr(_Tableau, name)):
+            counts[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(_Tableau, name, counted)
+    out = assert_bounded_matches_reference(*bounded_decomposition_lp(*wide_product_problem(n)))
+    assert not out.feasible
+    assert counts == {"_pivot": pivots, "_complement": complements}

@@ -579,6 +579,14 @@ def test_substream_draws_match_the_scalar_rule(seed, start, length, draws):
     assert substream_draws(seed, start, stop, draws) == reference_draws(seed, start, stop, draws)
 
 
+def test_substream_draws_keep_each_block_length_apart():
+    """The seed-free lane constants are memoized per block length; none leaks into another."""
+    for k, length in enumerate([SIMULATE_BLOCK, 4000, 3, SIMULATE_BLOCK, 4000]):
+        seed, start = 2**64 - 1 - k, k * SIMULATE_BLOCK + 5
+        stop = start + length
+        assert substream_draws(seed, start, stop, 2) == reference_draws(seed, start, stop, 2)
+
+
 @pytest.mark.parametrize("shards", [1, 8, "samples"])
 def test_simulate_calls_the_kernel_once_per_block(monkeypatch, shards):
     """Shards cost nothing: the draws come in the same blocks whatever the shard count."""
@@ -597,20 +605,47 @@ def test_simulate_calls_the_kernel_once_per_block(monkeypatch, shards):
     assert calls == [(0, block), (block, 2 * block), (2 * block, 3 * block), (3 * block, samples)]
 
 
-def test_simulate_follows_the_substream_rule():
-    """Rebuild simulate's counts from the rule in `rng`'s docstring."""
+def two_state_scheme():
     lo, hi = Belief.binary(F(1, 4)), Belief.binary(F(3, 4))
     all_lo = EmpiricalDistribution.constant(2, lo)
     mixed = EmpiricalDistribution(2, [(lo, 1), (hi, 1)])
     all_hi = EmpiricalDistribution.constant(2, hi)
-    prior = Prior.binary(F(2, 5))
-    scheme = SymmetricScheme(
-        prior,
+    return SymmetricScheme(
+        Prior.binary(F(2, 5)),
         [
             PopulationLaw(2, [(all_lo, F(2, 3)), (mixed, F(1, 3))]),
             PopulationLaw(2, [(mixed, F(1, 7)), (all_hi, F(6, 7))]),
         ],
     )
+
+
+def three_state_scheme():
+    """States 0 and 2 share `shared`; state 1 has one atom, so its cutoffs are just 2**64."""
+    a = Belief([F(1, 2), F(1, 4), F(1, 4)])
+    b = Belief([0, F(1, 3), F(2, 3)])
+    c = Belief([1, 0, 0])
+    shared = EmpiricalDistribution(3, [(a, 2), (b, 1)])
+    return SymmetricScheme(
+        Prior([F(1, 2), F(1, 3), F(1, 6)]),
+        [
+            PopulationLaw(3, [(shared, F(3, 5)), (EmpiricalDistribution.constant(3, c), F(2, 5))]),
+            PopulationLaw.dirac(EmpiricalDistribution(3, [(b, 2), (c, 1)])),
+            PopulationLaw(3, [(EmpiricalDistribution.constant(3, a), F(1, 9)), (shared, F(8, 9))]),
+        ],
+    )
+
+
+def test_simulate_follows_the_substream_rule():
+    """Rebuild simulate's counts from the rule in `rng`'s docstring.
+
+    Each scheme has a distribution that two states share, so simulate merges
+    their counts.
+    """
+    assert_simulate_follows_the_substream_rule(two_state_scheme(), 3)
+    assert_simulate_follows_the_substream_rule(three_state_scheme(), 4)
+
+
+def assert_simulate_follows_the_substream_rule(scheme, distinct):
     seed, samples = 20240917, 400
 
     def draw(i, j):
@@ -625,11 +660,14 @@ def test_simulate_follows_the_substream_rule():
                 return item
 
     counts = Counter()
+    states = Counter()
     for i in range(samples):
-        state = pick(enumerate(prior.coords), draw(i, 0))
+        state = pick(enumerate(scheme.prior.coords), draw(i, 0))
+        states[state] += 1
         counts[pick(scheme.state_laws[state].atoms, draw(i, 1))] += 1
-    assert len(counts) == 3
-    expected = PopulationLaw(2, [(e, F(c, samples)) for e, c in counts.items()])
+    assert len(counts) == distinct
+    assert len(states) == scheme.prior.dimension
+    expected = PopulationLaw(scheme.n, [(e, F(c, samples)) for e, c in counts.items()])
     assert simulate(scheme, samples, seed) == expected
     assert simulate(scheme, samples, seed, shards=3) == expected
 

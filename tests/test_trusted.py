@@ -7,6 +7,7 @@ types and the same hash.
 """
 
 import dataclasses
+import itertools
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -40,6 +41,7 @@ from poplaw import (
     mps_decompose,
     multinomial_law,
     quantile_distribution,
+    simulate,
     synthesize,
     upper_quantile_distribution,
 )
@@ -175,9 +177,12 @@ def assert_structure_canonical(structure):
             assert_canonical(bayes_posterior(structure, agent, label))
 
 
+def _scheme(law, prior):
+    return synthesize(law, prior, check_feasible(law, prior).decomposition)
+
+
 def _expanded(law, prior):
-    verdict = check_feasible(law, prior)
-    return expand_scheme(synthesize(law, prior, verdict.decomposition))
+    return expand_scheme(_scheme(law, prior))
 
 
 @settings(max_examples=80, deadline=None)
@@ -190,9 +195,31 @@ def test_expanded_structures_laws_and_posteriors(seed):
     assert induced_population_law(structure) == law
 
 
-def test_three_state_golden_problem():
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.integers(min_value=1, max_value=300))
+def test_simulated_laws(seed, samples):
+    # two or three states; the states of a synthesized scheme mostly share
+    # some of their empirical distributions, whose counts simulate merges
+    scheme = _scheme(*random_feasible_instance(random.Random(seed)))
+    assert_canonical(simulate(scheme, samples, seed))
+
+
+def _three_state_golden_problem():
     problem = jsonio.loads((Path(__file__).parent / "data" / "three_state_n2.json").read_text())
-    law = jsonio.law_from_json(problem["law"])
-    structure = _expanded(law, jsonio.prior_from_json(problem["mu"]))
+    return jsonio.law_from_json(problem["law"]), jsonio.prior_from_json(problem["mu"])
+
+
+def test_three_state_golden_problem():
+    structure = _expanded(*_three_state_golden_problem())
     assert structure.m == 3
     assert_structure_canonical(structure)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seeds, st.integers(min_value=1, max_value=300))
+def test_simulated_laws_of_the_three_state_golden_problem(seed, samples):
+    scheme = _scheme(*_three_state_golden_problem())
+    # every two of its three states share an empirical distribution
+    supports = [set(state_law.support()) for state_law in scheme.state_laws]
+    assert all(a & b for a, b in itertools.combinations(supports, 2))
+    assert_canonical(simulate(scheme, samples, seed))
