@@ -30,8 +30,8 @@ from .product import (
     binary_marginal,
     curve_sizes,
     product_feasible,
-    symmetric_threshold,
     threshold_curve,
+    threshold_denominator,
 )
 from .rationals import format_decimal, format_rational, parse_rational, require_int
 from .structures import expand_scheme, induced_population_law, require_within_bound, simulate, synthesize
@@ -187,8 +187,9 @@ def _cmd_product_check(args):
 
 
 def _cmd_threshold_curve(args):
-    # past the row gate, render the last, longest row: an unprintable run is refused at once
-    _formatter(args)(symmetric_threshold(curve_sizes(args.n_max)[-1]))
+    # past the row gate, render a number as long as the last, longest row's:
+    # an unprintable run is refused at once, without computing that row
+    _formatter(args)(Fraction(1, threshold_denominator(curve_sizes(args.n_max)[-1])))
     rows = threshold_curve(args.n_max)
     outputs = [(args.csv, _csv_text(("n", "threshold"), rows, args))]
     if args.svg:

@@ -48,13 +48,13 @@ def base_law(law: PopulationLaw, prior: Prior) -> SpreadTarget:
     _check_prior(expected, prior)
     # each tilt keeps the expected measure's order and positive weights, and
     # sums to center_state / mu_state = 1 once the barycenter is the prior
-    return SpreadTarget(
-        (
-            prior.coordinate(state),
-            _trusted(DiscreteMeasure, atoms=_tilt_atoms(expected, prior, state)),
-        )
+    tilts = [
+        _trusted(DiscreteMeasure, atoms=_tilt_atoms(expected, prior, state))
         for state in range(prior.dimension)
-    )
+    ]
+    # the prior's coordinates are positive and sum to 1, and no tilt is empty,
+    # as the barycenter equals a full-support prior
+    return _trusted(SpreadTarget, components=tuple(zip(prior.coords, tilts)))
 
 
 def _check_prior(measure: DiscreteMeasure, prior: Prior) -> None:
@@ -67,10 +67,11 @@ def _check_prior(measure: DiscreteMeasure, prior: Prior) -> None:
 
 def _tilt_atoms(measure: DiscreteMeasure, prior: Prior, state: int) -> tuple:
     mu = prior.coordinate(state)
-    return tuple(
-        (belief, weight * belief.coords[state] / mu)
-        for belief, weight in measure.atoms
-        if belief.coords[state]
+    mu_num, mu_den = mu.numerator, mu.denominator
+    return tuple(  # w * c / mu as one Fraction
+        (x, Fraction(w.numerator * c.numerator * mu_den, w.denominator * c.denominator * mu_num))
+        for x, w in measure.atoms
+        if (c := x.coords[state])
     )
 
 
@@ -124,9 +125,12 @@ def binary_base(mu, a, b) -> BinaryBase:
 
     The high atom (mu - a) * b / ((b - a) * mu) carries weight mu, the low atom
     (mu - a) * (1 - b) / ((b - a) * (1 - mu)) carries weight 1 - mu; the result
-    is oriented with `a` the low atom and alpha = 1 - mu.
+    is oriented with `a` the low atom and alpha = 1 - mu. Both are built over d,
+    the product of the denominators, from M = mu * d, A = a * d and B = b * d.
     """
     mu, a, b = binary_bracket(mu, a, b)
-    high = (mu - a) * b / ((b - a) * mu)
-    low = (mu - a) * (1 - b) / ((b - a) * (1 - mu))
+    d = mu.denominator * a.denominator * b.denominator
+    M, A, B = (v.numerator * (d // v.denominator) for v in (mu, a, b))
+    high = Fraction((M - A) * B, (B - A) * M)
+    low = Fraction((M - A) * (d - B), (B - A) * (d - M))
     return BinaryBase(a=low, b=high, alpha=1 - mu)

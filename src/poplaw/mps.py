@@ -6,7 +6,7 @@ belief measures by one chain; each step decides the target or passes it on:
 * the two-belief shortcut, for a law and target on exactly two beliefs and
   at most two target positions: the quantile criterion (equal means plus a
   lower-quantile bound), with a decomposition that interpolates between the
-  lower and upper quantile slices;
+  lower and upper quantile slices, all in integers over one denominator;
 * the bounded LP, for two components whose mixture is the law's expected
   measure (every two-state base law): x_j = w0 * q0[j] with 0 <= x_j <= p_j,
   one row per belief of the law, as the bound stands in for the mass rows
@@ -20,8 +20,9 @@ integer numerators of the weights and masses (`_integer_lp`), each finished by
 `simplex._primitive_row`, and solve them through `simplex.solve_equalities`,
 so pivots, solutions and Farkas vectors are those of the `Fraction` systems.
 Every Farkas vector is stated over the canonical rows, and `verify_certificate`
-checks it column by column from scratch, as `verify_decomposition` does every
-decomposition.
+checks it column by column from scratch. It re-checks the shortcut's
+certificates in `Fraction`s (`_two_point`), apart from the shortcut's integers,
+and `verify_decomposition` re-checks every decomposition.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .measures import (
     law_expected_measure,
     mix_laws,
     quantile_distribution,
-    upper_quantile_distribution,
 )
 from .rationals import over_common_denominator, parse_rational, shown
 from .simplex import _primitive_row, solve_equalities
@@ -166,38 +166,6 @@ def is_mps_binary_base(measure: ScalarMeasure, base: BinaryBase) -> MpsVerdict:
     return MpsVerdict(True, quantile_mean=qmean)
 
 
-def _scalar_split(measure: ScalarMeasure, base: BinaryBase) -> tuple[ScalarMeasure, ScalarMeasure]:
-    """Split a spread of a binary base into parts with means base.a and base.b.
-
-    Mixes the lower and upper alpha-quantile slices so the low part hits mean
-    base.a exactly; the high part is the leftover, which then has mean base.b.
-    Only valid after `is_mps_binary_base` has accepted.
-    """
-    alpha = base.alpha
-    lower = quantile_distribution(measure, alpha)
-    upper = upper_quantile_distribution(measure, alpha)
-    e_low = lower.mean()
-    e_high = upper.mean()
-    # e_low <= base.a < base mean <= e_high, so the gap is positive
-    lam = (base.a - e_low) / (e_high - e_low)
-    low_atoms: dict[Fraction, Fraction] = {}
-    for value, weight in lower.atoms:
-        low_atoms[value] = low_atoms.get(value, ZERO) + (1 - lam) * weight
-    for value, weight in upper.atoms:
-        low_atoms[value] = low_atoms.get(value, ZERO) + lam * weight
-    high_atoms = []
-    for value, weight in measure.atoms:
-        # alpha times either slice stays below the measure, so the leftover
-        # of their mix is never negative
-        leftover = weight - alpha * low_atoms.get(value, ZERO)
-        if leftover:
-            high_atoms.append((value, leftover / (1 - alpha)))
-    # 0 <= lam < 1 mixes two probability measures, and the leftover of a
-    # probability measure after alpha times another has mass 1 - alpha
-    low = tuple(sorted((v, w) for v, w in low_atoms.items() if w))
-    return _trusted(ScalarMeasure, atoms=low), _trusted(ScalarMeasure, atoms=tuple(high_atoms))
-
-
 def _beliefs(law: PopulationLaw, target: SpreadTarget) -> list[Belief]:
     """The sorted union of the beliefs in the law and in the target."""
     beliefs = set()
@@ -223,43 +191,80 @@ def _two_point(law: PopulationLaw, target: SpreadTarget, beliefs: list[Belief]):
     """Read a law and target on exactly two beliefs as scalars (mass at the high one).
 
     `beliefs` is `_beliefs(law, target)`. Returns None on any other support;
-    otherwise the scalar law, the index of the law atom behind each scalar
-    value, each component's position and the target weight at each distinct
-    position.
+    otherwise the scalar law and the target weight at each distinct position,
+    in `Fraction`s: `verify_certificate`'s reading, apart from the shortcut's.
     """
     if len(beliefs) != 2:
         return None
     values = [Fraction(count, law.n) for count in _count_table(law, beliefs)[1]]
-    index_of = {value: j for j, value in enumerate(values)}
-    positions = [measure.mass(beliefs[1]) for _, measure in target.components]
     grouped: dict[Fraction, Fraction] = {}
-    for (weight, _), pos in zip(target.components, positions):
+    for weight, measure in target.components:
+        pos = measure.mass(beliefs[1])
         grouped[pos] = grouped.get(pos, ZERO) + weight
     # distinct empirical distributions on two beliefs have distinct values
     scalar_law = _trusted(
         ScalarMeasure, atoms=tuple(sorted(zip(values, (w for _, w in law.atoms))))
     )
-    return scalar_law, index_of, positions, grouped
+    return scalar_law, grouped
 
 
-def _decompose_two_point(law, target, scalar_law, index_of, positions, grouped):
-    if len(grouped) == 1:
-        (pos,) = grouped
-        if scalar_law.mean() != pos:
-            return MeanMismatch(scalar_law.mean(), pos)
-        part_for = {pos: law}
-    elif len(grouped) == 2:
-        (low_pos, low_w), (high_pos, _) = sorted(grouped.items())
-        base = BinaryBase(low_pos, high_pos, low_w)
-        verdict = is_mps_binary_base(scalar_law, base)
-        if not verdict.is_spread:
-            return verdict.certificate
-        part_for = {
-            pos: _restrict(law, sorted((index_of[v], w) for v, w in part.atoms))
-            for pos, part in zip((low_pos, high_pos), _scalar_split(scalar_law, base))
-        }
+def _two_belief_shortcut(law: PopulationLaw, target: SpreadTarget, beliefs, table):
+    """The two-belief shortcut in integers; None passes the target on to the LPs.
+
+    Positions are the components' masses at the high belief. With p_j = P_j /
+    D, k_j atom j's count there (`table`'s row 1) and the low position a of
+    weight alpha = A / B, the lower alpha-slice takes t_j units of 1 / (B * D)
+    from each atom in ascending k, out of A * D, and the upper one u_j in
+    descending k. The law spreads the target iff the means agree and the lower
+    slice's mean S_L / (n * D * A), S_L = sum k_j * t_j, is at most a; the low
+    part then mixes the slices by lam = N / M, and the high part is the rest.
+    """
+    if len(beliefs) != 2:
+        return None
+    positions = [measure.mass(beliefs[1]) for _, measure in target.components]
+    grouped: dict[Fraction, Fraction] = {}
+    for (weight, _), pos in zip(target.components, positions):
+        grouped[pos] = grouped.get(pos, ZERO) + weight
+    if len(grouped) > 2:
+        return None
+    P, D = over_common_denominator([p for _, p in law.atoms])
+    K, nD = table[1], law.n * D
+    total = sum(map(operator.mul, P, K))  # n * D times the law's mean
+    (a, alpha), *rest = sorted(grouped.items())
+    if not rest:
+        if total * a.denominator != a.numerator * nD:
+            return MeanMismatch(Fraction(total, nD), a)
+        part_for = {a: law}
     else:
-        return None  # more than two distinct positions: fall back to the LP
+        ((b, _),) = rest
+        A, B, a_num, a_den = alpha.numerator, alpha.denominator, a.numerator, a.denominator
+        # alpha * a + (1 - alpha) * b over B * a_den * b_den
+        base = A * a_num * b.denominator + (B - A) * b.numerator * a_den
+        base_den = B * a_den * b.denominator
+        if total * base_den != base * nD:
+            return MeanMismatch(Fraction(total, nD), Fraction(base, base_den))
+        order = sorted(range(len(P)), key=K.__getitem__)
+        t, u = [0] * len(P), [0] * len(P)
+        for part, atoms in ((t, order), (u, order[::-1])):
+            left = A * D
+            for j in atoms:
+                part[j] = min(P[j] * B, left)
+                left -= part[j]
+        s_low = sum(map(operator.mul, K, t))
+        if s_low * a_den > a_num * nD * A:
+            return QuantileViolation(alpha, Fraction(s_low, nD * A), a)
+        # the low slice's mean <= a < the law's mean <= the upper slice's, so M > 0
+        M = a_den * (sum(map(operator.mul, K, u)) - s_low)
+        N = a_num * nD * A - s_low * a_den
+        low = [(M - N) * tj + N * uj for tj, uj in zip(t, u)]
+        high = [p * M * B - v for p, v in zip(P, low)]
+        # 0 <= N < M and t_j, u_j <= P_j * B, so no weight is negative; the
+        # slices are probability measures, and the leftover of the law after
+        # alpha times the low part has mass 1 - alpha, so each part sums to 1
+        part_for = {
+            pos: _restrict(law, ((j, Fraction(v, den)) for j, v in enumerate(nums) if v))
+            for pos, nums, den in ((a, low, M * D * A), (b, high, M * D * (B - A)))
+        }
     return SpreadDecomposition(
         [(weight, part_for[pos]) for (weight, _), pos in zip(target.components, positions)]
     )
@@ -314,13 +319,11 @@ def mps_decompose(law: PopulationLaw, target: SpreadTarget, route: str = "auto")
     if target.dimension != law.dimension:
         raise InvariantError("law and target live on different state spaces")
     beliefs = _beliefs(law, target)
-    if route == "auto":
-        two_point = _two_point(law, target, beliefs)
-        if two_point is not None:
-            result = _decompose_two_point(law, target, *two_point)
-            if result is not None:
-                return result
     table = _count_table(law, beliefs)
+    if route == "auto":
+        result = _two_belief_shortcut(law, target, beliefs, table)
+        if result is not None:
+            return result
     if len(target.components) == 2:
         system = _integer_lp(law, target, beliefs, table, bounded=True)
         if system is not None:
@@ -483,7 +486,7 @@ def verify_certificate(law: PopulationLaw, target: SpreadTarget, certificate) ->
     two_point = _two_point(law, target, _beliefs(law, target))
     if two_point is None:
         return False
-    scalar_law, _, _, grouped = two_point
+    scalar_law, grouped = two_point
     mean = scalar_law.mean()
     if isinstance(certificate, MeanMismatch):
         base_mean = sum((pos * w for pos, w in grouped.items()), ZERO)

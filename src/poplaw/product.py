@@ -158,6 +158,16 @@ def symmetric_threshold(n: int) -> Fraction:
     return Fraction(1, 2) - Fraction(math.comb(2 * m, m), 2 ** (2 * m + 1))
 
 
+def threshold_denominator(n: int) -> int:
+    """The reduced denominator of `symmetric_threshold(n)`, without C(2m, m).
+
+    C(2m, m) holds s(m) factors 2, s(m) the binary digit sum of m (Kummer), so
+    the denominator is 2**(2m + 1 - s(m)); the numerator is smaller.
+    """
+    m = require_int(n, "agent count", low=2) // 2
+    return 2 ** (2 * m + 1 - m.bit_count())
+
+
 def curve_sizes(n_max: int) -> range:
     """The threshold curve's population sizes 2 .. n_max, refused when its rows pass the bound."""
     require_within_bound(require_int(n_max, "n_max", low=2) - 1, "threshold curve", "rows")

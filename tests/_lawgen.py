@@ -8,8 +8,8 @@ phase 1, the canonical and the bounded two-component systems as dense
 `Fraction` rows, and the dense Farkas check), with `solve_fraction_rows` to
 put `Fraction` rows through the solver, a brute-force kernel scan for
 information structures, the full pair scan of the polarization grid search,
-and the plain `Fraction` formulas for the multinomial law and the binomial
-quantile mean. `wide_product_problem` is the family of wide, short LPs.
+the two-belief shortcut in `Fraction`s, and the plain `Fraction` formulas for
+the multinomial law and the binomial quantile mean. `wide_product_problem` is the family of wide, short LPs.
 """
 
 import math
@@ -17,25 +17,32 @@ import random
 from fractions import Fraction
 from operator import mul
 
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from poplaw import (
     Belief,
+    BinaryBase,
     DiscreteMeasure,
     EmpiricalDistribution,
+    MeanMismatch,
     PopulationLaw,
     Prior,
     ScalarMeasure,
+    SpreadDecomposition,
     SpreadTarget,
     SymmetricProduct,
     barycenter,
     base_law,
     conditional_tilt,
+    is_mps_binary_base,
     law_expected_measure,
     mix_laws,
     multinomial_law,
     quantile_distribution,
+    upper_quantile_distribution,
 )
+from poplaw.mps import _beliefs, _restrict, _two_point
 from poplaw.rationals import over_common_denominator
 from poplaw.simplex import FeasibilityResult, solve_equalities
 from poplaw.structures import InformationStructure, compositions, grid_kernel, weight_grid
@@ -188,6 +195,38 @@ def scalar_measures(draw):
     weights = draw(st.lists(st.integers(min_value=1, max_value=9), min_size=k, max_size=k))
     total = sum(weights)
     return ScalarMeasure([(v, Fraction(w, total)) for v, w in zip(values, weights)])
+
+
+@st.composite
+def two_belief_spreads(draw):
+    """A law on the beliefs (1, 0) and (0, 1) and a two-position target that it spreads.
+
+    The law's values (the share of agents at (0, 1)) and weights come from
+    `scalar_measures`, for n the least common denominator of the values. The
+    low position, of weight alpha, sits at fraction t < 1 of the way from the
+    lower alpha-slice's mean to the law's mean; the high one matches the means.
+    """
+    measure = draw(scalar_measures())
+    tenths = st.fractions(min_value=0, max_value=Fraction(9, 10), max_denominator=10)
+    alpha = draw(tenths.filter(bool))
+    t = draw(tenths)
+    low_mean, mean = quantile_distribution(measure, alpha).mean(), measure.mean()
+    assume(low_mean != mean)
+    low = low_mean + t * (mean - low_mean)
+    high = (mean - alpha * low) / (1 - alpha)
+    n = math.lcm(*(v.denominator for v in measure.support()))
+    lo, hi = Belief((1, 0)), Belief((0, 1))
+    law = PopulationLaw(
+        n,
+        (
+            (EmpiricalDistribution(n, [(lo, n - int(v * n)), (hi, int(v * n))]), w)
+            for v, w in measure.atoms
+        ),
+    )
+    target = SpreadTarget(
+        (w, DiscreteMeasure([(lo, 1 - p), (hi, p)])) for w, p in ((alpha, low), (1 - alpha, high))
+    )
+    return law, target
 
 
 def random_binary_posterior_law(rng: random.Random, max_n: int = 6, max_denominator: int = 12):
@@ -614,6 +653,71 @@ def reference_binomial_quantile_expectation(n, p, alpha):
         for i in range(n + 1)
     )
     return ScalarMeasure(quantile_distribution(binomial, alpha).atoms).mean()
+
+
+def reference_two_point(law, target):
+    """The two-belief shortcut in `Fraction`s, the reference for route "auto"'s first step.
+
+    None where the shortcut passes the target on: a support other than two
+    beliefs, or more than two distinct positions (mass at the high belief).
+    Otherwise a `MeanMismatch`, a `QuantileViolation` from `is_mps_binary_base`,
+    or the decomposition that `_reference_scalar_split` gives.
+    """
+    beliefs = _beliefs(law, target)
+    two_point = _two_point(law, target, beliefs)
+    if two_point is None:
+        return None
+    scalar_law, grouped = two_point
+    index_of = {
+        Fraction(dict(empirical.counts).get(beliefs[1], 0), law.n): j
+        for j, (empirical, _) in enumerate(law.atoms)
+    }
+    positions = [measure.mass(beliefs[1]) for _, measure in target.components]
+    if len(grouped) == 1:
+        (pos,) = grouped
+        if scalar_law.mean() != pos:
+            return MeanMismatch(scalar_law.mean(), pos)
+        part_for = {pos: law}
+    elif len(grouped) == 2:
+        (low_pos, low_w), (high_pos, _) = sorted(grouped.items())
+        base = BinaryBase(low_pos, high_pos, low_w)
+        verdict = is_mps_binary_base(scalar_law, base)
+        if not verdict.is_spread:
+            return verdict.certificate
+        part_for = {
+            pos: _restrict(law, sorted((index_of[v], w) for v, w in part.atoms))
+            for pos, part in zip((low_pos, high_pos), _reference_scalar_split(scalar_law, base))
+        }
+    else:
+        return None
+    return SpreadDecomposition(
+        [(weight, part_for[pos]) for (weight, _), pos in zip(target.components, positions)]
+    )
+
+
+def _reference_scalar_split(measure, base):
+    """Split a spread of a binary base into parts with means base.a and base.b.
+
+    Mixes the lower and upper alpha-quantile slices so the low part hits mean
+    base.a exactly; the high part is the leftover, which then has mean base.b.
+    """
+    alpha = base.alpha
+    lower = quantile_distribution(measure, alpha)
+    upper = upper_quantile_distribution(measure, alpha)
+    e_low = lower.mean()
+    lam = (base.a - e_low) / (upper.mean() - e_low)
+    low_atoms = {}
+    for value, weight in lower.atoms:
+        low_atoms[value] = low_atoms.get(value, Fraction(0)) + (1 - lam) * weight
+    for value, weight in upper.atoms:
+        low_atoms[value] = low_atoms.get(value, Fraction(0)) + lam * weight
+    high_atoms = []
+    for value, weight in measure.atoms:
+        leftover = weight - alpha * low_atoms.get(value, Fraction(0))
+        if leftover:
+            high_atoms.append((value, leftover / (1 - alpha)))
+    low = tuple(sorted((v, w) for v, w in low_atoms.items() if w))
+    return ScalarMeasure(low), ScalarMeasure(high_atoms)
 
 
 WIDE_PRIOR = Prior.binary(Fraction(1, 3))

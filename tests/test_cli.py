@@ -346,6 +346,15 @@ def test_output_past_the_digit_limit_exits_one(capsys, args):
     assert err.startswith("poplaw: resource limit:") and err.count("\n") == 1
 
 
+def test_threshold_curve_at_the_row_bound_is_refused_at_once(capsys):
+    # the last row's length comes from its closed-form denominator, not from C(10**6, 5 * 10**5)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "product-threshold-curve", "--n-max", "1000000")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (1, "")
+    assert err == "poplaw: resource limit: a number in the output has more than 4300 digits\n"
+
+
 @pytest.mark.parametrize("mu", ["1e-5000", "1E+5000", "0.5e5_000"])
 def test_long_decimal_exponent_exits_two(capsys, mu):
     code, out, err = run(capsys, "polarize", "--n", "2", "--mu", mu)
@@ -397,6 +406,8 @@ UNIFORM9 = str(DATA / "uniform9.json")
 THREE_STATE = str(DATA / "three_state_n2.json")
 PRODUCT_CHECK = ("product-check", "--n", "4", "--mu", "1/2", "--a", "0.3", "--b", "0.7")
 GOLDENS = [
+    # the two-belief shortcut's QuantileViolation, with the base it refutes
+    ("feasible_uniform8.txt", ("feasible", str(DATA / "uniform8.json"))),
     ("synthesize_uniform9.txt", ("synthesize", UNIFORM9)),
     ("synthesize_three_state_n2.txt", ("synthesize", THREE_STATE)),
     # the oracle on the expansion of that synthesized scheme, the expand golden below

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _lawgen import random_binary_posterior_law
@@ -182,6 +182,25 @@ def test_binary_base_monotone_over_grid():
                 base = binary_base(mu, a, b)
                 assert base.a < base.b
                 assert 0 <= base.a and base.b <= 1
+
+
+unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=24)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(unit_fractions, min_size=3, max_size=3, unique=True))
+@example([F(0), F(1, 2), F(1)])
+@example([F(0), F(1, 3), F(2, 5)])
+@example([F(3, 7), F(1, 2), F(1)])
+def test_binary_base_matches_the_textbook_formula(values):
+    a, mu, b = sorted(values)
+    base = binary_base(mu, a, b)
+    high = (mu - a) * b / ((b - a) * mu)
+    low = (mu - a) * (1 - b) / ((b - a) * (1 - mu))
+    assert (base.a, base.b, base.alpha) == (low, high, 1 - mu)
+    assert all(type(v) is F for v in (base.a, base.b, base.alpha))
+    if b == 1:
+        assert base.a == 0
 
 
 # --------------------------------------------------------- cross-checks

@@ -5,7 +5,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _lawgen import (
@@ -18,7 +18,9 @@ from _lawgen import (
     random_two_component_problem,
     reference_decomposition_lp,
     reference_integerize,
+    reference_two_point,
     solve_fraction_rows,
+    two_belief_spreads,
     wide_product_problem,
 )
 from poplaw import (
@@ -42,7 +44,7 @@ from poplaw import (
     verify_decomposition,
 )
 from poplaw import mps
-from poplaw.measures import Prior, _trusted, law_expected_measure, mix_laws
+from poplaw.measures import Prior, _trusted, barycenter, law_expected_measure, mix_laws
 from poplaw.mps import _beliefs, _count_table, _integer_lp, _restrict, decomposition_lp
 
 UNIFORM10 = ScalarMeasure([(F(k, 9), F(1, 10)) for k in range(10)])
@@ -369,6 +371,80 @@ def test_two_belief_route_on_hand_built_targets(instance):
     if isinstance(quick, (MeanMismatch, QuantileViolation)):
         for forged in _perturbed(quick):
             assert not verify_certificate(law, target, forged)
+
+
+# --------------------------------------------------------- the shortcut in integers
+# route "auto" decides two-belief targets in integers; the plain `Fraction`
+# shortcut in `_lawgen` pins its evidence, and the LP whatever it passes on
+
+
+def assert_shortcut_matches_the_reference(law, target):
+    """The same decomposition or certificate, with the same number types; returns it."""
+    expected = reference_two_point(law, target)
+    if expected is None:
+        expected = mps_decompose(law, target, route="lp")
+    result = mps_decompose(law, target)
+    assert result == expected
+    assert repr(result) == repr(expected)
+    return result
+
+
+@st.composite
+def binary_base_instances(draw):
+    """A law of `random_binary_posterior_law` and its base law, at the prior its mean sets."""
+    law = random_binary_posterior_law(random.Random(draw(st.integers(0, 2**32))))[0]
+    center = barycenter(law_expected_measure(law))
+    assume(0 not in center.coords)
+    return law, base_law(law, Prior(center))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(two_belief_instances(), binary_base_instances(), two_belief_spreads()))
+def test_integer_shortcut_matches_the_fraction_shortcut(instance):
+    assert_shortcut_matches_the_reference(*instance)
+
+
+LO, HI = Belief.binary(F(1, 4)), Belief.binary(F(2, 3))
+
+
+def positions_target(*pairs):
+    """Components (weight, position), a position being the mass at HI."""
+    return SpreadTarget((w, DiscreteMeasure([(LO, 1 - p), (HI, p)])) for w, p in pairs)
+
+
+DECOMPOSED, REFUTED, MISMATCHED = SpreadDecomposition, QuantileViolation, MeanMismatch
+HALF = F(1, 2)
+# law weights by agents at HI, target components (weight, position), and the evidence kind
+SHORTCUT_CASES = {
+    # the alpha = 1/2 slice takes the k = 0 and k = 1 atoms whole
+    "slice-at-atom-boundary": ([1, 1, 2], [(HALF, F(1, 3)), (HALF, F(11, 12))], DECOMPOSED),
+    # the slice's mean is the low position, so lam = 0
+    "criterion-equality": ([1, 1, 2], [(HALF, F(1, 4)), (HALF, 1)], DECOMPOSED),
+    "one-atom-carries-the-slice": ([3, 1, 1], [(HALF, F(1, 10)), (HALF, HALF)], DECOMPOSED),
+    "positions-0-and-1-refuted": ([2, 1, 1, 2], [(HALF, 0), (HALF, 1)], REFUTED),
+    "positions-0-and-1-spread": ([2, 0, 0, 1], [(F(2, 3), 0), (F(1, 3), 1)], DECOMPOSED),
+    # one agent: every target with the law's mean is spread, down to the criterion's equality
+    "n1-extremes": ([1, 2], [(F(1, 3), 0), (F(2, 3), 1)], DECOMPOSED),
+    "n1-interior": ([1, 1], [(HALF, F(1, 4)), (HALF, F(3, 4))], DECOMPOSED),
+    "n1-criterion-equality": ([1, 1], [(F(3, 4), F(1, 3)), (F(1, 4), 1)], DECOMPOSED),
+    "n1-one-position": ([1, 1], [(1, HALF)], DECOMPOSED),
+    "two-positions-mean-mismatch": ([1, 1], [(HALF, F(1, 4)), (HALF, 1)], MISMATCHED),
+    "one-position-mean-match": ([1, 0, 1], [(1, HALF)], DECOMPOSED),
+    "one-position-twice": ([1, 2, 1], [(F(1, 3), HALF), (F(2, 3), HALF)], DECOMPOSED),
+    "one-position-mean-mismatch": ([1, 0, 1], [(1, F(1, 3))], MISMATCHED),
+}
+
+
+@pytest.mark.parametrize("weights,components,kind", SHORTCUT_CASES.values(), ids=SHORTCUT_CASES)
+def test_integer_shortcut_hand_cases(weights, components, kind):
+    law = two_belief_law(len(weights) - 1, LO, HI, weights)
+    target = positions_target(*components)
+    result = assert_shortcut_matches_the_reference(law, target)
+    assert isinstance(result, kind)
+    if kind is SpreadDecomposition:
+        assert verify_decomposition(law, target, result)
+    else:
+        assert verify_certificate(law, target, result)
 
 
 # --------------------------------------------------------- bounded two-component LP

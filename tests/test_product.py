@@ -31,6 +31,7 @@ from poplaw import (
     symmetric_threshold,
     threshold_curve,
 )
+from poplaw.product import threshold_denominator
 
 HALF = Prior.binary(F(1, 2))
 
@@ -197,6 +198,12 @@ def test_threshold_examples():
     assert symmetric_threshold(4) == symmetric_threshold(5) == F(5, 16)
     assert symmetric_threshold(10) == symmetric_threshold(11) == F(193, 512)
     assert float(symmetric_threshold(10)) == 0.376953125
+
+
+def test_threshold_denominator_from_the_binary_digit_sum():
+    # Kummer: C(2m, m) holds m.bit_count() factors 2
+    for n in range(2, 401):
+        assert threshold_denominator(n) == symmetric_threshold(n).denominator
 
 
 def test_threshold_requires_two_agents():

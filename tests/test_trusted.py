@@ -20,14 +20,15 @@ from _lawgen import (
     random_binary_posterior_law,
     random_feasible_instance,
     scalar_measures,
+    two_belief_spreads,
 )
 from poplaw import (
     Belief,
-    BinaryBase,
     EmpiricalDistribution,
     InformationStructure,
     PopulationLaw,
     SpreadDecomposition,
+    SpreadTarget,
     SymmetricProduct,
     barycenter,
     base_law,
@@ -36,7 +37,6 @@ from poplaw import (
     conditional_tilt,
     expand_scheme,
     induced_population_law,
-    is_mps_binary_base,
     law_expected_measure,
     mps_decompose,
     multinomial_law,
@@ -44,9 +44,9 @@ from poplaw import (
     simulate,
     synthesize,
     upper_quantile_distribution,
+    verify_decomposition,
 )
 from poplaw import jsonio
-from poplaw.mps import _scalar_split
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -111,7 +111,11 @@ def test_expected_measure_of_beliefs_met_out_of_order():
 def test_base_law_components_equal_conditional_tilts(seed):
     for law, prior in _laws(seed):
         expected = law_expected_measure(law)
-        for state, (weight, measure) in enumerate(base_law(law, prior).components):
+        target = base_law(law, prior)
+        public = SpreadTarget(target.components)
+        assert public.components == target.components and hash(public) == hash(target)
+        assert all(type(weight) is F for weight, _ in target.components)
+        for state, (weight, measure) in enumerate(target.components):
             public = conditional_tilt(expected, prior, state)
             assert weight == prior.coordinate(state)
             assert measure.atoms == public.atoms
@@ -132,25 +136,13 @@ def test_multinomial_laws(marginal, n):
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    scalar_measures(),
-    st.fractions(min_value=F(1, 10), max_value=F(9, 10), max_denominator=10),
-    st.fractions(min_value=0, max_value=F(9, 10), max_denominator=10),
-)
-def test_scalar_split_parts(measure, alpha, t):
-    # a base whose low atom sits at fraction t of the way from the lower
-    # slice's mean to the mean; t = 0 leaves the upper slice out of the low part
-    low_mean = quantile_distribution(measure, alpha).mean()
-    mean = measure.mean()
-    if low_mean == mean:
-        return
-    a = low_mean + t * (mean - low_mean)
-    base = BinaryBase(a, (mean - alpha * a) / (1 - alpha), alpha)
-    assert is_mps_binary_base(measure, base).is_spread
-    low, high = _scalar_split(measure, base)
-    assert_canonical(low)
-    assert_canonical(high)
-    assert (low.mean(), high.mean()) == (base.a, base.b)
+@given(two_belief_spreads())
+def test_two_belief_shortcut_parts(instance):
+    # every instance is spread, so the shortcut splits the law into two parts
+    law, target = instance
+    result = mps_decompose(law, target)
+    assert isinstance(result, SpreadDecomposition) and verify_decomposition(law, target, result)
+    assert_law_parts_canonical(result)
 
 
 @settings(max_examples=40, deadline=None)
