@@ -8,7 +8,11 @@ get a bracket plus the structure that achieves its lower end. An exhaustive
 grid search over small structures probes the odd case. Its integer scores do
 not change when agents or one agent's signals are renamed, so it scores one
 state-0 margin group per relabeling orbit and then recovers the first
-maximizer in enumeration order from the maximizers' joint orbits.
+maximizer in enumeration order from the maximizers' joint orbits. A pair is
+scored only if Jensen's bound from its two margin groups, the mean squared
+average posterior in each state floored at its squared mean, reaches the
+best score so far; a skipped pair scores strictly below the final best, so
+no output changes.
 """
 
 from __future__ import annotations
@@ -149,6 +153,21 @@ def search_max_polarization(
     orbits' pairs, each scored again. State-0 groups are visited in order of
     their first member, a lower bound on their i0, until it exceeds the best
     i0. Values compare by cross-multiplication and the Fraction is built once.
+
+    A pair is scored only if an upper bound on its score reaches the best so
+    far. Any member v of state-0 group k0 has sum(v) = denominator and
+    sum(v_p * S_p over profiles) = sum(a * X over slots), with a the group's
+    margin and S_p a profile's sum(X); by Cauchy-Schwarz, cost0 is at least
+    w0*(sum(a*X))^2 / denominator, and likewise cost1 with the state-1
+    margin b. So num <= bound / denominator with
+    bound = denominator*n*L*sum(B*X) - w0*(sum(a*X))^2 - w1*(sum(b*X))^2,
+    from the margins alone: Jensen's inequality within each state. A pair
+    whose bound, cross-multiplied, is below the running best scores strictly
+    below the final best, so it can be neither the best nor tied with it, and
+    skipping it leaves the tied orbits and the result as they were. Each
+    representative's row of state-1 groups is visited in descending order of
+    its bound in polarization units, at most 1/4 as a float; that order only
+    raises the running best early, and every skip is the exact comparison.
     """
     if prior.dimension != 2:
         raise InvariantError("grid search is implemented for two states")
@@ -194,10 +213,25 @@ def search_max_polarization(
         cost1, i1 = min((sum(map(mul, mass, squares)), i) for mass, i in members1)
         return n * lcm * sum(map(mul, b_slots, xs)) - cost0 - cost1, lcm * lcm, i0, i1
 
+    def bound(k0, k1):
+        # score's num times denominator, with each state's cost at its Jensen floor
+        a_slots, b_slots = sides[0][k0][0], sides[1][k1][0]
+        totals = [a + b or 1 for a, b in zip(a_slots, b_slots)]
+        lcm = math.lcm(*totals)
+        xs = [b * (lcm // t) for b, t in zip(b_slots, totals)]
+        s0, s1 = sum(map(mul, margins[k0], xs)), sum(map(mul, margins[k1], xs))
+        num = denominator * n * lcm * sum(map(mul, b_slots, xs)) - w0 * s0 * s0 - w1 * s1 * s1
+        return num, denominator * lcm * lcm
+
     keys = [orbit(margin) for margin in margins]
+    norm = q * denominator * n * n  # to polarization units, so the float key cannot overflow
     best_num, best_scale, tied = -1, 1, {}
     for k0 in dict(zip(keys, range(len(keys)))).values():  # one group per orbit
-        for k1 in range(len(margins)):
+        row = [(bound(k0, k1), k1) for k1 in range(len(margins))]
+        row.sort(key=lambda entry: entry[0][0] / (entry[0][1] * norm), reverse=True)
+        for (bound_num, bound_scale), k1 in row:
+            if bound_num * best_scale < best_num * bound_scale:
+                continue  # scores below the running best, so below the final best
             num, scale, _, _ = score(k0, k1)
             lhs, rhs = num * best_scale, best_num * scale  # cross-multiplied
             if lhs > rhs:
@@ -211,6 +245,6 @@ def search_max_polarization(
         for k1, margin1 in enumerate(margins if keys[k0] in tied else ()):
             if orbit(margin0, margin1) in tied[keys[k0]]:
                 best_pair = min(best_pair, score(k0, k1)[2:])
-    best = Fraction(best_num, q * denominator * n * n * best_scale)
+    best = Fraction(best_num, norm * best_scale)
     kernel = [grid_kernel(signal_set, profiles, vectors[i], denominator) for i in best_pair]
     return best, InformationStructure(n, prior, [signal_set] * n, kernel)

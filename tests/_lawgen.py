@@ -7,9 +7,10 @@ The oracles are six for LPs (the integerization, canonical and bounded
 phase 1, the canonical and the bounded two-component systems as dense
 `Fraction` rows, and the dense Farkas check), with `solve_fraction_rows` to
 put `Fraction` rows through the solver, a brute-force kernel scan for
-information structures, the full pair scan of the polarization grid search,
-the two-belief shortcut in `Fraction`s, and the plain `Fraction` formulas for
-the multinomial law and the binomial quantile mean. `wide_product_problem` is the family of wide, short LPs.
+information structures, the full pair scan of the polarization grid search
+and the Jensen bound that prunes its pairs, the two-belief shortcut in
+`Fraction`s, and the plain `Fraction` formulas for the multinomial law and
+the binomial quantile mean. `wide_product_problem` is the family of wide, short LPs.
 """
 
 import math
@@ -578,6 +579,29 @@ def _merge_equal(pairs):
         else:
             out.append((item, amount))
     return out
+
+
+def reference_polarization_bound(structure):
+    """Jensen's upper bound on a two-state structure's expected polarization, in `Fraction`s.
+
+    (1/n) * sum over (agent, signal) slots of P(slot) * posterior^2, minus
+    sum over states s of mu_s * E[average posterior | s]^2: given the state,
+    the mean of the squared average posterior is at least its mean squared.
+    Slots and posteriors come from scans of the kernel.
+    """
+    n, mus = structure.n, structure.prior.coords
+    squares, means = Fraction(0), [Fraction(0)] * len(mus)
+    for agent, labels in enumerate(structure.signal_sets):
+        for label in labels:
+            posterior = scan_posterior(structure, agent, label)
+            if posterior is None:
+                continue
+            post = posterior.coordinate(1)
+            for state, mu in enumerate(mus):
+                prob = scan_marginal(structure, agent, label, state)
+                squares += mu * prob * post * post / n
+                means[state] += prob * post / n
+    return squares - sum((mu * m * m for mu, m in zip(mus, means)), Fraction(0))
 
 
 def reference_search_max_polarization(n, prior, signals_per_agent=2, denominator=4):

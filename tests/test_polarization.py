@@ -26,7 +26,7 @@ from poplaw import (
 from poplaw import enumerate_grid_structures
 from poplaw.structures import InformationStructure
 
-from _lawgen import reference_search_max_polarization
+from _lawgen import reference_polarization_bound, reference_search_max_polarization
 
 HALF = Prior.binary(F(1, 2))
 
@@ -322,14 +322,60 @@ def test_search_matches_the_full_pair_scan(grid, mu):
     assert search_max_polarization(n, prior, signals, denominator) == expected
 
 
-@pytest.mark.parametrize(
-    "n,mu,denominator,budget",
-    [(5, F(2, 5), 2, 0.5), (9, F(1, 3), 1, 3.0)],
-    ids=["n5-d2", "n9-d1"],
+@settings(max_examples=15, deadline=None)
+@given(
+    st.sampled_from(SMALL_GRIDS),
+    st.one_of(st.sampled_from(SMALL_PRIORS), st.just(LONG_PRIOR)),
 )
-def test_search_time_on_admitted_grids(n, mu, denominator, budget):
+@example((3, 2, 2), LONG_PRIOR)
+@example((2, 2, 3), F(1, 2))
+def test_jensen_bound_holds_on_every_grid_structure(grid, mu):
+    """Each structure's expected polarization is at most the bound from its slots alone."""
+    n, signals, denominator = grid
+    for structure in enumerate_grid_structures(n, Prior.binary(mu), signals, denominator):
+        value = expected_polarization(induced_population_law(structure))
+        assert value <= reference_polarization_bound(structure)
+
+
+def test_jensen_bound_is_tight_when_the_state_fixes_the_average():
+    # reveal-half at n = 2: given the state, the average posterior is 1/4 or 3/4
+    structure = reveal_half_structure(2, HALF)
+    assert reference_polarization_bound(structure) == F(1, 16)
+    assert expected_polarization(induced_population_law(structure)) == F(1, 16)
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [F(1, 3 * 10**400), F(10**300 + 7, 3 * 10**300), F(10**400 + 7, 3 * 10**400)],
+    ids=["tiny", "long", "longer"],
+)
+@pytest.mark.parametrize("grid", [(2, 2, 3), (3, 2, 2)], ids=["n2-d3", "n3-d2"])
+def test_search_with_a_huge_prior_denominator(grid, mu):
+    # the bound's float sort key stays within a quarter, whatever the prior's digits;
+    # as a bare num / scale it would overflow a float at the longer prior
+    n, signals, denominator = grid
+    prior = Prior.binary(mu)
+    expected = reference_search_max_polarization(n, prior, signals, denominator)
+    assert search_max_polarization(n, prior, signals, denominator) == expected
+
+
+@pytest.mark.parametrize(
+    "n,signals,denominator,mu,budget",
+    [
+        (5, 2, 2, F(2, 5), 0.5),
+        (9, 2, 1, F(1, 3), 3.0),
+        (2, 2, 15, LONG_PRIOR, 0.5),
+        (3, 2, 5, LONG_PRIOR, 0.5),
+        (4, 2, 3, LONG_PRIOR, 0.5),
+        (2, 3, 4, LONG_PRIOR, 0.5),
+        (2, 4, 3, LONG_PRIOR, 0.5),
+    ],
+    ids=["n5-d2", "n9-d1", "n2-d15", "n3-d5", "n4-d3", "n2-s3-d4", "n2-s4-d3"],
+)
+def test_search_time_on_admitted_grids(n, signals, denominator, mu, budget):
     # the full pair scan took over 1 s at (5, 2, 2) and over a minute at (9, 2, 1);
-    # at (9, 2, 1) the tie stage must stop once groups start past the best i0
+    # at (9, 2, 1) the tie stage must stop once groups start past the best i0;
+    # the other grids are the largest admitted of their shape, at most 816 vectors each
     start = time.perf_counter()
-    search_max_polarization(n, Prior.binary(mu), 2, denominator)
+    search_max_polarization(n, Prior.binary(mu), signals, denominator)
     assert time.perf_counter() - start < budget
