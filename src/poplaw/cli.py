@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import os
 import sys
 from fractions import Fraction
 
@@ -70,7 +71,8 @@ def _write_outputs(outputs) -> None:
 
     Parts for path "-" go to stdout in the command's order. Commands render
     every text before anything is written, so a refused render or an
-    unwritable file leaves stdout empty.
+    unwritable file leaves stdout empty. An unwritable stdout (its reader
+    gone, or a full disk) is refused like an unwritable file.
     """
     for path, text in outputs:
         if path == "-":
@@ -80,9 +82,17 @@ def _write_outputs(outputs) -> None:
                 fh.write(text)
         except OSError as exc:
             raise InvariantError(f"cannot write {path}: {exc}") from exc
-    for path, text in outputs:
-        if path == "-":
-            sys.stdout.write(text)
+    try:
+        for path, text in outputs:
+            if path == "-":
+                sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # what is still buffered goes to devnull, so the exit-time flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise InvariantError(f"cannot write -: {exc}") from exc
 
 
 def _csv_text(header, rows, args) -> str:
@@ -139,6 +149,8 @@ def _cmd_simulate(args):
 
 
 def _cmd_polarize(args):
+    if args.n_max is not None and not args.csv:
+        raise InvariantError("--n-max needs --csv")
     n_max = args.n if args.n_max is None else require_int(args.n_max, "--n-max")
     if args.csv:
         require_within_bound(n_max, "polarization table", "rows")
@@ -175,12 +187,13 @@ def _cmd_polarize(args):
 
 def _cmd_product_check(args):
     prior = Prior.binary(parse_rational(args.mu))
+    given = (args.q is not None, args.a is not None, args.b is not None)
+    if given not in ((True, False, False), (False, True, True)):
+        raise InvariantError("provide either --q or both --a and --b")
     if args.q is not None:
         scalar = jsonio.scalar_measure_from_json(jsonio.loads(args.q))
         marginal = DiscreteMeasure((Belief.binary(v), w) for v, w in scalar.atoms)
     else:
-        if args.a is None or args.b is None:
-            raise InvariantError("provide either --q or both --a and --b")
         marginal = binary_marginal(args.mu, args.a, args.b)
     verdict = product_feasible(SymmetricProduct(marginal, args.n), prior)
     return [("-", _json_text(jsonio.verdict_to_json(verdict), args))]

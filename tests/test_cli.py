@@ -1,22 +1,52 @@
-import gzip
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 import xml.etree.ElementTree as ET
-from pathlib import Path
 
 import pytest
 
+import _goldens
 from poplaw import jsonio
 from poplaw.cli import main
 
-DATA = Path(__file__).parent / "data"
+DATA = _goldens.DATA
+GOLDENS = list(_goldens.entries())
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("golden, stages", GOLDENS, ids=[golden for golden, _ in GOLDENS])
+def test_golden(capsys, monkeypatch, golden, stages):
+    monkeypatch.chdir(DATA)
+
+    def poplaw(argv, stdin):
+        if stdin is not None:
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        return out
+
+    assert _goldens.output(stages, poplaw) == _goldens.expected(golden)
+
+
+def test_every_golden_is_in_the_manifest():
+    on_disk = {p.name for p in DATA.iterdir() if p.name.endswith((".txt", ".txt.gz"))}
+    assert {golden for golden, _ in GOLDENS} == on_disk
+
+
+def test_three_agent_problem_holds_the_oracle_golden_law():
+    # so expand_three_agent.txt still expands a scheme for the law that the oracle golden pins
+    example = json.loads((DATA / "three_agent_example.json").read_text())
+    law = json.loads((DATA / "oracle_three_agent.txt").read_text())
+    problem = json.loads((DATA / "three_agent_problem.json").read_text())
+    assert problem == {"mu": example["mu"], "law": law}
 
 
 def test_feasible_uniform9(capsys):
@@ -35,21 +65,6 @@ def test_feasible_uniform8(capsys):
     assert payload["feasible"] is False
     assert payload["certificate"]["kind"] == "quantile_violation"
     assert payload["certificate"]["quantile_mean"] == "5/18"
-
-
-def test_feasible_golden_farkas_certificate(capsys):
-    # a two-state law on three beliefs that the bounded LP refutes
-    code, out, _ = run(capsys, "feasible", str(DATA / "three_beliefs_infeasible.json"))
-    assert code == 0
-    assert out == (DATA / "feasible_three_beliefs_infeasible.txt").read_text()
-
-
-def test_feasible_golden_three_state_farkas_certificate(capsys):
-    # a three-state law on three beliefs that the canonical LP refutes
-    code, out, _ = run(capsys, "feasible", str(DATA / "feasible_three_state_infeasible.json"))
-    assert code == 0
-    assert json.loads(out)["certificate"]["kind"] == "farkas"
-    assert out == (DATA / "feasible_three_state_infeasible.txt").read_text()
 
 
 def test_synthesize_emits_scheme(capsys):
@@ -119,13 +134,15 @@ def test_product_check(capsys):
     assert json.loads(out)["feasible"] is True
 
 
-@pytest.mark.parametrize(
-    "a, b", [("-1/2", "7/10"), ("3/10", "3/2")], ids=["a-below-zero", "b-above-one"]
-)
-def test_product_check_refusal_states_the_bracket_it_enforces(capsys, a, b):
-    code, out, err = run(capsys, "product-check", "--n", "4", "--mu", "1/2", f"--a={a}", f"--b={b}")
-    assert (code, out) == (2, "")
-    assert err == f"poplaw: invalid input: need 0 <= a < mu < b <= 1, got a={a}, mu=1/2, b={b}\n"
+@pytest.mark.parametrize("args, message", [
+    (("--a=-1/2", "--b=7/10"), "need 0 <= a < mu < b <= 1, got a=-1/2, mu=1/2, b=7/10"),
+    (("--a=3/10", "--b=3/2"), "need 0 <= a < mu < b <= 1, got a=3/10, mu=1/2, b=3/2"),
+    (("--q", '[{"value":"1/2","weight":1}]', "--a", "0.1", "--b", "0.9"),
+     "provide either --q or both --a and --b"),
+], ids=["a-below-zero", "b-above-one", "q-with-a-and-b"])
+def test_product_check_refusal_states_the_rule_it_enforces(capsys, args, message):
+    code, out, err = run(capsys, "product-check", "--n", "4", "--mu", "1/2", *args)
+    assert (code, out, err) == (2, "", f"poplaw: invalid input: {message}\n")
 
 
 def test_threshold_curve_csv(capsys):
@@ -385,77 +402,6 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     assert err == "poplaw: internal error: self-check failed\n"
 
 
-@pytest.mark.parametrize(
-    "golden,args",
-    [
-        ("polarize_n3_mu1-3_d3.txt", ("--n", "3", "--mu", "1/3", "--search-denominator", "3")),
-        ("polarize_n4_mu1-2_d2.txt", ("--n", "4", "--mu", "1/2", "--search-denominator", "2")),
-        (
-            "polarize_n2_mu2-5_d5_decimal30.txt",
-            ("--n", "2", "--mu", "2/5", "--search-denominator", "5", "--decimal", "30"),
-        ),
-    ],
-)
-def test_polarize_grid_search_golden(capsys, golden, args):
-    code, out, _ = run(capsys, "polarize", *args)
-    assert code == 0
-    assert out == (DATA / golden).read_text()
-
-
-UNIFORM9 = str(DATA / "uniform9.json")
-THREE_STATE = str(DATA / "three_state_n2.json")
-PRODUCT_CHECK = ("product-check", "--n", "4", "--mu", "1/2", "--a", "0.3", "--b", "0.7")
-GOLDENS = [
-    # the two-belief shortcut's QuantileViolation, with the base it refutes
-    ("feasible_uniform8.txt", ("feasible", str(DATA / "uniform8.json"))),
-    ("synthesize_uniform9.txt", ("synthesize", UNIFORM9)),
-    ("synthesize_three_state_n2.txt", ("synthesize", THREE_STATE)),
-    # the oracle on the expansion of that synthesized scheme, the expand golden below
-    ("oracle_three_state_n2.txt", ("oracle", str(DATA / "expand_three_state_n2.txt"))),
-    ("synthesize_uniform9_decimal12.txt", ("synthesize", UNIFORM9, "--decimal", "12")),
-    (
-        "persuade_n2_mu3-10_tau1-2_decimal6_csv.txt",
-        ("persuade", "--n", "2", "--mu", "3/10", "--tau", "1/2", "--u", "[0,1,1]",
-         "--decimal", "6", "--csv", "-"),
-    ),
-    ("product_check_n4_mu1-2_a0.3_b0.7.txt", PRODUCT_CHECK),
-    ("product_check_n4_mu1-2_a0.3_b0.7_decimal8.txt", (*PRODUCT_CHECK, "--decimal", "8")),
-    # a feasible product: its decomposition pins the multinomial weights of 25 and 24 atoms
-    (
-        "product_check_n24_mu2-5_a0.35_b0.45.txt",
-        ("product-check", "--n", "24", "--mu", "2/5", "--a", "0.35", "--b", "0.45"),
-    ),
-    # an infeasible product: a Farkas vector over a 496-atom three-belief law
-    (
-        "product_check_n30_mu1-2_q3.txt",
-        ("product-check", "--n", "30", "--mu", "1/2", "--q",
-         '[{"value":"1/4","weight":"1/3"},{"value":"1/2","weight":"1/3"},'
-         '{"value":"3/4","weight":"1/3"}]'),
-    ),
-    (
-        "polarize_n3_mu1-3_csv_nmax6_decimal10.txt",
-        ("polarize", "--n", "3", "--mu", "1/3", "--csv", "-", "--n-max", "6", "--decimal", "10"),
-    ),
-    (
-        "threshold_curve_nmax11_decimal10.txt",
-        ("product-threshold-curve", "--n-max", "11", "--decimal", "10"),
-    ),
-    (
-        "persuade_n24_mu3-10_tau1-2_threshold1-3_csv.txt",
-        ("persuade", "--n", "24", "--mu", "3/10", "--tau", "1/2", "--u", "threshold:1/3",
-         "--csv", "-"),
-    ),
-]
-
-
-@pytest.mark.parametrize("golden,args", GOLDENS, ids=[g for g, _ in GOLDENS])
-def test_output_golden(capsys, golden, args):
-    # JSON and CSV under both formatters, rendered through jsonio.dumps and _csv_text
-    code, out, _ = run(capsys, *args)
-    assert code == 0
-    assert out == (DATA / golden).read_text()
-
-
 @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 5)])
 def test_seed_outside_64_bits_exits_two(capsys, seed):
     args = ("simulate", str(DATA / "uniform9.json"), "--samples", "200", "--seed", seed)
@@ -473,14 +419,16 @@ def test_persuade_with_no_agents_exits_two(capsys, u):
     assert err == "poplaw: invalid input: agent count 0 is not an integer >= 1\n"
 
 
-@pytest.mark.parametrize("n_max", ["0", "-1"])
-def test_nonpositive_polarize_n_max_exits_two(capsys, tmp_path, n_max):
+@pytest.mark.parametrize("args, message", [
+    (("--csv", "{rows}", "--n-max=0"), "--n-max 0 is not an integer >= 1"),
+    (("--csv", "{rows}", "--n-max=-1"), "--n-max -1 is not an integer >= 1"),
+    (("--n-max", "5"), "--n-max needs --csv"),
+], ids=["zero", "negative", "without-csv"])
+def test_refused_polarize_n_max_exits_two(capsys, tmp_path, args, message):
     rows = tmp_path / "rows.csv"
-    args = ("polarize", "--n", "3", "--mu", "1/2", "--csv", str(rows), f"--n-max={n_max}")
-    code, out, err = run(capsys, *args)
-    assert code == 2
-    assert out == ""
-    assert err == f"poplaw: invalid input: --n-max {n_max} is not an integer >= 1\n"
+    args = (a.format(rows=rows) for a in args)
+    code, out, err = run(capsys, "polarize", "--n", "3", "--mu", "1/2", *args)
+    assert (code, out, err) == (2, "", f"poplaw: invalid input: {message}\n")
     assert not rows.exists()
 
 
@@ -505,6 +453,21 @@ def test_unwritable_output_exits_two(capsys, tmp_path, args):
     assert out == ""
     assert err.startswith(f"poplaw: invalid input: cannot write {args[-1]}: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [
+    ("feasible", "uniform8.json"), ("product-threshold-curve", "--n-max", "3", "--svg", "-"),
+], ids=["feasible", "threshold-svg"])
+def test_stdout_whose_reader_is_gone_exits_two(args):
+    read, write = os.pipe()
+    os.close(read)  # before the child starts, so its first write fails
+    env = {**os.environ, "PYTHONPATH": str(DATA.parents[1] / "src")}
+    with open(write, "wb") as stdout:
+        child = subprocess.run([sys.executable, "-m", "poplaw", *args], stdout=stdout,
+                               stderr=subprocess.PIPE, cwd=DATA, env=env)
+    err = child.stderr.decode()
+    assert (child.returncode, err.count("\n"), "Traceback" in err) == (2, 1, False)
+    assert err.startswith("poplaw: invalid input: cannot write -: ")
 
 
 _HALF = ["1/2", "1/2"]
@@ -610,36 +573,6 @@ def test_seed_at_the_ends_of_the_range_runs(capsys, seed):
     assert jsonio.law_from_json(json.loads(out)).n == 9
 
 
-def _synthesized_scheme(capsys, tmp_path, problem):
-    code, out, _ = run(capsys, "synthesize", str(problem))
-    assert code == 0
-    path = tmp_path / "scheme.json"
-    path.write_text(json.dumps(json.loads(out)["scheme"]))
-    return path
-
-
-def test_expand_and_oracle_golden_uniform9(capsys, tmp_path):
-    expected = gzip.decompress((DATA / "expand_uniform9.txt.gz").read_bytes()).decode()
-    scheme = _synthesized_scheme(capsys, tmp_path, DATA / "uniform9.json")
-    code, out, _ = run(capsys, "expand", str(scheme))
-    assert code == 0
-    assert out == expected
-    # the oracle on the expansion decodes every belief label separately
-    structure = tmp_path / "structure.json"
-    structure.write_text(out)
-    code, out, _ = run(capsys, "oracle", str(structure))
-    assert code == 0
-    assert out == (DATA / "oracle_uniform9.txt").read_text()
-
-
-def test_expand_golden_three_states(capsys, tmp_path):
-    # three states whose kernels have different denominators
-    scheme = _synthesized_scheme(capsys, tmp_path, DATA / "three_state_n2.json")
-    code, out, _ = run(capsys, "expand", str(scheme))
-    assert code == 0
-    assert out == (DATA / "expand_three_state_n2.txt").read_text()
-
-
 def test_oracle_on_a_large_expansion_decodes_each_label_once(capsys, tmp_path):
     # 300 agents dealt 299 copies of one belief and 1 of the other: 600
     # profiles, 180,000 label cells of 2 distinct beliefs. Decoding each cell
@@ -666,44 +599,6 @@ def test_oracle_on_a_large_expansion_decodes_each_label_once(capsys, tmp_path):
     # the labels are Bayes-consistent, so the oracle returns the scheme's law
     law = jsonio.scheme_from_json(payload).law()
     assert out == jsonio.dumps(jsonio.law_to_json(law))
-
-
-def test_oracle_and_expand_golden_three_agents(capsys, tmp_path):
-    code, out, _ = run(capsys, "oracle", str(DATA / "three_agent_example.json"))
-    assert code == 0
-    assert out == (DATA / "oracle_three_agent.txt").read_text()
-    # synthesize a scheme for the induced law and expand it
-    mu = json.loads((DATA / "three_agent_example.json").read_text())["mu"]
-    problem = tmp_path / "problem.json"
-    problem.write_text(json.dumps({"mu": mu, "law": json.loads(out)}))
-    scheme = _synthesized_scheme(capsys, tmp_path, problem)
-    code, out, _ = run(capsys, "expand", str(scheme))
-    assert code == 0
-    assert out == (DATA / "expand_three_agent.txt").read_text()
-
-
-@pytest.mark.parametrize("shards", ["1", "3"])
-def test_simulate_golden(capsys, shards):
-    args = ("--samples", "2000", "--seed", "31", "--shards", shards)
-    code, out, _ = run(capsys, "simulate", str(DATA / "uniform9.json"), *args)
-    assert code == 0
-    assert out == (DATA / "simulate_uniform9_n2000_seed31.txt").read_text()
-
-
-def test_simulate_golden_several_blocks(capsys):
-    # 40000 samples span more than two of simulate's draw blocks plus a remainder
-    args = ("--samples", "40000", "--seed", "2024", "--shards", "7")
-    code, out, _ = run(capsys, "simulate", str(DATA / "uniform9.json"), *args)
-    assert code == 0
-    assert out == (DATA / "simulate_uniform9_n40000_seed2024.txt").read_text()
-
-
-def test_simulate_golden_three_states(capsys):
-    # three states, each two of which share an empirical distribution
-    args = ("--samples", "40000", "--seed", "5", "--shards", "2")
-    code, out, _ = run(capsys, "simulate", str(DATA / "three_state_n2.json"), *args)
-    assert code == 0
-    assert out == (DATA / "simulate_three_state_n2_n40000_seed5.txt").read_text()
 
 
 def test_byte_identical_reruns(capsys):
@@ -918,7 +813,7 @@ def test_refusal_of_a_long_argument_is_one_short_line(capsys, args):
 
 def test_refusal_of_a_long_bound_is_one_short_line(capsys, monkeypatch):
     monkeypatch.setenv("POPLAW_MAX_PROFILES", "9" * 10**5 + "x")
-    code, out, err = run(capsys, *PRODUCT_CHECK)
+    code, out, err = run(capsys, "product-check", "--n", "4", "--mu", "1/2", "--a", "0.3", "--b", "0.7")
     assert (code, out) == (2, "")
     assert err.startswith("poplaw: invalid input: POPLAW_MAX_PROFILES") and err.count("\n") == 1
     assert len(err.encode()) < 200
