@@ -44,10 +44,9 @@ def _formatter(args):
     Every output goes through it once, in `_json_text` and `_csv_text`;
     commands hand over exact values.
     """
-    digits = getattr(args, "decimal", None)
-    if digits is None:
+    if args.decimal is None:
         return format_rational
-    return lambda value: format_decimal(value, digits)
+    return lambda value: format_decimal(value, args.decimal)
 
 
 def _read_json(path: str):
@@ -104,24 +103,28 @@ def _csv_text(header, rows, args) -> str:
     return buf.getvalue()
 
 
-def _problem_from_json(payload):
-    prior = jsonio.prior_from_json(jsonio._require(payload, "mu", "problem"))
-    law = jsonio.law_from_json(jsonio._require(payload, "law", "problem"))
-    return law, prior
-
-
 def _cmd_feasible(args):
-    law, prior = _problem_from_json(_read_json(args.input))
-    verdict = check_feasible(law, prior)
+    verdict = check_feasible(*jsonio.problem_from_json(_read_json(args.input)))
     return [("-", _json_text(jsonio.verdict_to_json(verdict), args))]
 
 
-def _cmd_synthesize(args):
-    law, prior = _problem_from_json(_read_json(args.input))
+def _synthesized(payload):
+    """A problem's verdict, and the scheme synthesized from it (None when infeasible)."""
+    law, prior = jsonio.problem_from_json(payload)
     verdict = check_feasible(law, prior)
+    if not verdict.feasible:
+        return verdict, None
+    try:
+        return verdict, synthesize(law, prior, verdict.decomposition)
+    except InvariantError as exc:
+        # the decomposition is the library's own, so refusing it is a failed self-check
+        raise InternalError(str(exc)) from exc
+
+
+def _cmd_synthesize(args):
+    verdict, scheme = _synthesized(_read_json(args.input))
     out = jsonio.verdict_to_json(verdict)
-    if verdict.feasible:
-        scheme = synthesize(law, prior, verdict.decomposition)
+    if scheme is not None:
         out["scheme"] = jsonio.scheme_to_json(scheme)
     return [("-", _json_text(out, args))]
 
@@ -135,11 +138,10 @@ def _cmd_oracle(args):
 def _scheme_from_input(payload):
     if isinstance(payload, dict) and "state_laws" in payload:
         return jsonio.scheme_from_json(payload)
-    law, prior = _problem_from_json(payload)
-    verdict = check_feasible(law, prior)
-    if not verdict.feasible:
+    _, scheme = _synthesized(payload)
+    if scheme is None:
         raise InvariantError("cannot simulate an infeasible law")
-    return synthesize(law, prior, verdict.decomposition)
+    return scheme
 
 
 def _cmd_simulate(args):
@@ -284,33 +286,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_decimal(p):
-        p.add_argument(
-            "--decimal",
-            type=int,
-            default=None,
-            metavar="D",
-            help="render rationals as D-digit decimals (display only)",
-        )
-
     p = sub.add_parser("feasible", help="decide feasibility of {mu, law}")
     p.add_argument("input", help="problem JSON path or - for stdin")
-    add_decimal(p)
     p.set_defaults(func=_cmd_feasible)
 
     p = sub.add_parser("synthesize", help="decide feasibility and emit an implementing scheme")
     p.add_argument("input")
-    add_decimal(p)
     p.set_defaults(func=_cmd_synthesize)
 
     p = sub.add_parser("oracle", help="enumerate the law induced by an information structure")
     p.add_argument("input")
-    add_decimal(p)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("expand", help="expand a scheme into an explicit information structure")
     p.add_argument("input")
-    add_decimal(p)
     p.set_defaults(func=_cmd_expand)
 
     p = sub.add_parser("simulate", help="Monte-Carlo estimate of a scheme's law")
@@ -318,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True, help="integer in [0, 2**64)")
     p.add_argument("--shards", type=int, default=1)
-    add_decimal(p)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("polarize", help="maximal polarization report")
@@ -328,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also run the exhaustive kernel grid search at this denominator")
     p.add_argument("--csv", default=None, help="write (n, lower, upper, achieved) rows")
     p.add_argument("--n-max", type=int, default=None, help="row range for --csv")
-    add_decimal(p)
     p.set_defaults(func=_cmd_polarize)
 
     p = sub.add_parser("product-check", help="feasibility of a symmetric product law")
@@ -337,14 +324,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", default=None, help="marginal as JSON [{value, weight}, ...]")
     p.add_argument("--a", default=None, help="low belief of a binary marginal")
     p.add_argument("--b", default=None, help="high belief of a binary marginal")
-    add_decimal(p)
     p.set_defaults(func=_cmd_product_check)
 
     p = sub.add_parser("product-threshold-curve", help="feasibility thresholds by population size")
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--csv", default="-", help="output path or - for stdout")
     p.add_argument("--svg", default=None)
-    add_decimal(p)
     p.set_defaults(func=_cmd_threshold_curve)
 
     p = sub.add_parser("persuade", help="optimal private persuasion of a homogeneous population")
@@ -354,9 +339,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", required=True, help="'linear', 'threshold:CUT', or JSON array of n+1 values")
     p.add_argument("--csv", default=None, help="write (grid, u, cav) rows")
     p.add_argument("--svg", default=None)
-    add_decimal(p)
     p.set_defaults(func=_cmd_persuade)
 
+    # every command's one --decimal, added last: each help text lists it after the command's own
+    for p in sub.choices.values():
+        p.add_argument("--decimal", type=int, default=None, metavar="D",
+                       help="render rationals as D-digit decimals (display only)")
     return parser
 
 
@@ -372,7 +360,7 @@ def main(argv=None) -> int:
     except InternalError as exc:
         print(f"poplaw: internal error: {exc}", file=sys.stderr)
         return 3
-    except (InvariantError, PoplawError) as exc:
+    except PoplawError as exc:
         print(f"poplaw: invalid input: {exc}", file=sys.stderr)
         return 2
 

@@ -163,22 +163,14 @@ def decomposition_to_json(decomposition: SpreadDecomposition):
 
 
 def certificate_to_json(certificate):
-    if isinstance(certificate, MeanMismatch):
-        return {
-            "kind": certificate.kind,
-            "left": certificate.left,
-            "right": certificate.right,
-        }
-    if isinstance(certificate, QuantileViolation):
-        return {
-            "kind": certificate.kind,
-            "alpha": certificate.alpha,
-            "quantile_mean": certificate.quantile_mean,
-            "low_atom": certificate.low_atom,
-        }
-    if isinstance(certificate, FarkasCertificate):
-        return {"kind": certificate.kind, "y": list(certificate.y)}
-    raise InvariantError(f"unknown certificate type: {shown(certificate)}")
+    fields = _CERTIFICATE_FIELDS.get(type(certificate))
+    if fields is None:
+        raise InvariantError(f"unknown certificate type: {shown(certificate)}")
+    out = {"kind": certificate.kind}
+    for key, _ in fields:
+        value = getattr(certificate, key)
+        out[key] = list(value) if type(value) is tuple else value
+    return out
 
 
 def verdict_to_json(verdict: FeasibilityVerdict):
@@ -352,24 +344,34 @@ def _side_from_json(payload):
         return belief_from_json(payload)
     return parse_rational(payload)
 
+
+def _rationals_from_json(payload):
+    return tuple(map(parse_rational, _array(payload, "certificate: field 'y'")))
+
+
+# each certificate class, its fields in order and the reader of each
+_CERTIFICATE_FIELDS = {
+    MeanMismatch: (("left", _side_from_json), ("right", _side_from_json)),
+    QuantileViolation: tuple((k, parse_rational) for k in ("alpha", "quantile_mean", "low_atom")),
+    FarkasCertificate: (("y", _rationals_from_json),),
+}
+_CERTIFICATE_KINDS = {cls.kind: cls for cls in _CERTIFICATE_FIELDS}
+
+
 def certificate_from_json(payload):
     kind = _require(payload, "kind", "certificate")
-    if kind == "mean_mismatch":
-        return MeanMismatch(
-            _side_from_json(_require(payload, "left", "certificate")),
-            _side_from_json(_require(payload, "right", "certificate")),
-        )
-    if kind == "quantile_violation":
-        return QuantileViolation(
-            parse_rational(_require(payload, "alpha", "certificate")),
-            parse_rational(_require(payload, "quantile_mean", "certificate")),
-            parse_rational(_require(payload, "low_atom", "certificate")),
-        )
-    if kind == "farkas":
-        return FarkasCertificate(
-            tuple(parse_rational(v) for v in _require_array(payload, "y", "certificate"))
-        )
-    raise InvariantError(f"unknown certificate kind: {shown(kind)}")
+    # an unhashable kind, an array or an object, is unknown too
+    cls = _CERTIFICATE_KINDS.get(kind) if type(kind) is str else None
+    if cls is None:
+        raise InvariantError(f"unknown certificate kind: {shown(kind)}")
+    fields = _CERTIFICATE_FIELDS[cls]
+    return cls(*[read(_require(payload, key, "certificate")) for key, read in fields])
+
+
+def problem_from_json(payload) -> tuple[PopulationLaw, Prior]:
+    """The (law, prior) of a problem document {"mu": belief, "law": law}."""
+    prior = prior_from_json(_require(payload, "mu", "problem"))
+    return law_from_json(_require(payload, "law", "problem")), prior
 
 
 def verdict_from_json(payload) -> FeasibilityVerdict:
@@ -426,16 +428,19 @@ def _profiles_from_json(entry, label):
     return tuple(_pairs(profiles, "profile", "signals", signals, "prob", parse_rational))
 
 
+def _redundant(payload, key, value, where, what):
+    """Refuse an optional field that repeats `value`, read off the rest, but disagrees."""
+    given = payload.get(key, value)
+    if type(given) is not int or given != value:
+        raise InvariantError(f"{where}: field {key!r} must be {value}, {what}, not {shown(given)}")
+
+
 def structure_from_json(payload) -> InformationStructure:
     n = _require(payload, "n", "information structure")
     prior = prior_from_json(_require(payload, "mu", "information structure"))
-    # "m" is redundant with mu and optional, but one that disagrees is refused
-    m = payload.get("m", prior.dimension)
-    if type(m) is not int or m != prior.dimension:
-        raise InvariantError(
-            f"information structure: field 'm' must be {prior.dimension}, "
-            f"the number of states in mu, not {shown(m)}"
-        )
+    _redundant(
+        payload, "m", prior.dimension, "information structure", "the number of states in mu"
+    )
     label = partial(_label_from_json, belief=_beliefs())
     signal_sets = [
         tuple(map(label, _array(signals, "signal set")))
@@ -460,11 +465,5 @@ def scheme_from_json(payload) -> SymmetricScheme:
         lambda entry: _law(_require(entry, "law", "scheme state law"), belief),
     )
     scheme = SymmetricScheme(prior, laws)
-    # "n" is redundant with the state laws and optional, but one that disagrees is refused
-    n = payload.get("n", scheme.n)
-    if type(n) is not int or n != scheme.n:
-        raise InvariantError(
-            f"scheme: field 'n' must be {scheme.n}, "
-            f"the population size of the state laws, not {shown(n)}"
-        )
+    _redundant(payload, "n", scheme.n, "scheme", "the population size of the state laws")
     return scheme

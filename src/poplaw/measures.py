@@ -195,9 +195,6 @@ class ScalarMeasure:
     def mean(self) -> Fraction:
         return sum((value * weight for value, weight in self.atoms), ZERO)
 
-    def reversed(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        return tuple(reversed(self.atoms))
-
 
 @dataclass(frozen=True, order=True)
 class EmpiricalDistribution:
@@ -351,7 +348,7 @@ def upper_quantile_distribution(measure: ScalarMeasure, alpha) -> ScalarMeasure:
     alpha = parse_quantile_level(alpha)
     if alpha == 1:
         return measure
-    return _trusted(ScalarMeasure, atoms=_lower_slice(measure.reversed(), alpha)[::-1])
+    return _trusted(ScalarMeasure, atoms=_lower_slice(measure.atoms[::-1], alpha)[::-1])
 
 
 def _lower_slice(atoms, alpha: Fraction) -> tuple:

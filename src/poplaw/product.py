@@ -175,5 +175,16 @@ def curve_sizes(n_max: int) -> range:
 
 
 def threshold_curve(n_max: int) -> list[tuple[int, Fraction]]:
-    """Rows (n, symmetric_threshold(n)) for n = 2 .. n_max."""
-    return [(n, symmetric_threshold(n)) for n in curve_sizes(n_max)]
+    """Rows (n, symmetric_threshold(n)) for n = 2 .. n_max, one big-integer step per row.
+
+    C(2m, m) is carried from row to row, C(2m, m) = C(2m - 2, m - 1) * 2(2m - 1) / m,
+    and odd n repeats the row of n - 1.
+    """
+    rows, central = [], 1  # C(2m, m) at m = 0
+    for n in curve_sizes(n_max):
+        m = n // 2
+        if n % 2 == 0:
+            central = central * (4 * m - 2) // m
+            value = Fraction(4**m - central, 2 * 4**m)
+        rows.append((n, value))
+    return rows

@@ -58,15 +58,12 @@ def point_line_chart(points, line, title: str = "") -> str:
     if lo == hi:
         hi = lo + 1.0
 
-    def to_xy(p):
-        x = MARGIN + (WIDTH - 2 * MARGIN) * float(p[0])
-        y = HEIGHT - MARGIN - (HEIGHT - 2 * MARGIN) * (float(p[1]) - lo) / (hi - lo)
-        return x, y
+    def to_xy(pairs):
+        xs = _scale([float(x) for x, _ in pairs], 0, 1, MARGIN, WIDTH - MARGIN)
+        return zip(xs, _scale([float(y) for _, y in pairs], lo, hi, HEIGHT - MARGIN, MARGIN))
 
-    body = []
-    path = " ".join(f"{x:.1f},{y:.1f}" for x, y in map(to_xy, line))
-    body.append(f'<polyline points="{path}" fill="none" stroke="steelblue" stroke-width="2"/>')
-    for p in points:
-        x, y = to_xy(p)
+    path = " ".join(f"{x:.1f},{y:.1f}" for x, y in to_xy(line))
+    body = [f'<polyline points="{path}" fill="none" stroke="steelblue" stroke-width="2"/>']
+    for x, y in to_xy(points):
         body.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="4" fill="black"/>')
     return _frame(title, body)

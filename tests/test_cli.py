@@ -155,6 +155,15 @@ def test_threshold_curve_csv(capsys):
     assert lines[-1] == "11,193/512"
 
 
+def test_threshold_curve_rows_cost_one_step_each(capsys):
+    # rebuilding C(2m, m) for every row took about 7.9 s (2 shared cores, Python 3.11)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "product-threshold-curve", "--n-max", "8000", "--decimal", "3")
+    assert time.perf_counter() - start < 4
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "8000,0.496"
+
+
 def test_threshold_curve_svg(capsys, tmp_path):
     target = tmp_path / "curve.svg"
     code, _, _ = run(
@@ -400,6 +409,27 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "poplaw: internal error: self-check failed\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("synthesize",), ("simulate", "--samples", "10", "--seed", "1")],
+    ids=["synthesize", "simulate"],
+)
+def test_refused_own_decomposition_exits_three(capsys, monkeypatch, args):
+    # synthesize refusing the decomposition check_feasible just returned is a library fault
+    from poplaw import SpreadDecomposition, feasibility
+
+    decompose = feasibility.mps_decompose
+
+    def swapped(law, base):
+        # two components of weight 1/2 each, so reversing them swaps their laws
+        return SpreadDecomposition(decompose(law, base).components[::-1])
+
+    monkeypatch.setattr(feasibility, "mps_decompose", swapped)
+    code, out, err = run(capsys, args[0], str(DATA / "uniform9.json"), *args[1:])
+    assert (code, out) == (3, "")
+    assert err == "poplaw: internal error: decomposition does not verify against the law's base\n"
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 5)])

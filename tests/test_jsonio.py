@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import typing
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from poplaw import (
     DiscreteMeasure,
     EmpiricalDistribution,
     FarkasCertificate,
+    InfeasibilityCertificate,
     InvariantError,
     MeanMismatch,
     PopulationLaw,
@@ -119,6 +121,7 @@ def test_certificate_round_trips():
         QuantileViolation(F(1, 2), F(5, 18), F(1, 4)),
         FarkasCertificate((F(1), F(-1, 3), F(0))),
     ]
+    assert {type(cert) for cert in certs} == set(typing.get_args(InfeasibilityCertificate))
     for cert in certs:
         back = jsonio.certificate_from_json(_served(jsonio.certificate_to_json(cert)))
         assert back == cert

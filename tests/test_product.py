@@ -233,6 +233,13 @@ def test_threshold_curve_rows():
     assert all(a < b for a, b in zip(evens, evens[1:]))
 
 
+def test_threshold_curve_carries_the_closed_form():
+    # the curve carries C(2m, m) from row to row; symmetric_threshold rebuilds it
+    rows = threshold_curve(600)
+    assert [n for n, _ in rows] == list(range(2, 601))
+    assert all(t == symmetric_threshold(n) for n, t in rows)
+
+
 def test_threshold_asymptotic_envelope():
     for m in range(10, 41, 5):
         t = float(symmetric_threshold(2 * m))
