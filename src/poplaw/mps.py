@@ -13,16 +13,16 @@ belief measures by one chain; each step decides the target or passes it on:
   and the law's mean for component 1's rows;
 * the canonical LP, which decides everything left.
 
-`_canonical_columns` states the canonical LP once, as each column's nonzeros
-and the rhs; `decomposition_lp` is its dense `Fraction` view. Both LP steps
-build their rows as integers straight from the law's agent counts and the
-integer numerators of the weights and masses (`_integer_lp`), each finished by
-`simplex._primitive_row`, and solve them through `simplex.solve_equalities`,
-so pivots, solutions and Farkas vectors are those of the `Fraction` systems.
-Every Farkas vector is stated over the canonical rows, and `verify_certificate`
-checks it column by column from scratch. It re-checks the shortcut's
-certificates in `Fraction`s (`_two_point`), apart from the shortcut's integers,
-and `verify_decomposition` re-checks every decomposition.
+`_canonical_lp` states the canonical LP once, in integers: each column's
+nonzeros, the rhs and each row's positive multiplier. `mps_decompose` solves
+its dense rows (`_canonical_dense`), each finished by `simplex._primitive_row`;
+`verify_certificate` checks a Farkas vector against its columns in integers;
+`decomposition_lp` is its dense `Fraction` view. The bounded LP's integer rows
+come straight from the law's agent counts (`_bounded_lp`). Both LPs are solved
+by `simplex.solve_equalities`, so pivots, solutions and Farkas vectors are
+those of the `Fraction` systems, and every Farkas vector is stated over the
+canonical rows. The shortcut's certificates are re-checked in `Fraction`s
+(`_two_point`), and `verify_decomposition` re-checks every decomposition.
 """
 
 from __future__ import annotations
@@ -270,39 +270,53 @@ def _two_belief_shortcut(law: PopulationLaw, target: SpreadTarget, beliefs, tabl
     )
 
 
-def _canonical_columns(law: PopulationLaw, target: SpreadTarget):
-    """The canonical LP, stated once: each column's nonzero (row, value) pairs, and the rhs.
+def _canonical_lp(law: PopulationLaw, target: SpreadTarget, beliefs):
+    """The canonical LP, stated once in integers: columns, rhs and row multipliers.
 
-    Variables: q[c][j] >= 0 for component c and law atom j (column c*J + j).
-    Rows, in order: one mass-balance row per law atom j, then one moment row
-    per (component c, belief x) over `_beliefs(law, target)`. Column (c, j)
-    holds w_c on mass row j and count_j(x) / n on row (c, x) for each belief x
-    of atom j. The rhs is the law's weights, then each component's masses.
+    `beliefs` is `_beliefs(law, target)`. Column c*J + j is q_c[j] >= 0, for
+    component c and law atom j. Rows: mass row j, sum_c w_c * q_c[j] = p_j,
+    then moment row (c, x) per belief x, sum_j count_j(x) / n * q_c[j] =
+    m_c(x). With p_j = P_j / D, w_c = W_c / DW and m_c(x) = A_c(x) / B_c over
+    least common denominators, row i times mults[i] is integers: D * DW on a
+    mass row, n * B_c on a moment row. Returns each column's nonzero (row,
+    integer) pairs, the integer rhs and `mults`.
     """
-    beliefs = _beliefs(law, target)
-    J, B = len(law.atoms), len(beliefs)
-    row_of = {belief: J + i for i, belief in enumerate(beliefs)}  # component 0's moment rows
-    shares = [[(row_of[x], Fraction(k, law.n)) for x, k in emp.counts] for emp, _ in law.atoms]
-    columns = [
-        [(j, weight), *((row + c * B, share) for row, share in shares[j])]
-        for c, (weight, _) in enumerate(target.components)
-        for j in range(J)
-    ]
-    rhs = [p for _, p in law.atoms]
+    n = law.n
+    P, D = over_common_denominator([p for _, p in law.atoms])
+    W, DW = over_common_denominator([w for w, _ in target.components])
+    J, R = len(P), len(beliefs)
+    rhs, mults, dens = [p * DW for p in P], [D * DW] * J, []
     for _, measure in target.components:
         mass = dict(measure.atoms)
-        rhs.extend(mass.get(x, ZERO) for x in beliefs)
-    return columns, rhs
+        A, B = over_common_denominator([mass.get(x, ZERO) for x in beliefs])
+        rhs.extend(n * a for a in A)
+        mults.extend([n * B] * R)
+        dens.append(B)
+    row_of = {belief: J + i for i, belief in enumerate(beliefs)}  # component 0's moment rows
+    counts = [[(row_of[x], k) for x, k in emp.counts] for emp, _ in law.atoms]
+    columns = [
+        [(j, w * D), *((row + c * R, k * B) for row, k in counts[j])]
+        for c, (w, B) in enumerate(zip(W, dens))
+        for j in range(J)
+    ]
+    return columns, rhs, mults
 
 
-def decomposition_lp(law: PopulationLaw, target: SpreadTarget):
-    """The canonical LP as dense `Fraction` rows and rhs: `_canonical_columns` scattered."""
-    columns, rhs = _canonical_columns(law, target)
-    rows = [[ZERO] * len(columns) for _ in rhs]
+def _canonical_dense(law: PopulationLaw, target: SpreadTarget, beliefs):
+    """`_canonical_lp` scattered: each dense integer row, rhs last, with its multiplier."""
+    columns, rhs, mults = _canonical_lp(law, target, beliefs)
+    rows = [[0] * len(columns) + [b] for b in rhs]
     for col, column in enumerate(columns):
         for i, value in column:
             rows[i][col] = value
-    return rows, rhs
+    return zip(rows, mults)
+
+
+def decomposition_lp(law: PopulationLaw, target: SpreadTarget):
+    """The canonical LP as dense `Fraction` rows and rhs: each integer row over its multiplier."""
+    dense = _canonical_dense(law, target, _beliefs(law, target))
+    rows = [[Fraction(v, mult) for v in row] for row, mult in dense]
+    return [row[:-1] for row in rows], [row[-1] for row in rows]
 
 
 def mps_decompose(law: PopulationLaw, target: SpreadTarget, route: str = "auto"):
@@ -325,10 +339,10 @@ def mps_decompose(law: PopulationLaw, target: SpreadTarget, route: str = "auto")
         if result is not None:
             return result
     if len(target.components) == 2:
-        system = _integer_lp(law, target, beliefs, table, bounded=True)
+        system = _bounded_lp(law, target, beliefs, table)
         if system is not None:
             return _decompose_two_components(law, target, table, *system)
-    outcome = solve_equalities(*_integer_lp(law, target, beliefs, table))
+    outcome = solve_equalities(*_finished(_canonical_dense(law, target, beliefs)))
     if not outcome.feasible:
         return FarkasCertificate(outcome.farkas)
     J = len(law.atoms)
@@ -340,7 +354,7 @@ def mps_decompose(law: PopulationLaw, target: SpreadTarget, route: str = "auto")
 
 
 def _decompose_two_components(law: PopulationLaw, target: SpreadTarget, table, rows, scales):
-    """The bounded LP step, on `_integer_lp`'s bounded rows and scales.
+    """The bounded LP step, on `_bounded_lp`'s rows and scales.
 
     The system is over x_j = w0 * q0[j] with 0 <= x_j <= p_j, the law's weight
     on atom j: one row per belief x of the law, sum_j count_j(x) / n * x_j =
@@ -377,23 +391,15 @@ def _decompose_two_components(law: PopulationLaw, target: SpreadTarget, table, r
     return SpreadDecomposition([(w0, _restrict(law, low)), (w1, _restrict(law, high))])
 
 
-def _integer_lp(law: PopulationLaw, target: SpreadTarget, beliefs, table, bounded=False):
-    """A decomposition system as integer rows, rhs last, and one scale per row.
+def _bounded_lp(law: PopulationLaw, target: SpreadTarget, beliefs, table):
+    """The bounded LP as integer rows, rhs last, and one scale per row; None if it cannot stand in.
 
     `beliefs` is `_beliefs(law, target)` and `table` its `_count_table`. The
-    rows are those of `decomposition_lp(law, target)` or, when `bounded`, of
-    `_decompose_two_components`'s system with column j times its bound p_j,
-    each as coprime integers with a non-negative rhs, and each scale maps
-    the `Fraction` row to its integer row. With p_j = P_j / D, the target's
-    weights w_c = W_c / DW and its masses m_c(x) = A_c(x) / B_c, each over
-    its least common denominator, every row times a positive integer is an
-    integer row that `_primitive_row` finishes.
-
-    The bounded system stands in for the canonical one only when the target
-    has two components and its mixture is the law's expected measure; when
-    the mixture is not, `bounded` returns None. The target then has a belief
-    outside the law's support, or the mixture and the expected measure differ
-    at one of the law's beliefs.
+    rows are `_decompose_two_components`'s system, column j times its bound
+    p_j, scaled to integers by the denominators `_canonical_lp` uses. It
+    stands in for the canonical LP only when the target, of two components,
+    mixes to the law's expected measure; otherwise the target has a belief
+    outside the law's support, or the two differ at one of the law's beliefs.
     """
     n = law.n
     P, D = over_common_denominator([p for _, p in law.atoms])
@@ -403,41 +409,25 @@ def _integer_lp(law: PopulationLaw, target: SpreadTarget, beliefs, table, bounde
         mass = dict(measure.atoms)
         masses.append(over_common_denominator([mass.get(x, ZERO) for x in beliefs]))
     rows = []
-    if bounded:
-        (W0, W1), ((A0, B0), (A1, B1)) = W, masses
-        k = DW * B0
-        for counts, a0, a1 in zip(table, A0, A1):
-            weighted = [v * p for v, p in zip(counts, P)]
-            # n * D times the expected measure at x, against n * D times the
-            # mixture (W0 * A0(x) / B0 + W1 * A1(x) / B1) / DW
-            if sum(weighted) * DW * B0 * B1 != n * D * (W0 * a0 * B1 + W1 * a1 * B0):
-                return None
-            # row x, sum_j count_j(x) / n * p_j * t_j = w0 * m0(x), times n * D * k
-            row = [v * k for v in weighted]
-            row.append(n * D * W0 * a0)
-            rows.append((row, n * D * k))
-    else:
-        J = len(P)
-        width = len(W) * J
-        for j, p in enumerate(P):
-            # mass row j, sum_c w_c * q_c[j] = p_j, times D * DW
-            row = [0] * (width + 1)
-            row[j:width:J] = [w * D for w in W]
-            row[-1] = p * DW
-            rows.append((row, D * DW))
-        for c, (A, B) in enumerate(masses):
-            for counts, a in zip(table, A):
-                # moment row (c, x), sum_j count_j(x) / n * q_c[j] = m_c(x), times n * B_c
-                row = [0] * (width + 1)
-                row[c * J : (c + 1) * J] = [v * B for v in counts]
-                row[-1] = n * a
-                rows.append((row, n * B))
-    int_rows, scales = [], []
-    for row, mult in rows:
-        row, scale = _primitive_row(row, mult)
-        int_rows.append(row)
-        scales.append(scale)
-    return int_rows, scales
+    (W0, W1), ((A0, B0), (A1, B1)) = W, masses
+    k = DW * B0
+    for counts, a0, a1 in zip(table, A0, A1):
+        weighted = [v * p for v, p in zip(counts, P)]
+        # n * D times the expected measure at x, against n * D times the
+        # mixture (W0 * A0(x) / B0 + W1 * A1(x) / B1) / DW
+        if sum(weighted) * DW * B0 * B1 != n * D * (W0 * a0 * B1 + W1 * a1 * B0):
+            return None
+        # row x, sum_j count_j(x) / n * p_j * t_j = w0 * m0(x), times n * D * k
+        row = [v * k for v in weighted]
+        row.append(n * D * W0 * a0)
+        rows.append((row, n * D * k))
+    return _finished(rows)
+
+
+def _finished(rows):
+    """Each (integer row, positive multiplier) pair finished by `_primitive_row`: rows, scales."""
+    finished = [_primitive_row(row, mult) for row, mult in rows]
+    return [row for row, _ in finished], [scale for _, scale in finished]
 
 
 def _restrict(law: PopulationLaw, weights) -> PopulationLaw:
@@ -477,11 +467,12 @@ def verify_decomposition(
 def verify_certificate(law: PopulationLaw, target: SpreadTarget, certificate) -> bool:
     """Re-check a refutation from scratch; True only if it genuinely refutes."""
     if isinstance(certificate, FarkasCertificate):
-        columns, rhs = _canonical_columns(law, target)
+        columns, rhs, mults = _canonical_lp(law, target, _beliefs(law, target))
         y = certificate.y
-        # y.b > 0 and y.A <= 0 column by column, exactly
-        return len(y) == len(rhs) and sum(map(operator.mul, y, rhs)) > 0 and all(
-            sum(y[i] * v for i, v in column) <= 0 for column in columns
+        # y_i / mults[i] prices integer row i: y.b > 0 and y.A <= 0, over one denominator
+        Y, _ = over_common_denominator([Fraction(v, m) for v, m in zip(y, mults)])
+        return len(y) == len(rhs) and sum(map(operator.mul, Y, rhs)) > 0 and all(
+            sum(Y[i] * v for i, v in column) <= 0 for column in columns
         )
     two_point = _two_point(law, target, _beliefs(law, target))
     if two_point is None:

@@ -6,6 +6,10 @@ anything fancier belongs in a real plotting stack.
 
 from __future__ import annotations
 
+import math
+
+from .errors import ResourceLimitError
+
 WIDTH = 640
 HEIGHT = 400
 MARGIN = 50
@@ -52,11 +56,14 @@ def bar_chart(rows, title: str = "") -> str:
 
 
 def point_line_chart(points, line, title: str = "") -> str:
-    """Dots for `points` plus a polyline for `line`, both over [0, 1] x data range."""
-    ys = [float(y) for _, y in points] + [float(y) for _, y in line]
+    """Dots for `points` plus a polyline for `line`, over [0, 1] x data range, if floats hold it."""
+    try:
+        ys = [float(y) for _, y in points] + [float(y) for _, y in line]
+    except OverflowError:
+        ys = [math.inf]  # a value past float range puts the range past it too
     lo, hi = min(ys + [0.0]), max(ys + [1.0])
-    if lo == hi:
-        hi = lo + 1.0
+    if not math.isfinite(hi - lo):
+        raise ResourceLimitError("cannot draw the chart: its values span beyond float range")
 
     def to_xy(pairs):
         xs = _scale([float(x) for x, _ in pairs], 0, 1, MARGIN, WIDTH - MARGIN)

@@ -450,6 +450,30 @@ def test_persuade_with_no_agents_exits_two(capsys, u):
 
 
 @pytest.mark.parametrize("args, message", [
+    (("simulate", "uniform8.json", "--samples", "10", "--seed", "1"),
+     "cannot simulate an infeasible law"),
+    (("persuade", "--n", "2", "--mu", "1/4", "--tau", "1/2", "--u", '{"a": 1}'),
+     "--u must be 'linear', 'threshold:CUT' or a JSON array"),
+    (("persuade", "--n", "2", "--mu", "1/4", "--tau", "1/2", "--u", "[0, 1]"),
+     "--u needs n + 1 = 3 grid values, got 2"),
+], ids=["simulate-infeasible", "persuade-u-object", "persuade-u-short"])
+def test_refused_command_input_exits_two(capsys, monkeypatch, args, message):
+    monkeypatch.chdir(DATA)
+    code, out, err = run(capsys, *args)
+    assert (code, out, err) == (2, "", f"poplaw: invalid input: {message}\n")
+
+
+@pytest.mark.parametrize("u", ["[0, 1e400]", "[-1e308, 1e308]"], ids=["value", "range"])
+def test_chart_beyond_float_range_exits_one(capsys, tmp_path, u):
+    chart = tmp_path / "x.svg"
+    args = ("--n", "1", "--mu", "1/4", "--tau", "1/2", "--u", u, "--svg", str(chart))
+    code, out, err = run(capsys, "persuade", *args)
+    message = "cannot draw the chart: its values span beyond float range"
+    assert (code, out, err) == (1, "", f"poplaw: resource limit: {message}\n")
+    assert not chart.exists()
+
+
+@pytest.mark.parametrize("args, message", [
     (("--csv", "{rows}", "--n-max=0"), "--n-max 0 is not an integer >= 1"),
     (("--csv", "{rows}", "--n-max=-1"), "--n-max -1 is not an integer >= 1"),
     (("--n-max", "5"), "--n-max needs --csv"),

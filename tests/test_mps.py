@@ -45,7 +45,15 @@ from poplaw import (
 )
 from poplaw import mps
 from poplaw.measures import Prior, _trusted, barycenter, law_expected_measure, mix_laws
-from poplaw.mps import _beliefs, _count_table, _integer_lp, _restrict, decomposition_lp
+from poplaw.mps import (
+    _beliefs,
+    _bounded_lp,
+    _canonical_dense,
+    _count_table,
+    _finished,
+    _restrict,
+    decomposition_lp,
+)
 
 UNIFORM10 = ScalarMeasure([(F(k, 9), F(1, 10)) for k in range(10)])
 UNIFORM8 = ScalarMeasure([(F(k, 9), F(1, 8)) for k in range(1, 9)])
@@ -210,6 +218,8 @@ def test_verify_decomposition_rejects_perturbation():
     # tampering with a component law is also caught
     swapped = SpreadDecomposition([(w0, q1), (w1, q0)])
     assert not verify_decomposition(law, target, swapped)
+    # so is a decomposition with a different number of components
+    assert not verify_decomposition(law, target, SpreadDecomposition([(w0, q0)]))
 
 
 def test_verify_decomposition_rejects_negative_weights():
@@ -244,6 +254,17 @@ def test_verify_certificate_rejects_fabrications():
     assert not verify_certificate(
         law, target, QuantileViolation(F(1, 2), F(1, 4), F(1, 4))
     )
+    # anything but a certificate refutes nothing
+    assert not verify_certificate(law, target, None)
+    # a quantile violation needs two target positions
+    single = SpreadTarget([(F(1), law_expected_measure(law))])
+    assert not verify_certificate(law, single, QuantileViolation(F(1), F(1, 2), F(1, 2)))
+    # the quantile criterion's certificates refute only laws and targets on two beliefs
+    wide = golden_infeasible_law()
+    wide_target = base_law(wide, Prior.binary(F(11, 24)))
+    mean = barycenter(law_expected_measure(wide)).coordinate(1)
+    assert not verify_certificate(wide, wide_target, MeanMismatch(mean, F(1, 2)))
+    assert not verify_certificate(wide, wide_target, QuantileViolation(F(13, 24), F(1, 2), F(1, 4)))
 
 
 # --------------------------------------------------------- oracle agreement
@@ -507,6 +528,16 @@ def test_wide_refutation_verifies_in_time():
     assert time.perf_counter() - start < 0.5
 
 
+def test_wide_refutation_at_n80_verifies_in_a_tenth_of_a_second():
+    """The n = 80 refutation (3,321 atoms) verifies, in integers, in under 0.1 s."""
+    law, target = wide_product_problem(80)
+    verdict = check_feasible(law, WIDE_PRIOR)
+    assert verdict.base == target and isinstance(verdict.certificate, FarkasCertificate)
+    start = time.perf_counter()
+    assert verify_certificate(law, target, verdict.certificate)
+    assert time.perf_counter() - start < 0.1
+
+
 def test_target_missing_the_law_mean_gets_a_farkas_vector():
     law, target, _, _ = footnote_instance()
     (w0, m0), (w1, _) = target.components
@@ -600,7 +631,7 @@ def test_every_lp_step_solves_through_solve_equalities(monkeypatch):
 
 
 # --------------------------------------------------------- integer rows from counts
-# mps_decompose solves the rows `_integer_lp` builds from the law's counts;
+# mps_decompose solves the integer rows of `_canonical_lp` and `_bounded_lp`;
 # equal to the reference integerization of the Fraction systems, they pivot
 # as those would.
 
@@ -609,11 +640,11 @@ def assert_integer_rows_match(law, target):
     """Both systems against `reference_integerize`; returns the canonical integer rows and scales."""
     beliefs = _beliefs(law, target)
     table = _count_table(law, beliefs)
-    canonical = _integer_lp(law, target, beliefs, table)
+    canonical = _finished(_canonical_dense(law, target, beliefs))
     assert decomposition_lp(law, target) == reference_decomposition_lp(law, target)
     assert canonical == reference_integerize(*decomposition_lp(law, target))
     if len(target.components) == 2:
-        bounded = _integer_lp(law, target, beliefs, table, bounded=True)
+        bounded = _bounded_lp(law, target, beliefs, table)
         if law_expected_measure(law) != mixture(target):
             assert bounded is None
         else:
