@@ -13,16 +13,16 @@ belief measures by one chain; each step decides the target or passes it on:
   and the law's mean for component 1's rows;
 * the canonical LP, which decides everything left.
 
-`_canonical_lp` states the canonical LP once, in integers: each column's
-nonzeros, the rhs and each row's positive multiplier. `mps_decompose` solves
-its dense rows (`_canonical_dense`), each finished by `simplex._primitive_row`;
-`verify_certificate` checks a Farkas vector against its columns in integers;
-`decomposition_lp` is its dense `Fraction` view. The bounded LP's integer rows
-come straight from the law's agent counts (`_bounded_lp`). Both LPs are solved
-by `simplex.solve_equalities`, so pivots, solutions and Farkas vectors are
-those of the `Fraction` systems, and every Farkas vector is stated over the
-canonical rows. The shortcut's certificates are re-checked in `Fraction`s
-(`_two_point`), and `verify_decomposition` re-checks every decomposition.
+`_integers` states a problem once, in integers: the sorted beliefs, each law
+atom's agent counts, and the law's weights, the target's weights and each
+component's masses over their least common denominators. Every step reads it,
+and so does `verify_certificate`: a Farkas vector against `_canonical_lp`'s
+columns in integers, the shortcut's certificates in `Fraction`s (`_two_point`).
+Both LPs' integer rows are finished by `simplex._primitive_row` and solved by
+`simplex.solve_equalities`, so pivots, solutions and Farkas vectors are those
+of the `Fraction` systems (`decomposition_lp` is the canonical one); every
+Farkas vector is stated over the canonical rows, and `verify_decomposition`
+re-checks every decomposition.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from .errors import InvariantError
 from .measures import (
@@ -166,49 +166,66 @@ def is_mps_binary_base(measure: ScalarMeasure, base: BinaryBase) -> MpsVerdict:
     return MpsVerdict(True, quantile_mean=qmean)
 
 
-def _beliefs(law: PopulationLaw, target: SpreadTarget) -> list[Belief]:
-    """The sorted union of the beliefs in the law and in the target."""
-    beliefs = set()
-    for empirical, _ in law.atoms:
-        beliefs.update(empirical.support())
-    for _, measure in target.components:
-        beliefs.update(measure.support())
-    return sorted(beliefs)
+class _Statement(NamedTuple):
+    """(law, target) in integers: `table[i][j]` is atom j's count at `beliefs[i]`, the
+    law's weights are P_j / D, the target's W_c / DW, component c's masses A_c / B_c."""
+
+    beliefs: list[Belief]
+    table: list[list[int]]
+    P: list[int]
+    D: int
+    W: list[int]
+    DW: int
+    masses: list[tuple[list[int], int]]
 
 
-def _count_table(law: PopulationLaw, beliefs: list[Belief]) -> list[list[int]]:
-    """One row per belief x (which must include every belief of the law), one
-    column per law atom j, holding atom j's count of agents at x."""
+def _integers(law: PopulationLaw, target: SpreadTarget) -> _Statement:
+    """The one statement of a problem that every step and `verify_certificate` read."""
+    beliefs = sorted(
+        {belief for empirical, _ in law.atoms for belief, _ in empirical.counts}
+        | {belief for _, measure in target.components for belief, _ in measure.atoms}
+    )
     index = {belief: i for i, belief in enumerate(beliefs)}
     table = [[0] * len(law.atoms) for _ in beliefs]
     for j, (empirical, _) in enumerate(law.atoms):
         for belief, count in empirical.counts:
             table[index[belief]][j] = count
-    return table
+    masses = []
+    for _, measure in target.components:
+        mass = dict(measure.atoms)
+        masses.append(over_common_denominator([mass.get(x, ZERO) for x in beliefs]))
+    P, D = over_common_denominator([p for _, p in law.atoms])
+    W, DW = over_common_denominator([w for w, _ in target.components])
+    return _Statement(beliefs, table, P, D, W, DW, masses)
 
 
-def _two_point(law: PopulationLaw, target: SpreadTarget, beliefs: list[Belief]):
+def _positions(target: SpreadTarget, high: Belief):
+    """Each component's mass at the high belief, and the target's weight at each distinct one."""
+    positions = [measure.mass(high) for _, measure in target.components]
+    grouped: dict[Fraction, Fraction] = {}
+    for (weight, _), pos in zip(target.components, positions):
+        grouped[pos] = grouped.get(pos, ZERO) + weight
+    return positions, grouped
+
+
+def _two_point(law: PopulationLaw, target: SpreadTarget, stated: _Statement):
     """Read a law and target on exactly two beliefs as scalars (mass at the high one).
 
-    `beliefs` is `_beliefs(law, target)`. Returns None on any other support;
-    otherwise the scalar law and the target weight at each distinct position,
-    in `Fraction`s: `verify_certificate`'s reading, apart from the shortcut's.
+    Returns None on any other support; otherwise the scalar law and the target
+    weight at each distinct position, in `Fraction`s: `verify_certificate`'s
+    reading, apart from the shortcut's.
     """
-    if len(beliefs) != 2:
+    if len(stated.beliefs) != 2:
         return None
-    values = [Fraction(count, law.n) for count in _count_table(law, beliefs)[1]]
-    grouped: dict[Fraction, Fraction] = {}
-    for weight, measure in target.components:
-        pos = measure.mass(beliefs[1])
-        grouped[pos] = grouped.get(pos, ZERO) + weight
+    values = [Fraction(count, law.n) for count in stated.table[1]]
     # distinct empirical distributions on two beliefs have distinct values
     scalar_law = _trusted(
         ScalarMeasure, atoms=tuple(sorted(zip(values, (w for _, w in law.atoms))))
     )
-    return scalar_law, grouped
+    return scalar_law, _positions(target, stated.beliefs[1])[1]
 
 
-def _two_belief_shortcut(law: PopulationLaw, target: SpreadTarget, beliefs, table):
+def _two_belief_shortcut(law: PopulationLaw, target: SpreadTarget, stated: _Statement):
     """The two-belief shortcut in integers; None passes the target on to the LPs.
 
     Positions are the components' masses at the high belief. With p_j = P_j /
@@ -219,16 +236,13 @@ def _two_belief_shortcut(law: PopulationLaw, target: SpreadTarget, beliefs, tabl
     slice's mean S_L / (n * D * A), S_L = sum k_j * t_j, is at most a; the low
     part then mixes the slices by lam = N / M, and the high part is the rest.
     """
-    if len(beliefs) != 2:
+    if len(stated.beliefs) != 2:
         return None
-    positions = [measure.mass(beliefs[1]) for _, measure in target.components]
-    grouped: dict[Fraction, Fraction] = {}
-    for (weight, _), pos in zip(target.components, positions):
-        grouped[pos] = grouped.get(pos, ZERO) + weight
+    positions, grouped = _positions(target, stated.beliefs[1])
     if len(grouped) > 2:
         return None
-    P, D = over_common_denominator([p for _, p in law.atoms])
-    K, nD = table[1], law.n * D
+    P, D, K = stated.P, stated.D, stated.table[1]
+    nD = law.n * D
     total = sum(map(operator.mul, P, K))  # n * D times the law's mean
     (a, alpha), *rest = sorted(grouped.items())
     if not rest:
@@ -270,41 +284,35 @@ def _two_belief_shortcut(law: PopulationLaw, target: SpreadTarget, beliefs, tabl
     )
 
 
-def _canonical_lp(law: PopulationLaw, target: SpreadTarget, beliefs):
-    """The canonical LP, stated once in integers: columns, rhs and row multipliers.
+def _canonical_lp(law: PopulationLaw, stated: _Statement):
+    """The canonical LP in integers: columns, rhs and row multipliers.
 
-    `beliefs` is `_beliefs(law, target)`. Column c*J + j is q_c[j] >= 0, for
-    component c and law atom j. Rows: mass row j, sum_c w_c * q_c[j] = p_j,
-    then moment row (c, x) per belief x, sum_j count_j(x) / n * q_c[j] =
-    m_c(x). With p_j = P_j / D, w_c = W_c / DW and m_c(x) = A_c(x) / B_c over
-    least common denominators, row i times mults[i] is integers: D * DW on a
-    mass row, n * B_c on a moment row. Returns each column's nonzero (row,
-    integer) pairs, the integer rhs and `mults`.
+    Column c*J + j is q_c[j] >= 0, for component c and law atom j. Rows: mass
+    row j, sum_c w_c * q_c[j] = p_j, then moment row (c, x) per belief x,
+    sum_j count_j(x) / n * q_c[j] = m_c(x). Over the statement's denominators,
+    row i times mults[i] is integers: D * DW on a mass row, n * B_c on a
+    moment row. Returns each column's nonzero (row, integer) pairs, the
+    integer rhs and `mults`.
     """
-    n = law.n
-    P, D = over_common_denominator([p for _, p in law.atoms])
-    W, DW = over_common_denominator([w for w, _ in target.components])
-    J, R = len(P), len(beliefs)
-    rhs, mults, dens = [p * DW for p in P], [D * DW] * J, []
-    for _, measure in target.components:
-        mass = dict(measure.atoms)
-        A, B = over_common_denominator([mass.get(x, ZERO) for x in beliefs])
+    n, P, D, DW = law.n, stated.P, stated.D, stated.DW
+    J, R = len(P), len(stated.beliefs)
+    rhs, mults = [p * DW for p in P], [D * DW] * J
+    for A, B in stated.masses:
         rhs.extend(n * a for a in A)
         mults.extend([n * B] * R)
-        dens.append(B)
-    row_of = {belief: J + i for i, belief in enumerate(beliefs)}  # component 0's moment rows
-    counts = [[(row_of[x], k) for x, k in emp.counts] for emp, _ in law.atoms]
+    # atom j's nonzero counts, on component 0's moment rows
+    counts = [[(J + i, k) for i, k in enumerate(column) if k] for column in zip(*stated.table)]
     columns = [
         [(j, w * D), *((row + c * R, k * B) for row, k in counts[j])]
-        for c, (w, B) in enumerate(zip(W, dens))
+        for c, (w, (_, B)) in enumerate(zip(stated.W, stated.masses))
         for j in range(J)
     ]
     return columns, rhs, mults
 
 
-def _canonical_dense(law: PopulationLaw, target: SpreadTarget, beliefs):
+def _canonical_dense(law: PopulationLaw, stated: _Statement):
     """`_canonical_lp` scattered: each dense integer row, rhs last, with its multiplier."""
-    columns, rhs, mults = _canonical_lp(law, target, beliefs)
+    columns, rhs, mults = _canonical_lp(law, stated)
     rows = [[0] * len(columns) + [b] for b in rhs]
     for col, column in enumerate(columns):
         for i, value in column:
@@ -314,7 +322,7 @@ def _canonical_dense(law: PopulationLaw, target: SpreadTarget, beliefs):
 
 def decomposition_lp(law: PopulationLaw, target: SpreadTarget):
     """The canonical LP as dense `Fraction` rows and rhs: each integer row over its multiplier."""
-    dense = _canonical_dense(law, target, _beliefs(law, target))
+    dense = _canonical_dense(law, _integers(law, target))
     rows = [[Fraction(v, mult) for v in row] for row, mult in dense]
     return [row[:-1] for row in rows], [row[-1] for row in rows]
 
@@ -332,17 +340,16 @@ def mps_decompose(law: PopulationLaw, target: SpreadTarget, route: str = "auto")
         raise InvariantError(f"unknown route {shown(route)}")
     if target.dimension != law.dimension:
         raise InvariantError("law and target live on different state spaces")
-    beliefs = _beliefs(law, target)
-    table = _count_table(law, beliefs)
+    stated = _integers(law, target)
     if route == "auto":
-        result = _two_belief_shortcut(law, target, beliefs, table)
+        result = _two_belief_shortcut(law, target, stated)
         if result is not None:
             return result
     if len(target.components) == 2:
-        system = _bounded_lp(law, target, beliefs, table)
+        system = _bounded_lp(law, stated)
         if system is not None:
-            return _decompose_two_components(law, target, table, *system)
-    outcome = solve_equalities(*_finished(_canonical_dense(law, target, beliefs)))
+            return _decompose_two_components(law, target, stated, *system)
+    outcome = solve_equalities(*_finished(_canonical_dense(law, stated)))
     if not outcome.feasible:
         return FarkasCertificate(outcome.farkas)
     J = len(law.atoms)
@@ -353,7 +360,7 @@ def mps_decompose(law: PopulationLaw, target: SpreadTarget, route: str = "auto")
     )
 
 
-def _decompose_two_components(law: PopulationLaw, target: SpreadTarget, table, rows, scales):
+def _decompose_two_components(law: PopulationLaw, target: SpreadTarget, stated, rows, scales):
     """The bounded LP step, on `_bounded_lp`'s rows and scales.
 
     The system is over x_j = w0 * q0[j] with 0 <= x_j <= p_j, the law's weight
@@ -375,12 +382,11 @@ def _decompose_two_components(law: PopulationLaw, target: SpreadTarget, table, r
         # y.A_j is sum_x Y(x) * count_j(x) / (L * n), Y over y's common denominator L
         Y, L = over_common_denominator(y)
         z = []
-        for counts in zip(*table):
+        for counts in zip(*stated.table):
             total = sum(map(operator.mul, Y, counts))
             z.append(Fraction(total, L * law.n) if total > 0 else ZERO)
         return FarkasCertificate((*(-v for v in z), *(w0 * v for v in y), *([ZERO] * len(y))))
-    P, D = over_common_denominator([p for _, p in law.atoms])
-    (W0, W1), DW = over_common_denominator([w0, w1])
+    P, D, (W0, W1), DW = stated.P, stated.D, stated.W, stated.DW
     # q0[j] = t_j * p_j / w0 and q1[j] = (1 - t_j) * p_j / w1; both parts sum
     # to 1, as x sums to w0 over the moment rows and p - x to 1 - w0
     low, high = [], []
@@ -391,27 +397,20 @@ def _decompose_two_components(law: PopulationLaw, target: SpreadTarget, table, r
     return SpreadDecomposition([(w0, _restrict(law, low)), (w1, _restrict(law, high))])
 
 
-def _bounded_lp(law: PopulationLaw, target: SpreadTarget, beliefs, table):
+def _bounded_lp(law: PopulationLaw, stated: _Statement):
     """The bounded LP as integer rows, rhs last, and one scale per row; None if it cannot stand in.
 
-    `beliefs` is `_beliefs(law, target)` and `table` its `_count_table`. The
-    rows are `_decompose_two_components`'s system, column j times its bound
-    p_j, scaled to integers by the denominators `_canonical_lp` uses. It
+    The rows are `_decompose_two_components`'s system, column j times its
+    bound p_j, scaled to integers by the statement's denominators. It
     stands in for the canonical LP only when the target, of two components,
     mixes to the law's expected measure; otherwise the target has a belief
     outside the law's support, or the two differ at one of the law's beliefs.
     """
-    n = law.n
-    P, D = over_common_denominator([p for _, p in law.atoms])
-    W, DW = over_common_denominator([w for w, _ in target.components])
-    masses = []
-    for _, measure in target.components:
-        mass = dict(measure.atoms)
-        masses.append(over_common_denominator([mass.get(x, ZERO) for x in beliefs]))
+    n, P, D, DW = law.n, stated.P, stated.D, stated.DW
+    (W0, W1), ((A0, B0), (A1, B1)) = stated.W, stated.masses
     rows = []
-    (W0, W1), ((A0, B0), (A1, B1)) = W, masses
     k = DW * B0
-    for counts, a0, a1 in zip(table, A0, A1):
+    for counts, a0, a1 in zip(stated.table, A0, A1):
         weighted = [v * p for v, p in zip(counts, P)]
         # n * D times the expected measure at x, against n * D times the
         # mixture (W0 * A0(x) / B0 + W1 * A1(x) / B1) / DW
@@ -466,32 +465,27 @@ def verify_decomposition(
 
 def verify_certificate(law: PopulationLaw, target: SpreadTarget, certificate) -> bool:
     """Re-check a refutation from scratch; True only if it genuinely refutes."""
+    stated = _integers(law, target)
     if isinstance(certificate, FarkasCertificate):
-        columns, rhs, mults = _canonical_lp(law, target, _beliefs(law, target))
         y = certificate.y
+        # only exact entries price the rows
+        if not all(isinstance(v, (int, Fraction)) and not isinstance(v, bool) for v in y):
+            return False
+        columns, rhs, mults = _canonical_lp(law, stated)
         # y_i / mults[i] prices integer row i: y.b > 0 and y.A <= 0, over one denominator
         Y, _ = over_common_denominator([Fraction(v, m) for v, m in zip(y, mults)])
         return len(y) == len(rhs) and sum(map(operator.mul, Y, rhs)) > 0 and all(
             sum(Y[i] * v for i, v in column) <= 0 for column in columns
         )
-    two_point = _two_point(law, target, _beliefs(law, target))
+    two_point = _two_point(law, target, stated)
     if two_point is None:
         return False
     scalar_law, grouped = two_point
-    mean = scalar_law.mean()
     if isinstance(certificate, MeanMismatch):
-        base_mean = sum((pos * w for pos, w in grouped.items()), ZERO)
-        return (
-            certificate.left == mean
-            and certificate.right == base_mean
-            and mean != base_mean
-        )
-    if isinstance(certificate, QuantileViolation):
-        if len(grouped) != 2:
-            return False
-        (low_pos, low_w), _ = sorted(grouped.items())
-        if certificate.alpha != low_w or certificate.low_atom != low_pos:
-            return False
-        qmean = quantile_distribution(scalar_law, low_w).mean()
-        return certificate.quantile_mean == qmean and qmean > low_pos
+        mean, base_mean = scalar_law.mean(), sum((pos * w for pos, w in grouped.items()), ZERO)
+        return certificate == MeanMismatch(mean, base_mean) and mean != base_mean
+    if isinstance(certificate, QuantileViolation) and len(grouped) == 2:
+        (low, alpha), _ = sorted(grouped.items())
+        qmean = quantile_distribution(scalar_law, alpha).mean()
+        return certificate == QuantileViolation(alpha, qmean, low) and qmean > low
     return False

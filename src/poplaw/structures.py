@@ -3,11 +3,11 @@
 An `InformationStructure` is the explicit object: per-agent signal sets plus,
 for each state, a joint distribution over signal profiles. Enumerating it
 exactly (`induced_population_law`) is the brute-force oracle everything else
-is checked against. Each structure builds, on first use, one integer table:
-(agent, label) to the numerators of the label's per-state marginals, all over
-one denominator, the lcm of the states' common denominators.
-`signal_marginal`, `bayes_posterior` and `induced_population_law` look labels
-up there by hash instead of scanning the kernel, and sum in integers.
+is checked against. Each structure builds, on first use, one integer table
+(`_table`): the numerators of each state's kernel and of each (agent, label)'s
+per-state marginals over one denominator, the lcm of the states' common
+denominators, and the prior's over theirs. `signal_marginal`, `bayes_posterior`
+and `induced_population_law` read it, look labels up by hash, and sum in integers.
 
 The three builders of the oracle (`expand_scheme`, `bayes_posterior` and
 `induced_population_law`) and `simulate` set their values' fields through
@@ -36,7 +36,7 @@ from functools import cached_property, partial
 from itertools import combinations, product
 from math import isqrt, lcm
 from operator import add
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, NamedTuple
 
 from .errors import InvariantError, ResourceLimitError
 from .feasibility import base_law
@@ -152,30 +152,35 @@ class InformationStructure:
 
     def signal_marginal(self, agent: int, label: SignalLabel, state: int) -> Fraction:
         """Probability that the agent sees the label, conditional on the state."""
-        rows, den = self._marginals
-        row = rows.get((agent, label))
-        return ZERO if row is None else Fraction(row[state], den)
+        table = self._table
+        row = table.marginals.get((agent, label))
+        return ZERO if row is None else Fraction(row[state], table.den)
 
     @cached_property
-    def _marginals(self) -> tuple[dict[tuple[int, SignalLabel], list[int]], int]:
-        """(agent, label) -> per-state numerators of the probability of seeing it, and their denominator.
-
-        One kernel pass: each state's probabilities are put over their common
-        denominator, scaled to the lcm of these across the states and summed.
-        """
-        rows: dict[tuple[int, SignalLabel], list[int]] = {}
+    def _table(self) -> _KernelTable:
+        """Each state's probabilities over their common denominator, scaled to `den`."""
+        marginals: dict[tuple[int, SignalLabel], list[int]] = {}
         states = [over_common_denominator([prob for _, prob in ps]) for ps in self.kernel]
         den = lcm(*[common for _, common in states])
-        for state, (state_profiles, (weights, common)) in enumerate(zip(self.kernel, states)):
-            scale = den // common
+        kernel = [[weight * (den // common) for weight in weights] for weights, common in states]
+        for state, (state_profiles, weights) in enumerate(zip(self.kernel, kernel)):
             for (profile, _), weight in zip(state_profiles, weights):
-                weight *= scale
                 for key in enumerate(profile):
-                    row = rows.get(key)
+                    row = marginals.get(key)
                     if row is None:
-                        row = rows[key] = [0] * self.m
+                        row = marginals[key] = [0] * self.m
                     row[state] += weight
-        return rows, den
+        return _KernelTable(marginals, kernel, den, *over_common_denominator(self.prior.coords))
+
+
+class _KernelTable(NamedTuple):
+    """A structure's kernel and marginals as numerators over `den`, its prior over `prior_den`."""
+
+    marginals: dict[tuple[int, SignalLabel], list[int]]
+    kernel: list[list[int]]
+    den: int
+    prior: list[int]
+    prior_den: int
 
 
 def _by_label_str(signal_sets):
@@ -190,10 +195,11 @@ def bayes_posterior(structure: InformationStructure, agent: int, label: SignalLa
     The prior's numerators times the label's marginal numerators, over their
     total. Only labels of positive-probability profiles have a table row.
     """
-    row = structure._marginals[0].get((agent, label))
+    table = structure._table
+    row = table.marginals.get((agent, label))
     if row is None:
         raise InvariantError(f"signal {shown(label)} has zero probability for agent {agent}")
-    weighted = [mu * w for mu, w in zip(over_common_denominator(structure.prior.coords)[0], row)]
+    weighted = [mu * w for mu, w in zip(table.prior, row)]
     total = sum(weighted)
     # nonnegative integers over their positive sum: coordinates in [0, 1] summing to 1
     return _trusted(Belief, coords=tuple([Fraction(w, total) for w in weighted]))
@@ -207,23 +213,20 @@ def induced_population_law(structure: InformationStructure) -> PopulationLaw:
     """
     # number the distinct posteriors in ascending order; every (agent, label)
     # in the marginal table occurs in a positive-probability profile
-    rows, den = structure._marginals
-    posterior = {key: bayes_posterior(structure, *key) for key in rows}
+    table = structure._table
+    posterior = {key: bayes_posterior(structure, *key) for key in table.marginals}
     beliefs = sorted(set(posterior.values()))
     number = {belief: k for k, belief in enumerate(beliefs)}
     slot = {key: number[belief] for key, belief in posterior.items()}
-    priors, prior_den = over_common_denominator(structure.prior.coords)
     masses: dict[tuple[int, ...], int] = {}
-    for mu, state_profiles in zip(priors, structure.kernel):
-        weights, common = over_common_denominator([prob for _, prob in state_profiles])
-        scale = mu * (den // common)
+    for mu, state_profiles, weights in zip(table.prior, structure.kernel, table.kernel):
         for (profile, _), weight in zip(state_profiles, weights):
             multiset = tuple(sorted(map(slot.__getitem__, enumerate(profile))))
-            masses[multiset] = masses.get(multiset, 0) + scale * weight
+            masses[multiset] = masses.get(multiset, 0) + mu * weight
     # (slot, count) pairs in slot order compare as the (belief, count) pairs would
     counted = sorted((tuple(Counter(multiset).items()), mass) for multiset, mass in masses.items())
     n = structure.n
-    total = prior_den * den
+    total = table.prior_den * table.den
     atoms = []
     for counts, mass in counted:
         # distinct posteriors in ascending order, positive counts summing to n

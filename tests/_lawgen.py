@@ -43,7 +43,7 @@ from poplaw import (
     quantile_distribution,
     upper_quantile_distribution,
 )
-from poplaw.mps import _beliefs, _restrict, _two_point
+from poplaw.mps import _integers, _restrict, _two_point
 from poplaw.rationals import over_common_denominator
 from poplaw.simplex import FeasibilityResult, solve_equalities
 from poplaw.structures import InformationStructure, compositions, grid_kernel, weight_grid
@@ -687,8 +687,9 @@ def reference_two_point(law, target):
     Otherwise a `MeanMismatch`, a `QuantileViolation` from `is_mps_binary_base`,
     or the decomposition that `_reference_scalar_split` gives.
     """
-    beliefs = _beliefs(law, target)
-    two_point = _two_point(law, target, beliefs)
+    stated = _integers(law, target)
+    beliefs = stated.beliefs
+    two_point = _two_point(law, target, stated)
     if two_point is None:
         return None
     scalar_law, grouped = two_point

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -14,6 +15,8 @@ from poplaw.cli import main
 
 DATA = _goldens.DATA
 GOLDENS = list(_goldens.entries())
+# each id is its manifest line, golden and command, so adding a line renames no other test
+GOLDEN_IDS = [f"{golden}: {' | '.join(map(shlex.join, stages))}" for golden, stages in GOLDENS]
 
 
 def run(capsys, *argv):
@@ -22,7 +25,7 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-@pytest.mark.parametrize("golden, stages", GOLDENS, ids=[golden for golden, _ in GOLDENS])
+@pytest.mark.parametrize("golden, stages", GOLDENS, ids=GOLDEN_IDS)
 def test_golden(capsys, monkeypatch, golden, stages):
     monkeypatch.chdir(DATA)
 

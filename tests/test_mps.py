@@ -45,15 +45,7 @@ from poplaw import (
 )
 from poplaw import mps
 from poplaw.measures import Prior, _trusted, barycenter, law_expected_measure, mix_laws
-from poplaw.mps import (
-    _beliefs,
-    _bounded_lp,
-    _canonical_dense,
-    _count_table,
-    _finished,
-    _restrict,
-    decomposition_lp,
-)
+from poplaw.mps import _bounded_lp, _canonical_dense, _finished, _integers, _restrict, decomposition_lp
 
 UNIFORM10 = ScalarMeasure([(F(k, 9), F(1, 10)) for k in range(10)])
 UNIFORM8 = ScalarMeasure([(F(k, 9), F(1, 8)) for k in range(1, 9)])
@@ -265,6 +257,28 @@ def test_verify_certificate_rejects_fabrications():
     mean = barycenter(law_expected_measure(wide)).coordinate(1)
     assert not verify_certificate(wide, wide_target, MeanMismatch(mean, F(1, 2)))
     assert not verify_certificate(wide, wide_target, QuantileViolation(F(13, 24), F(1, 2), F(1, 4)))
+
+
+def test_verify_certificate_accepts_a_quantile_violation_whose_means_differ():
+    """The quantile check alone refutes: the means (3/4 and 3/8) need not agree."""
+    lo, hi = Belief.binary(F(1, 4)), Belief.binary(F(3, 4))
+    counts = ([(lo, 2)], [(lo, 1), (hi, 1)])
+    law = PopulationLaw(2, [(EmpiricalDistribution(2, c), F(1, 2)) for c in counts])
+    target = SpreadTarget(
+        (F(1, 2), DiscreteMeasure([(lo, m), (hi, 1 - m)])) for m in (F(1, 4), F(1, 2))
+    )
+    assert verify_certificate(law, target, QuantileViolation(F(1, 2), F(1, 2), F(1, 4)))
+
+
+@pytest.mark.parametrize("entry", [float, str, bool])
+def test_farkas_vector_with_inexact_entries_refutes_nothing(entry):
+    """The golden refutation with its zero entries retyped: False, not a `TypeError`."""
+    law = golden_infeasible_law()
+    verdict = check_feasible(law, Prior.binary(F(11, 24)))
+    y = verdict.certificate.y
+    assert verify_certificate(law, verdict.base, verdict.certificate)
+    retyped = FarkasCertificate(tuple(entry(v) if v == 0 else v for v in y))
+    assert not verify_certificate(law, verdict.base, retyped)
 
 
 # --------------------------------------------------------- oracle agreement
@@ -638,13 +652,12 @@ def test_every_lp_step_solves_through_solve_equalities(monkeypatch):
 
 def assert_integer_rows_match(law, target):
     """Both systems against `reference_integerize`; returns the canonical integer rows and scales."""
-    beliefs = _beliefs(law, target)
-    table = _count_table(law, beliefs)
-    canonical = _finished(_canonical_dense(law, target, beliefs))
+    stated = _integers(law, target)
+    canonical = _finished(_canonical_dense(law, stated))
     assert decomposition_lp(law, target) == reference_decomposition_lp(law, target)
     assert canonical == reference_integerize(*decomposition_lp(law, target))
     if len(target.components) == 2:
-        bounded = _bounded_lp(law, target, beliefs, table)
+        bounded = _bounded_lp(law, stated)
         if law_expected_measure(law) != mixture(target):
             assert bounded is None
         else:
