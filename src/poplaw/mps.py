@@ -13,16 +13,15 @@ belief measures by one chain; each step decides the target or passes it on:
   and the law's mean for component 1's rows;
 * the canonical LP, which decides everything left.
 
-`_integers` states a problem once, in integers: the sorted beliefs, each law
-atom's agent counts, and the law's weights, the target's weights and each
-component's masses over their least common denominators. Every step reads it,
-and so does `verify_certificate`: a Farkas vector against `_canonical_lp`'s
-columns in integers, the shortcut's certificates in `Fraction`s (`_two_point`).
-Both LPs' integer rows are finished by `simplex._primitive_row` and solved by
-`simplex.solve_equalities`, so pivots, solutions and Farkas vectors are those
-of the `Fraction` systems (`decomposition_lp` is the canonical one); every
-Farkas vector is stated over the canonical rows, and `verify_decomposition`
-re-checks every decomposition.
+`_integers` states a problem once, in integers: the beliefs, each law atom's
+agent counts, and the weights and masses over their least common denominators.
+Every step reads it, and both verifiers check `_canonical_lp`'s integer columns
+A and rhs b: `verify_decomposition` A x = b for a decomposition x > 0,
+`verify_certificate` y.b > 0 and y.A <= 0 for a Farkas vector y (the shortcut's
+certificates in `Fraction`s, through `_two_point`). Both LPs' rows are finished
+by `simplex._primitive_row` and solved by `simplex.solve_equalities`, so pivots,
+solutions and Farkas vectors are those of the `Fraction` systems (the canonical
+one is `decomposition_lp`), every Farkas vector over the canonical rows.
 """
 
 from __future__ import annotations
@@ -39,8 +38,6 @@ from .measures import (
     PopulationLaw,
     ScalarMeasure,
     _trusted,
-    law_expected_measure,
-    mix_laws,
     quantile_distribution,
 )
 from .rationals import over_common_denominator, parse_rational, shown
@@ -199,9 +196,9 @@ def _integers(law: PopulationLaw, target: SpreadTarget) -> _Statement:
     return _Statement(beliefs, table, P, D, W, DW, masses)
 
 
-def _positions(target: SpreadTarget, high: Belief):
+def _positions(target: SpreadTarget, stated: _Statement):
     """Each component's mass at the high belief, and the target's weight at each distinct one."""
-    positions = [measure.mass(high) for _, measure in target.components]
+    positions = [Fraction(A[1], B) for A, B in stated.masses]
     grouped: dict[Fraction, Fraction] = {}
     for (weight, _), pos in zip(target.components, positions):
         grouped[pos] = grouped.get(pos, ZERO) + weight
@@ -222,7 +219,7 @@ def _two_point(law: PopulationLaw, target: SpreadTarget, stated: _Statement):
     scalar_law = _trusted(
         ScalarMeasure, atoms=tuple(sorted(zip(values, (w for _, w in law.atoms))))
     )
-    return scalar_law, _positions(target, stated.beliefs[1])[1]
+    return scalar_law, _positions(target, stated)[1]
 
 
 def _two_belief_shortcut(law: PopulationLaw, target: SpreadTarget, stated: _Statement):
@@ -238,7 +235,7 @@ def _two_belief_shortcut(law: PopulationLaw, target: SpreadTarget, stated: _Stat
     """
     if len(stated.beliefs) != 2:
         return None
-    positions, grouped = _positions(target, stated.beliefs[1])
+    positions, grouped = _positions(target, stated)
     if len(grouped) > 2:
         return None
     P, D, K = stated.P, stated.D, stated.table[1]
@@ -443,24 +440,27 @@ def _restrict(law: PopulationLaw, weights) -> PopulationLaw:
 def verify_decomposition(
     law: PopulationLaw, target: SpreadTarget, decomposition: SpreadDecomposition
 ) -> bool:
-    """Exact re-check of both constraint families, plus the support condition.
+    """Exact re-check: the decomposition is a point x > 0 of `_canonical_lp`, A x = b.
 
-    Each component law's weights must be positive: a law built without the
-    public constructor's checks could carry a negative weight that the
-    equality constraints alone do not catch.
+    x[c*J + j] is component c's weight on law atom j, refused off the law's
+    support, at another n or <= 0; the moment rows make each component total 1.
     """
-    comps = decomposition.components
-    if len(comps) != len(target.components):
+    if [w for w, _ in decomposition.components] != [w for w, _ in target.components]:
         return False
-    support = set(law.support())
-    for (weight, q), (t_weight, measure) in zip(comps, target.components):
-        if weight != t_weight or q.n != law.n:
-            return False
-        if not set(q.support()) <= support or any(w <= 0 for _, w in q.atoms):
-            return False
-        if law_expected_measure(q) != measure:
-            return False
-    return mix_laws(comps) == law
+    J, index = len(law.atoms), {empirical: j for j, empirical in enumerate(law.support())}
+    x = [ZERO] * (len(target.components) * J)
+    for c, (_, q) in enumerate(decomposition.components):
+        for empirical, w in q.atoms:
+            if q.n != law.n or empirical not in index or w <= 0:
+                return False
+            x[c * J + index[empirical]] += w
+    X, den = over_common_denominator(x)
+    columns, rhs, _ = _canonical_lp(law, _integers(law, target))
+    lhs = [0] * len(rhs)
+    for value, column in zip(X, columns):
+        for i, v in column:
+            lhs[i] += v * value
+    return lhs == [b * den for b in rhs]
 
 
 def verify_certificate(law: PopulationLaw, target: SpreadTarget, certificate) -> bool:

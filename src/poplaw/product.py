@@ -104,12 +104,16 @@ def binomial_quantile_expectation(n: int, p, alpha) -> Fraction:
     Summed in integers: with p = P/Q and alpha = A/B, grid point i/n has mass
     B * C(n, i) * P**i * (Q - P)**(n - i) in units of 1/(B * Q**n), and the
     slice takes the lowest points up to a total of A * Q**n.
+
+    Raises `ResourceLimitError` when the n + 1 grid points exceed the bound.
     """
     require_int(n, "trial count")
     p = parse_rational(p)
     alpha = parse_quantile_level(alpha)
     if not 0 < p < 1:
         raise InvariantError(f"success probability must lie in (0, 1): {shown(p, str)}")
+    # the n + 1 grid points are the atoms of the two-atom marginal's multinomial law
+    require_within_bound(n + 1, "binomial quantile slice", "grid points", " or shrink n")
     P, Q = p.numerator, p.denominator
     B = alpha.denominator
     slice_mass = alpha.numerator * Q**n

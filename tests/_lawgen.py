@@ -8,9 +8,10 @@ phase 1, the canonical and the bounded two-component systems as dense
 `Fraction` rows, and the dense Farkas check), with `solve_fraction_rows` to
 put `Fraction` rows through the solver, a brute-force kernel scan for
 information structures, the full pair scan of the polarization grid search
-and the Jensen bound that prunes its pairs, the two-belief shortcut in
-`Fraction`s, and the plain `Fraction` formulas for the multinomial law and
-the binomial quantile mean. `wide_product_problem` is the family of wide, short LPs.
+and the Jensen bound that prunes its pairs, the two-belief shortcut and
+`verify_decomposition` in `Fraction`s, and the plain `Fraction` formulas for
+the multinomial law and the binomial quantile mean. `wide_product_problem` is
+the family of wide, short LPs.
 """
 
 import math
@@ -718,6 +719,27 @@ def reference_two_point(law, target):
     return SpreadDecomposition(
         [(weight, part_for[pos]) for (weight, _), pos in zip(target.components, positions)]
     )
+
+
+def reference_verify_decomposition(law, target, decomposition):
+    """`verify_decomposition` in `Fraction` value types, the reference for its integer check.
+
+    Each component must carry the target's weight, the law's n and positive
+    weights on the law's support, and have the target's measure as its
+    expected measure; the components must mix back to the law.
+    """
+    comps = decomposition.components
+    if len(comps) != len(target.components):
+        return False
+    support = set(law.support())
+    for (weight, q), (t_weight, measure) in zip(comps, target.components):
+        if weight != t_weight or q.n != law.n:
+            return False
+        if not set(q.support()) <= support or any(w <= 0 for _, w in q.atoms):
+            return False
+        if law_expected_measure(q) != measure:
+            return False
+    return mix_laws(comps) == law
 
 
 def _reference_scalar_split(measure, base):

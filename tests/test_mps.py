@@ -9,6 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _lawgen import (
+    BINARY_POOL,
+    TERNARY_POOL,
     WIDE_PRIOR,
     bounded_decomposition_lp,
     farkas_refutes,
@@ -19,6 +21,7 @@ from _lawgen import (
     reference_decomposition_lp,
     reference_integerize,
     reference_two_point,
+    reference_verify_decomposition,
     solve_fraction_rows,
     two_belief_spreads,
     wide_product_problem,
@@ -230,6 +233,85 @@ def test_verify_decomposition_rejects_negative_weights():
     for (_, q), (_, measure) in zip(forged.components, target.components):
         assert law_expected_measure(q) == measure
     assert not verify_decomposition(law, target, forged)
+
+
+def tampered_decompositions(law, target, decomposition, rng):
+    """Name -> ((law, target, decomposition), whether it is genuine), from a genuine one.
+
+    One component and one of its atoms, (e, w), are picked at random. Only
+    splitting that atom into two halves keeps the decomposition genuine; every
+    other entry is a forgery.
+    """
+    comps = list(decomposition.components)
+    c = rng.randrange(len(comps))
+    atoms = list(comps[c][1].atoms)
+    i = rng.randrange(len(atoms))
+    e, w = atoms[i]
+    before, after = atoms[:i], atoms[i + 1 :]
+
+    def component(new_atoms, n=law.n, genuine=False):
+        forged = comps.copy()
+        forged[c] = (comps[c][0], _trusted(PopulationLaw, n=n, atoms=tuple(new_atoms)))
+        return (law, target, SpreadDecomposition(forged)), genuine
+
+    pool = BINARY_POOL if law.dimension == 2 else TERNARY_POOL
+    outside = next(
+        empirical
+        for empirical in (EmpiricalDistribution.constant(law.n, b) for b in pool)
+        if empirical not in law.support()
+    )
+    lifted = SpreadTarget(
+        (weight, DiscreteMeasure((Belief((*b.coords, 0)), v) for b, v in measure.atoms))
+        for weight, measure in target.components
+    )
+    halves = [*before, (e, w / 2), (e, w / 2), *after]
+    cases = {
+        "split an atom in halves": component(halves, genuine=True),
+        "drop an atom": component(before + after),
+        "atom off the support": component([*before, (e, w / 2), (outside, w / 2), *after]),
+        "another n": component(atoms, n=law.n + 1),
+        "duplicated atom": component(atoms + [(e, w)]),
+        "zero weight": component(atoms + [(e, F(0))]),
+        "negative weight": component(atoms + [(e, -w), (e, w)]),
+        "another state space": ((law, lifted, decomposition), False),
+    }
+    if len(atoms) > 1:
+        k = rng.choice([k for k in range(len(atoms)) if k != i])
+        shifted = atoms.copy()
+        shifted[i], shifted[k] = (e, w / 2), (atoms[k][0], atoms[k][1] + w / 2)
+        cases["shifted weight"] = component(shifted)
+    unlike = [
+        (a, b)
+        for a, b in itertools.combinations(range(len(comps)), 2)
+        if target.components[a] != target.components[b]
+    ]
+    if unlike:
+        a, b = rng.choice(unlike)
+        swapped = comps.copy()
+        swapped[a], swapped[b] = comps[b], comps[a]
+        cases["swapped components"] = ((law, target, SpreadDecomposition(swapped)), False)
+    if len(law.atoms) > 1:
+        # the same atoms reweighted: every moment row still holds, a mass row does not
+        (e0, p0), (e1, p1), *rest = law.atoms
+        reweighted = PopulationLaw(law.n, [(e0, p0 / 2), (e1, p1 + p0 / 2), *rest])
+        cases["another law on the same atoms"] = ((reweighted, target, decomposition), False)
+    return cases
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32))
+def test_verify_decomposition_agrees_with_the_fraction_reference(seed):
+    """Both verifiers accept genuine decompositions on both routes and refuse every forgery."""
+    rng = random.Random(seed)
+    law, prior = random_feasible_instance(rng)
+    target = base_law(law, prior)
+    for route in ("auto", "lp"):
+        genuine = mps_decompose(law, target, route=route)
+        assert verify_decomposition(law, target, genuine) is True
+        assert reference_verify_decomposition(law, target, genuine) is True
+        for name, (args, expected) in tampered_decompositions(law, target, genuine, rng).items():
+            assert verify_decomposition(*args) is expected, name
+            assert reference_verify_decomposition(*args) is expected, name
 
 
 def test_verify_certificate_rejects_fabrications():

@@ -31,6 +31,7 @@ from poplaw import (
     symmetric_threshold,
     threshold_curve,
 )
+from poplaw import product
 from poplaw.product import threshold_denominator
 
 HALF = Prior.binary(F(1, 2))
@@ -131,6 +132,23 @@ def test_multinomial_resource_bound(monkeypatch):
         multinomial_law(SymmetricProduct(wide, 4))
     monkeypatch.setenv("POPLAW_MAX_PROFILES", "715")
     assert len(multinomial_law(SymmetricProduct(wide, 4)).atoms) == 715
+
+
+def test_binomial_quantile_grid_is_bounded(monkeypatch):
+    # n + 1 grid points, as many as the two-atom multinomial law's atoms
+    monkeypatch.setenv("POPLAW_MAX_PROFILES", "10")
+    marginal = product.binary_marginal(F(1, 2), F(3, 10), F(7, 10))
+    assert binary_product_feasible_quantile(9, F(1, 2), F(3, 10), F(7, 10)) is False
+    assert not product_feasible(SymmetricProduct(marginal, 9), HALF).feasible
+    with pytest.raises(ResourceLimitError) as info:
+        binary_product_feasible_quantile(10, F(1, 2), F(3, 10), F(7, 10))
+    assert str(info.value) == (
+        "binomial quantile slice needs more than 10 grid points; raise the bound or shrink n"
+    )
+    with pytest.raises(ResourceLimitError):
+        product_feasible(SymmetricProduct(marginal, 10), HALF)
+    with pytest.raises(ResourceLimitError):
+        binomial_quantile_expectation(10**6, F(1, 2), F(1, 2))
 
 
 # ----------------------------------------------------------- feasibility
