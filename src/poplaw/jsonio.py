@@ -67,7 +67,8 @@ def dumps(payload, fmt=format_rational) -> str:
 
     The one place a rational or a belief becomes text: each `Fraction` leaf is
     passed through `fmt` (by default an int or a "p/q" string), and each
-    `Belief` leaf is the array of its coordinates, each through `fmt`. The text
+    `Belief` leaf is the array of its coordinates, each through `fmt`, rendered
+    once per document and indentation: equal beliefs render alike. The text
     is byte for byte what `json.dumps(payload, indent=2, sort_keys=True) + "\n"`
     gives for the formatted tree with each belief replaced by its coordinate
     list, written without the standard library's pure-Python encoder, which it
@@ -76,19 +77,26 @@ def dumps(payload, fmt=format_rational) -> str:
     included, raises TypeError.
     """
     chunks: list[str] = []
-    _write(payload, fmt, "\n", chunks.append)
+    _write(payload, fmt, "\n", chunks.append, {})
     chunks.append("\n")
     return "".join(chunks)
 
 
-def _write(value, fmt, newline: str, emit) -> None:
+def _write(value, fmt, newline: str, emit, beliefs: dict) -> None:
+    # beliefs: each (belief, newline) already rendered in this document, with its text
     kind = type(value)
     if kind is Fraction:
         value = fmt(value)
         kind = type(value)
     elif kind is Belief:
-        # the array of its coordinates, read in place: a tuple of Fraction leaves
-        value, kind = value.coords, list
+        text = beliefs.get((value, newline))
+        if text is None:
+            # the array of its coordinates: a tuple of Fraction leaves
+            chunks: list[str] = []
+            _write(list(value.coords), fmt, newline, chunks.append, beliefs)
+            text = beliefs[value, newline] = "".join(chunks)
+        emit(text)
+        return
     if kind is str:
         emit(_quote(value))
     elif kind is int:
@@ -102,7 +110,7 @@ def _write(value, fmt, newline: str, emit) -> None:
         for item in value:
             emit(sep)
             sep = "," + inner
-            _write(item, fmt, inner, emit)
+            _write(item, fmt, inner, emit, beliefs)
         emit(newline + "]")
     elif kind is dict:
         if not value:
@@ -114,7 +122,7 @@ def _write(value, fmt, newline: str, emit) -> None:
         for key in sorted(value):
             emit(sep + _quote(key) + ": ")
             sep = "," + inner
-            _write(value[key], fmt, inner, emit)
+            _write(value[key], fmt, inner, emit, beliefs)
         emit(newline + "}")
     elif value is None:
         emit("null")

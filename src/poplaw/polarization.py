@@ -20,7 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from functools import reduce
+from operator import getitem, mul
 
 from .errors import InvariantError
 from .measures import EmpiricalDistribution, PopulationLaw, Prior
@@ -118,6 +119,36 @@ def max_polarization(n: int, prior: Prior) -> PolarizationReport:
     )
 
 
+def _jensen_row(margin0, margins, weights, n, denominator):
+    """The Jensen bounds of state-0 margin `margin0` against every state-1 margin.
+
+    Returns (bounds, scale) with bounds[k1] / scale the bound of the pair
+    (margin0, margins[k1]) in the units of the search's num / L^2, all over
+    one scale: the row tabulates L*B^2/T over L, the lcm of the row's nonzero
+    T, for each of margin0's values and each state-1 margin in 0..denominator,
+    and a pair's L*S sums one table entry per slot.
+    """
+    w0, w1 = weights
+    values = set(margin0)
+    # pairwise: star-unpacking a tuple of a new length per row raised peak RSS by about 1 MB
+    lcm = reduce(math.lcm, (
+        w0 * m0 + w1 * m1 or 1 for m0 in values for m1 in range(denominator + 1)
+    ))
+    terms = {
+        m0: [(w1 * m1) ** 2 * (lcm // (w0 * m0 + w1 * m1 or 1)) for m1 in range(denominator + 1)]
+        for m0 in values
+    }
+    row_terms = [terms[m0] for m0 in margin0]
+    total = w1 * n * denominator * lcm  # L times the sum of B over the slots
+    # w0*total*s - w1*(total - s)^2 - w0*s^2, expanded in s: one long product per pair
+    slope, q, offset = (w0 + 2 * w1) * total, w0 + w1, w1 * total * total
+    bounds = []
+    for margin1 in margins:
+        s = sum(map(getitem, row_terms, margin1))  # L * S
+        bounds.append(s * (slope - q * s) - offset)
+    return bounds, denominator * w0 * w1 * lcm * lcm
+
+
 def search_max_polarization(
     n: int, prior: Prior, signals_per_agent: int = 2, denominator: int = 4
 ) -> tuple[Fraction, InformationStructure]:
@@ -150,7 +181,8 @@ def search_max_polarization(
     of one found there, keyed by the sorted tuple of the agents' sorted
     blocks of (state-0, state-1) slot pairs, and every pair in such an orbit
     maximizes; so the first maximizer is the smallest (i0, i1) over those
-    orbits' pairs, each scored again. State-0 groups are visited in order of
+    orbits' pairs, each scored again; a state-1 group outside the tied pairs'
+    state-1 orbits cannot be in one. State-0 groups are visited in order of
     their first member, a lower bound on their i0, until it exceeds the best
     i0. Values compare by cross-multiplication and the Fraction is built once.
 
@@ -161,13 +193,20 @@ def search_max_polarization(
     w0*(sum(a*X))^2 / denominator, and likewise cost1 with the state-1
     margin b. So num <= bound / denominator with
     bound = denominator*n*L*sum(B*X) - w0*(sum(a*X))^2 - w1*(sum(b*X))^2,
-    from the margins alone: Jensen's inequality within each state. A pair
+    from the margins alone: Jensen's inequality within each state. With
+    S = sum(B^2/T over slots), and sum(B) = w1*n*denominator since each
+    agent's margins sum to the denominator, sum(b*X) = L*S/w1 and
+    sum(a*X) = L*(w1*n*denominator - S)/w0, so bound / (denominator*L^2) is
+    (denominator*n*S - (w1*n*denominator - S)^2/w0 - S^2/w1) / denominator.
+    A slot's B^2/T depends only on its two margins, each in 0..denominator,
+    so each representative's row tabulates L*B^2/T once over the lcm L of
+    the row's nonzero T, and every bound in the row is an integer over one
+    scale. The row is visited in descending order of that integer. A pair
     whose bound, cross-multiplied, is below the running best scores strictly
-    below the final best, so it can be neither the best nor tied with it, and
-    skipping it leaves the tied orbits and the result as they were. Each
-    representative's row of state-1 groups is visited in descending order of
-    its bound in polarization units, at most 1/4 as a float; that order only
-    raises the running best early, and every skip is the exact comparison.
+    below the final best, so it can be neither the best nor tied with it; so
+    can every later pair in the row, and the row stops there. The order only
+    raises the running best early: the tied orbits and the result do not
+    depend on it.
     """
     if prior.dimension != 2:
         raise InvariantError("grid search is implemented for two states")
@@ -213,38 +252,33 @@ def search_max_polarization(
         cost1, i1 = min((sum(map(mul, mass, squares)), i) for mass, i in members1)
         return n * lcm * sum(map(mul, b_slots, xs)) - cost0 - cost1, lcm * lcm, i0, i1
 
-    def bound(k0, k1):
-        # score's num times denominator, with each state's cost at its Jensen floor
-        a_slots, b_slots = sides[0][k0][0], sides[1][k1][0]
-        totals = [a + b or 1 for a, b in zip(a_slots, b_slots)]
-        lcm = math.lcm(*totals)
-        xs = [b * (lcm // t) for b, t in zip(b_slots, totals)]
-        s0, s1 = sum(map(mul, margins[k0], xs)), sum(map(mul, margins[k1], xs))
-        num = denominator * n * lcm * sum(map(mul, b_slots, xs)) - w0 * s0 * s0 - w1 * s1 * s1
-        return num, denominator * lcm * lcm
-
     keys = [orbit(margin) for margin in margins]
-    norm = q * denominator * n * n  # to polarization units, so the float key cannot overflow
+    orbits: dict[tuple, list[int]] = {}
+    for k, key in enumerate(keys):
+        orbits.setdefault(key, []).append(k)
+    norm = q * denominator * n * n  # to polarization units
+    # state-0 orbit key -> state-1 orbit key -> joint orbits of the pairs scoring the best
     best_num, best_scale, tied = -1, 1, {}
-    for k0 in dict(zip(keys, range(len(keys)))).values():  # one group per orbit
-        row = [(bound(k0, k1), k1) for k1 in range(len(margins))]
-        row.sort(key=lambda entry: entry[0][0] / (entry[0][1] * norm), reverse=True)
-        for (bound_num, bound_scale), k1 in row:
-            if bound_num * best_scale < best_num * bound_scale:
-                continue  # scores below the running best, so below the final best
+    for k0 in [members[-1] for members in orbits.values()]:  # one group per orbit
+        bounds, bound_scale = _jensen_row(margins[k0], margins, (w0, w1), n, denominator)
+        for k1 in sorted(range(len(margins)), key=bounds.__getitem__, reverse=True):
+            if bounds[k1] * best_scale < best_num * bound_scale:
+                break  # this pair and the rest of the row score below the final best
             num, scale, _, _ = score(k0, k1)
             lhs, rhs = num * best_scale, best_num * scale  # cross-multiplied
             if lhs > rhs:
                 best_num, best_scale, tied = num, scale, {}
             if lhs >= rhs:
-                tied.setdefault(keys[k0], set()).add(orbit(margins[k0], margins[k1]))
+                joints = tied.setdefault(keys[k0], {}).setdefault(keys[k1], set())
+                joints.add(orbit(margins[k0], margins[k1]))
     best_pair = (len(vectors), len(vectors))
     for k0, margin0 in enumerate(margins):
         if groups[margin0][0] > best_pair[0]:
             break
-        for k1, margin1 in enumerate(margins if keys[k0] in tied else ()):
-            if orbit(margin0, margin1) in tied[keys[k0]]:
-                best_pair = min(best_pair, score(k0, k1)[2:])
+        for key1, joints in tied.get(keys[k0], {}).items():
+            for k1 in orbits[key1]:
+                if orbit(margin0, margins[k1]) in joints:
+                    best_pair = min(best_pair, score(k0, k1)[2:])
     best = Fraction(best_num, norm * best_scale)
     kernel = [grid_kernel(signal_set, profiles, vectors[i], denominator) for i in best_pair]
     return best, InformationStructure(n, prior, [signal_set] * n, kernel)

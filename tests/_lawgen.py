@@ -8,7 +8,8 @@ phase 1, the canonical and the bounded two-component systems as dense
 `Fraction` rows, and the dense Farkas check), with `solve_fraction_rows` to
 put `Fraction` rows through the solver, a brute-force kernel scan for
 information structures, the full pair scan of the polarization grid search
-and the Jensen bound that prunes its pairs, the two-belief shortcut and
+over its margin groups, the Jensen bound that prunes its pairs, per structure
+and per pair of margin groups, the two-belief shortcut and
 `verify_decomposition` in `Fraction`s, and the plain `Fraction` formulas for
 the multinomial law and the binomial quantile mean. `wide_product_problem` is
 the family of wide, short LPs.
@@ -605,15 +606,13 @@ def reference_polarization_bound(structure):
     return squares - sum((mu * m * m for mu, m in zip(mus, means)), Fraction(0))
 
 
-def reference_search_max_polarization(n, prior, signals_per_agent=2, denominator=4):
-    """The grid search as a full scan of every pair of margin groups.
+def margin_groups(n, signals_per_agent, denominator):
+    """The grid's weight vectors grouped by margin: (signal set, profiles, vectors, columns, groups).
 
-    The same integer score as `search_max_polarization`, over all state-0
-    groups rather than one per relabeling orbit; ties go to the earlier
-    (i0, i1), so the result is the first maximizer in enumeration order.
+    A margin is a vector's total weight on each (agent, signal) slot; the
+    groups map each margin to its vectors' indices, in order of first member.
     """
     signal_set, profiles, vectors = weight_grid(n, signals_per_agent, denominator)
-    (w0, w1), q = over_common_denominator(prior.coords)
     columns = [
         [agent * signals_per_agent + profile[agent] for profile in profiles]
         for agent in range(n)
@@ -625,6 +624,37 @@ def reference_search_max_polarization(n, prior, signals_per_agent=2, denominator
             for slot, w in zip(column, vec):
                 margin[slot] += w
         groups.setdefault(tuple(margin), []).append(i)
+    return signal_set, profiles, vectors, columns, groups
+
+
+def reference_pair_bound(margin0, margin1, weights, n, denominator):
+    """Jensen's bound on one pair of margin groups, per pair, as a `Fraction` of num / L^2.
+
+    With A = w0*m0, B = w1*m1, T = A + B on each slot, L the lcm of the
+    pair's nonzero T and X = B*(L/T): (denominator*n*L*sum(B*X)
+    - w0*sum(m0*X)^2 - w1*sum(m1*X)^2) / (denominator*L^2).
+    """
+    w0, w1 = weights
+    a_slots, b_slots = [w0 * m for m in margin0], [w1 * m for m in margin1]
+    totals = [a + b or 1 for a, b in zip(a_slots, b_slots)]
+    lcm = math.lcm(*totals)
+    xs = [b * (lcm // t) for b, t in zip(b_slots, totals)]
+    s0, s1 = sum(map(mul, margin0, xs)), sum(map(mul, margin1, xs))
+    num = denominator * n * lcm * sum(map(mul, b_slots, xs)) - w0 * s0 * s0 - w1 * s1 * s1
+    return Fraction(num, denominator * lcm * lcm)
+
+
+def reference_search_max_polarization(n, prior, signals_per_agent=2, denominator=4):
+    """The grid search as a full scan of every pair of margin groups.
+
+    The same integer score as `search_max_polarization`, over all state-0
+    groups rather than one per relabeling orbit; ties go to the earlier
+    (i0, i1), so the result is the first maximizer in enumeration order.
+    """
+    signal_set, profiles, vectors, columns, groups = margin_groups(
+        n, signals_per_agent, denominator
+    )
+    (w0, w1), q = over_common_denominator(prior.coords)
     sides = [
         [
             ([w * m for m in margin], [([w * x for x in vectors[i]], i) for i in members])

@@ -413,6 +413,19 @@ def test_dumps_writes_a_belief_as_its_coordinate_list(fmt, tree):
     assert jsonio.dumps(tree, fmt) == jsonio.dumps(_coordinate_lists(tree), fmt)
 
 
+def test_dumps_renders_each_belief_once_per_indentation():
+    formatted = []
+
+    def fmt(value):
+        formatted.append(value)
+        return format_rational(value)
+
+    belief = Belief([F(1, 3), F(2, 3)])
+    tree = {"a": [belief, Belief([F(1, 3), F(2, 3)]), belief], "b": [[belief]]}
+    assert jsonio.dumps(tree, fmt) == jsonio.dumps(_coordinate_lists(tree))
+    assert formatted == [F(1, 3), F(2, 3)] * 2  # "a" and "b" nest their beliefs differently
+
+
 def test_encoders_hand_over_the_values_own_beliefs():
     rng = random.Random(5)
     law, prior = random_feasible_instance(rng, max_n=3, max_atoms=3)

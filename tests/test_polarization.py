@@ -24,9 +24,16 @@ from poplaw import (
     variance,
 )
 from poplaw import enumerate_grid_structures
+from poplaw.polarization import _jensen_row
+from poplaw.rationals import over_common_denominator
 from poplaw.structures import InformationStructure
 
-from _lawgen import reference_polarization_bound, reference_search_max_polarization
+from _lawgen import (
+    margin_groups,
+    reference_pair_bound,
+    reference_polarization_bound,
+    reference_search_max_polarization,
+)
 
 HALF = Prior.binary(F(1, 2))
 
@@ -314,6 +321,9 @@ REFERENCE_GRIDS = [
 @example((4, 2, 1), F(1, 2))
 @example((3, 2, 2), F(1, 2))
 @example((2, 2, 6), F(1, 2))
+# the first maximizer's state-0 margin group holds more than one vector of least mass
+# term, and only the first of them is the first maximizer's
+@example((5, 2, 2), F(3, 5))
 def test_search_matches_the_full_pair_scan(grid, mu):
     """One state-0 group per relabeling orbit finds the full scan's value and first maximizer."""
     n, signals, denominator = grid
@@ -345,14 +355,34 @@ def test_jensen_bound_is_tight_when_the_state_fixes_the_average():
 
 
 @pytest.mark.parametrize(
+    "mu", [F(1, 3), F(5, 12), LONG_PRIOR, F(10**400 + 7, 3 * 10**400)],
+    ids=["third", "five-twelfths", "long", "huge"],
+)
+@pytest.mark.parametrize(
+    "grid", [(1, 3, 3), (2, 2, 3), (2, 3, 2), (3, 2, 2), (4, 2, 1), (3, 1, 2)],
+    ids=["n1-s3-d3", "n2-d3", "n2-s3-d2", "n3-d2", "n4-d1", "n3-s1-d2"],
+)
+def test_jensen_row_is_the_per_pair_bound(grid, mu):
+    """Each row's table gives every margin-group pair exactly its per-pair Jensen bound."""
+    n, signals, denominator = grid
+    weights, _ = over_common_denominator(Prior.binary(mu).coords)
+    *_, groups = margin_groups(n, signals, denominator)
+    margins = list(groups)
+    for margin0 in margins:
+        bounds, scale = _jensen_row(margin0, margins, weights, n, denominator)
+        expected = [reference_pair_bound(margin0, m1, weights, n, denominator) for m1 in margins]
+        assert [F(b, scale) for b in bounds] == expected
+
+
+@pytest.mark.parametrize(
     "mu",
     [F(1, 3 * 10**400), F(10**300 + 7, 3 * 10**300), F(10**400 + 7, 3 * 10**400)],
     ids=["tiny", "long", "longer"],
 )
 @pytest.mark.parametrize("grid", [(2, 2, 3), (3, 2, 2)], ids=["n2-d3", "n3-d2"])
 def test_search_with_a_huge_prior_denominator(grid, mu):
-    # the bound's float sort key stays within a quarter, whatever the prior's digits;
-    # as a bare num / scale it would overflow a float at the longer prior
+    # each row's bounds are integers over one scale, the lcm of hundreds-digit totals,
+    # and are sorted and compared exactly: a float of them would overflow at the longer prior
     n, signals, denominator = grid
     prior = Prior.binary(mu)
     expected = reference_search_max_polarization(n, prior, signals, denominator)
