@@ -18,10 +18,11 @@ agent counts, and the weights and masses over their least common denominators.
 Every step reads it, and both verifiers check `_canonical_lp`'s integer columns
 A and rhs b: `verify_decomposition` A x = b for a decomposition x > 0,
 `verify_certificate` y.b > 0 and y.A <= 0 for a Farkas vector y (the shortcut's
-certificates in `Fraction`s, through `_two_point`). Both LPs' rows are finished
-by `simplex._primitive_row` and solved by `simplex.solve_equalities`, so pivots,
-solutions and Farkas vectors are those of the `Fraction` systems (the canonical
-one is `decomposition_lp`), every Farkas vector over the canonical rows.
+certificates in `Fraction`s, through `_two_point`). `simplex.solve_equalities`
+takes those same columns, rhs and row multipliers, and `_bounded_lp` states its
+LP in that form too, so pivots, solutions and Farkas vectors are those of the
+`Fraction` systems (the canonical one is `decomposition_lp`), every Farkas
+vector over the canonical rows.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .measures import (
     quantile_distribution,
 )
 from .rationals import over_common_denominator, parse_rational, shown
-from .simplex import _primitive_row, solve_equalities
+from .simplex import solve_equalities
 
 ZERO = Fraction(0)
 
@@ -307,21 +308,14 @@ def _canonical_lp(law: PopulationLaw, stated: _Statement):
     return columns, rhs, mults
 
 
-def _canonical_dense(law: PopulationLaw, stated: _Statement):
-    """`_canonical_lp` scattered: each dense integer row, rhs last, with its multiplier."""
-    columns, rhs, mults = _canonical_lp(law, stated)
-    rows = [[0] * len(columns) + [b] for b in rhs]
-    for col, column in enumerate(columns):
-        for i, value in column:
-            rows[i][col] = value
-    return zip(rows, mults)
-
-
 def decomposition_lp(law: PopulationLaw, target: SpreadTarget):
     """The canonical LP as dense `Fraction` rows and rhs: each integer row over its multiplier."""
-    dense = _canonical_dense(law, _integers(law, target))
-    rows = [[Fraction(v, mult) for v in row] for row, mult in dense]
-    return [row[:-1] for row in rows], [row[-1] for row in rows]
+    columns, rhs, mults = _canonical_lp(law, _integers(law, target))
+    rows = [[ZERO] * len(columns) for _ in rhs]
+    for col, column in enumerate(columns):
+        for i, value in column:
+            rows[i][col] = Fraction(value, mults[i])
+    return rows, [Fraction(b, mult) for b, mult in zip(rhs, mults)]
 
 
 def mps_decompose(law: PopulationLaw, target: SpreadTarget, route: str = "auto"):
@@ -345,8 +339,8 @@ def mps_decompose(law: PopulationLaw, target: SpreadTarget, route: str = "auto")
     if len(target.components) == 2:
         system = _bounded_lp(law, stated)
         if system is not None:
-            return _decompose_two_components(law, target, stated, *system)
-    outcome = solve_equalities(*_finished(_canonical_dense(law, stated)))
+            return _decompose_two_components(law, target, stated, system)
+    outcome = solve_equalities(*_canonical_lp(law, stated))
     if not outcome.feasible:
         return FarkasCertificate(outcome.farkas)
     J = len(law.atoms)
@@ -357,8 +351,8 @@ def mps_decompose(law: PopulationLaw, target: SpreadTarget, route: str = "auto")
     )
 
 
-def _decompose_two_components(law: PopulationLaw, target: SpreadTarget, stated, rows, scales):
-    """The bounded LP step, on `_bounded_lp`'s rows and scales.
+def _decompose_two_components(law: PopulationLaw, target: SpreadTarget, stated, system):
+    """The bounded LP step, on `_bounded_lp`'s system: columns, rhs and row multipliers.
 
     The system is over x_j = w0 * q0[j] with 0 <= x_j <= p_j, the law's weight
     on atom j: one row per belief x of the law, sum_j count_j(x) / n * x_j =
@@ -373,7 +367,7 @@ def _decompose_two_components(law: PopulationLaw, target: SpreadTarget, stated, 
     y.rhs - z.p > 0.
     """
     (w0, _), (w1, _) = target.components
-    outcome = solve_equalities(rows, scales, bounded=True)
+    outcome = solve_equalities(*system, bounded=True)
     if not outcome.feasible:
         y = outcome.farkas
         # y.A_j is sum_x Y(x) * count_j(x) / (L * n), Y over y's common denominator L
@@ -395,35 +389,34 @@ def _decompose_two_components(law: PopulationLaw, target: SpreadTarget, stated, 
 
 
 def _bounded_lp(law: PopulationLaw, stated: _Statement):
-    """The bounded LP as integer rows, rhs last, and one scale per row; None if it cannot stand in.
+    """The bounded LP in `_canonical_lp`'s form, or None if it cannot stand in.
 
     The rows are `_decompose_two_components`'s system, column j times its
-    bound p_j, scaled to integers by the statement's denominators. It
-    stands in for the canonical LP only when the target, of two components,
-    mixes to the law's expected measure; otherwise the target has a belief
-    outside the law's support, or the two differ at one of the law's beliefs.
+    bound p_j, scaled to integers by the statement's denominators: row x,
+    sum_j count_j(x) / n * p_j * t_j = w0 * m0(x), times n * D * k with k =
+    DW * B0. So column j holds count_j(x) * P_j * k at each belief x that
+    atom j counts, row x's rhs is n * D * W0 * A0(x), and every row's
+    multiplier is n * D * k. It stands in for the canonical LP only when the
+    target, of two components, mixes to the law's expected measure; otherwise
+    the target has a belief outside the law's support, or the two differ at
+    one of the law's beliefs.
     """
     n, P, D, DW = law.n, stated.P, stated.D, stated.DW
     (W0, W1), ((A0, B0), (A1, B1)) = stated.W, stated.masses
-    rows = []
-    k = DW * B0
+    rhs = []
     for counts, a0, a1 in zip(stated.table, A0, A1):
-        weighted = [v * p for v, p in zip(counts, P)]
         # n * D times the expected measure at x, against n * D times the
         # mixture (W0 * A0(x) / B0 + W1 * A1(x) / B1) / DW
-        if sum(weighted) * DW * B0 * B1 != n * D * (W0 * a0 * B1 + W1 * a1 * B0):
+        weighted = sum(map(operator.mul, counts, P))
+        if weighted * DW * B0 * B1 != n * D * (W0 * a0 * B1 + W1 * a1 * B0):
             return None
-        # row x, sum_j count_j(x) / n * p_j * t_j = w0 * m0(x), times n * D * k
-        row = [v * k for v in weighted]
-        row.append(n * D * W0 * a0)
-        rows.append((row, n * D * k))
-    return _finished(rows)
-
-
-def _finished(rows):
-    """Each (integer row, positive multiplier) pair finished by `_primitive_row`: rows, scales."""
-    finished = [_primitive_row(row, mult) for row, mult in rows]
-    return [row for row, _ in finished], [scale for _, scale in finished]
+        rhs.append(n * D * W0 * a0)
+    k = DW * B0
+    columns = [
+        [(x, count * p * k) for x, count in enumerate(column) if count]
+        for column, p in zip(zip(*stated.table), P)
+    ]
+    return columns, rhs, [n * D * k] * len(rhs)
 
 
 def _restrict(law: PopulationLaw, weights) -> PopulationLaw:

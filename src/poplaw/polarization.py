@@ -220,9 +220,10 @@ def search_max_polarization(
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, vec in enumerate(vectors):
         margin = [0] * (n * signals_per_agent)
-        for column in columns:
-            for slot, w in zip(column, vec):
-                margin[slot] += w
+        for p, w in enumerate(vec):
+            if w:
+                for column in columns:
+                    margin[column[p]] += w
         groups.setdefault(tuple(margin), []).append(i)
     margins = list(groups)  # in order of first member
     sides = [

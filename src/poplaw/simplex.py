@@ -2,11 +2,11 @@
 
 `solve_equalities` is the one entry. It decides `A x = b, x >= 0`, or with
 `bounded` also `x <= 1`, by phase 1 of the simplex method, and returns a
-Farkas refutation on failure. It takes integer rows: each constraint row and
-its rhs as coprime integers with a non-negative rhs, as `_primitive_row`
-finishes them, plus the row's scale, which maps the Farkas vector back to the
-rows as given. `mps` builds both of its LPs in that form straight from a
-law's counts, and states a column bound p_j by scaling column j by p_j.
+Farkas refutation on failure. It takes integer columns: each column's nonzero
+(row, integer) pairs, the integer rhs, and each row's multiplier, the positive
+integer that maps the row as given to it. `mps` states both of its LPs in that
+form straight from a law's counts, as its verifiers read them, and states a
+column bound p_j by scaling column j by p_j.
 
 Each tableau row, the objective row included, is a sparse map from column to
 integer plus one positive integer denominator of its own, kept coprime with
@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import InternalError
 
@@ -57,47 +56,45 @@ class FeasibilityResult:
         return self.solution is not None
 
 
-def _primitive_row(ints: list[int], mult: int) -> tuple[list[int], Fraction]:
-    """A row with its rhs last, given as integers `mult` > 0 times the row, as
-    coprime integers with a non-negative rhs, and the factor mapping the row
-    to them. An all-zero row stays as it is, with factor 1.
-    """
-    g = math.gcd(*ints)
-    if not g:
-        return ints, ONE
-    if ints[-1] < 0:
-        g = -g
-    if g != 1:
-        ints = [v // g for v in ints]
-    return ints, Fraction(mult, g)
-
-
 class _Tableau:
     """Sparse phase-1 tableau; row `m` is the objective (reduced costs).
 
     Row i is the map `rows[i]` from column to integer plus the positive
     integer `dens[i]`: its true entry in column j is `rows[i].get(j, 0) /
     dens[i]`. Columns are the n structural variables, then the m artificials,
-    then the rhs at column `n + m`. When `bounded`, every structural column
-    has upper bound 1, and those in `flipped` are currently complemented.
+    then the rhs at column `n + m`, and `scales[i]` maps row i as given to
+    row i. When `bounded`, every structural column has upper bound 1, and
+    those in `flipped` are currently complemented.
     """
 
-    def __init__(self, int_rows: list[list[int]], bounded: bool = False):
-        m = len(int_rows)
-        n = len(int_rows[0]) - 1
+    def __init__(self, columns, rhs, mults, bounded: bool = False):
+        m, n = len(rhs), len(columns)
         self.m, self.n, self.rhs = m, n, n + m
         self.bounded = bounded
         self.flipped: set[int] = set()
-        self.rows = []
+        self.rows = rows = [{} for _ in range(m)]
+        for j, column in enumerate(columns):
+            for i, v in column:
+                rows[i][j] = v
+        # each row as coprime integers with a non-negative rhs, and the scale
+        # mapping the row as given to it; an all-zero row stays empty, scale 1
+        self.scales = [ONE] * m
         obj: dict[int, int] = {}
-        for i, r in enumerate(int_rows):
-            row = {j: v for j, v in enumerate(r[:-1]) if v}
-            if r[-1]:
-                row[n + m] = r[-1]
+        for i, b in enumerate(rhs):
+            row = rows[i]
+            g = math.gcd(b, *row.values())
+            if g:
+                if b < 0:
+                    g = -g
+                if g != 1:
+                    row = rows[i] = {j: v // g for j, v in row.items()}
+                    b //= g
+                self.scales[i] = Fraction(mults[i], g)
+            if b:
+                row[n + m] = b
             for j, v in row.items():
                 obj[j] = obj.get(j, 0) - v
             row[n + i] = 1
-            self.rows.append(row)
         # phase-1 objective: minimize the sum of the artificials
         self.rows.append({j: v for j, v in obj.items() if v})
         self.dens = [1] * (m + 1)
@@ -214,9 +211,10 @@ class _Tableau:
             self._pivot(r, c)
 
     def farkas(self) -> list[Fraction]:
-        """Dual vector at an infeasible phase-1 optimum: y.A <= 0, y.b > 0."""
+        """Dual vector at an infeasible phase-1 optimum, y.A <= 0 and y.b > 0, over
+        the rows as given: the tableau's dual times each row's scale."""
         obj, den = self.rows[-1], self.dens[-1]
-        return [1 - Fraction(obj.get(self.n + i, 0), den) for i in range(self.m)]
+        return [s * (1 - Fraction(obj.get(self.n + i, 0), den)) for i, s in enumerate(self.scales)]
 
     def solution(self) -> list[Fraction]:
         x = [ZERO] * self.n
@@ -228,19 +226,15 @@ class _Tableau:
         return x
 
 
-def solve_equalities(
-    int_rows: list[list[int]], scales: Sequence[Fraction], bounded: bool = False
-) -> FeasibilityResult:
+def solve_equalities(columns, rhs, mults, bounded: bool = False) -> FeasibilityResult:
     """Find x >= 0 solving the rows, or a Farkas vector refuting them.
 
-    Each row is coprime integers with its rhs, non-negative, last, as
-    `_primitive_row` finishes it, and `scales[i]` maps the row as given to
-    row i. With `bounded`, every column also lies in [0, 1]. The Farkas
-    vector is stated over the rows as given: the tableau's dual times each
-    row's scale.
+    `columns[j]` lists column j's nonzero (row, integer) pairs, `rhs[i]` is an
+    integer, and row i is `mults[i]` > 0 times the row as given. With
+    `bounded`, every column also lies in [0, 1]. The Farkas vector is stated
+    over the rows as given.
     """
-    sx = _Tableau(int_rows, bounded)
+    sx = _Tableau(columns, rhs, mults, bounded)
     if sx.phase1():
         return FeasibilityResult(solution=tuple(sx.solution()), farkas=None)
-    y = sx.farkas()
-    return FeasibilityResult(solution=None, farkas=tuple(s * v for s, v in zip(scales, y)))
+    return FeasibilityResult(solution=None, farkas=tuple(sx.farkas()))

@@ -3,16 +3,16 @@
 Each law is assembled from an explicit per-state decomposition (multinomial,
 public-signal, or a mixture of the two around prescribed conditional belief
 measures), so feasibility holds by construction and the checker has no excuse.
-The oracles are six for LPs (the integerization, canonical and bounded
-phase 1, the canonical and the bounded two-component systems as dense
-`Fraction` rows, and the dense Farkas check), with `solve_fraction_rows` to
-put `Fraction` rows through the solver, a brute-force kernel scan for
-information structures, the full pair scan of the polarization grid search
-over its margin groups, the Jensen bound that prunes its pairs, per structure
-and per pair of margin groups, the two-belief shortcut and
-`verify_decomposition` in `Fraction`s, and the plain `Fraction` formulas for
-the multinomial law and the binomial quantile mean. `wide_product_problem` is
-the family of wide, short LPs.
+The oracles are seven for LPs (the integerization, the tableau's starting
+rows it gives, canonical and bounded phase 1, the canonical and the bounded
+two-component systems as dense `Fraction` rows, and the dense Farkas check),
+with `fraction_columns` and `solve_fraction_rows` to put `Fraction` rows
+through the solver, a brute-force kernel scan for information structures, the
+full pair scan of the polarization grid search over its margin groups, the
+Jensen bound that prunes its pairs, per structure and per pair of margin
+groups, the two-belief shortcut and `verify_decomposition` in `Fraction`s, and
+the plain `Fraction` formulas for the multinomial law and the binomial
+quantile mean. `wide_product_problem` is the family of wide, short LPs.
 """
 
 import math
@@ -306,16 +306,43 @@ def reference_integerize(rows, rhs):
     return int_rows, scales
 
 
+def reference_starting_rows(rows, rhs):
+    """The tableau's starting constraint rows and scales for `Fraction` rows.
+
+    Row i of `reference_integerize` as a map from column to its nonzero
+    entries, the nonzero rhs at column n + m and the artificial's 1 at column
+    n + i, for n columns and m rows.
+    """
+    int_rows, scales = reference_integerize(rows, rhs)
+    m, n = len(int_rows), len(int_rows[0]) - 1
+    maps = [{j: v for j, v in enumerate(r) if v} for r in int_rows]
+    for i, row in enumerate(maps):
+        if n in row:
+            row[n + m] = row.pop(n)
+        row[n + i] = 1
+    return maps, scales
+
+
+def fraction_columns(rows, rhs):
+    """`Fraction` rows in `solve_equalities`'s form: integer columns, rhs and row multipliers.
+
+    Row i times the lcm of its denominators and its rhs's is integers.
+    """
+    ints, mults = zip(*(over_common_denominator([*row, b]) for row, b in zip(rows, rhs)))
+    columns = [[(i, v) for i, v in enumerate(column) if v] for column in zip(*ints)]
+    return columns[:-1], [row[-1] for row in ints], list(mults)
+
+
 def solve_fraction_rows(rows, rhs, upper=None):
     """`solve_equalities` on `Fraction` rows, with optional bounds 0 <= x <= upper.
 
     Column j is scaled by upper[j], so its variable lies in [0, 1]; the rows
-    are integerized by `reference_integerize` and the solution is scaled back.
-    The Farkas vector is the bounded system's, over the rows as given.
+    go in as `fraction_columns` and the solution is scaled back. The Farkas
+    vector is the bounded system's, over the rows as given.
     """
     if upper is not None:
         rows = [[Fraction(v) * u for v, u in zip(row, upper)] for row in rows]
-    out = solve_equalities(*reference_integerize(rows, rhs), bounded=upper is not None)
+    out = solve_equalities(*fraction_columns(rows, rhs), bounded=upper is not None)
     if upper is None or not out.feasible:
         return out
     return FeasibilityResult(solution=tuple(t * u for t, u in zip(out.solution, upper)), farkas=None)

@@ -20,7 +20,7 @@ from _lawgen import (
     random_feasible_instance,
     random_two_component_problem,
     reference_decomposition_lp,
-    reference_integerize,
+    reference_starting_rows,
     reference_two_point,
     reference_verify_decomposition,
     solve_fraction_rows,
@@ -49,7 +49,8 @@ from poplaw import (
 )
 from poplaw import mps
 from poplaw.measures import Prior, _trusted, barycenter, law_expected_measure, mix_laws
-from poplaw.mps import _bounded_lp, _canonical_dense, _finished, _integers, _restrict, decomposition_lp
+from poplaw.mps import _bounded_lp, _canonical_lp, _integers, _restrict, decomposition_lp
+from poplaw.simplex import _Tableau
 
 UNIFORM10 = ScalarMeasure([(F(k, 9), F(1, 10)) for k in range(10)])
 UNIFORM8 = ScalarMeasure([(F(k, 9), F(1, 8)) for k in range(1, 9)])
@@ -729,17 +730,18 @@ def test_every_lp_step_solves_through_solve_equalities(monkeypatch):
 
 
 # --------------------------------------------------------- integer rows from counts
-# mps_decompose solves the integer rows of `_canonical_lp` and `_bounded_lp`;
-# equal to the reference integerization of the Fraction systems, they pivot
-# as those would.
+# mps_decompose solves the integer columns of `_canonical_lp` and `_bounded_lp`;
+# the tableau's starting rows equal the reference integerization of the
+# Fraction systems, so they pivot as those would.
 
 
 def assert_integer_rows_match(law, target):
-    """Both systems against `reference_integerize`; returns the canonical integer rows and scales."""
+    """Both systems' starting rows against `reference_integerize`; returns the canonical tableau."""
     stated = _integers(law, target)
-    canonical = _finished(_canonical_dense(law, stated))
+    canonical = _Tableau(*_canonical_lp(law, stated))
     assert decomposition_lp(law, target) == reference_decomposition_lp(law, target)
-    assert canonical == reference_integerize(*decomposition_lp(law, target))
+    expected = reference_starting_rows(*decomposition_lp(law, target))
+    assert (canonical.rows[:-1], canonical.scales) == expected
     if len(target.components) == 2:
         bounded = _bounded_lp(law, stated)
         if law_expected_measure(law) != mixture(target):
@@ -747,7 +749,8 @@ def assert_integer_rows_match(law, target):
         else:
             rows, rhs, upper = bounded_decomposition_lp(law, target)
             scaled = [[v * u for v, u in zip(row, upper)] for row in rows]
-            assert bounded == reference_integerize(scaled, rhs)
+            tableau = _Tableau(*bounded, bounded=True)
+            assert (tableau.rows[:-1], tableau.scales) == reference_starting_rows(scaled, rhs)
     return canonical
 
 
@@ -776,9 +779,10 @@ def test_zero_moment_row_keeps_scale_one():
     """A target belief outside the law's support with no mass in component 0."""
     law, targets = mean_missing_targets()
     target = targets["outside"]
-    rows, scales = assert_integer_rows_match(law, target)
-    zero = [i for i, row in enumerate(rows) if not any(row)]
-    assert zero and all(scales[i] == 1 for i in zero)
+    tableau = assert_integer_rows_match(law, target)
+    # an all-zero row holds only its artificial
+    zero = [i for i, row in enumerate(tableau.rows[:-1]) if row.keys() == {tableau.n + i}]
+    assert zero and all(tableau.scales[i] == 1 for i in zero)
     assert law.n == 3  # the row times n would have scale 3
 
 

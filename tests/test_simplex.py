@@ -10,20 +10,20 @@ from _lawgen import (
     bounded_decomposition_lp,
     bounded_farkas_as_canonical,
     farkas_refutes,
+    fraction_columns,
     mixture,
     random_binary_posterior_law,
     random_feasible_instance,
     random_two_component_problem,
     reference_bounded_phase1,
-    reference_integerize,
     reference_phase1,
+    reference_starting_rows,
     solve_fraction_rows,
     wide_product_problem,
 )
 from poplaw import base_law, law_expected_measure
 from poplaw.mps import decomposition_lp
-from poplaw.rationals import over_common_denominator
-from poplaw.simplex import _primitive_row, _Tableau
+from poplaw.simplex import _Tableau
 
 
 def test_feasible_system_solution_is_exact():
@@ -116,8 +116,8 @@ def small_systems(draw):
 
 
 def assert_matches_reference(rows, rhs):
-    finished = [_primitive_row(*over_common_denominator([*row, b])) for row, b in zip(rows, rhs)]
-    assert finished == list(zip(*reference_integerize(rows, rhs)))
+    tableau = _Tableau(*fraction_columns(rows, rhs))
+    assert (tableau.rows[:-1], tableau.scales) == reference_starting_rows(rows, rhs)
     out = solve_fraction_rows(rows, rhs)
     assert out == reference_phase1(rows, rhs)
     if not out.feasible:
