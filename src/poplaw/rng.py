@@ -27,11 +27,15 @@ whole-int operations over all lanes together (`mix_lanes`). The ints that
 depend only on the block length, not on the seed, are built once per length
 and memoized for the last two lengths (`lane_constants`): the repunit (1 in
 every lane), `low`, PHI times each lane's index, and the step PHI in every
-lane. `unpack_lanes` reads only each lane's low half.
+lane. Each draw's lanes are handed out as bytes, `to_bytes(16 * count,
+"little")`: with the byte order explicit, byte 7 of lane k is the top byte of
+index start + k's value on every platform, and `lanes[7::16]` is every
+index's top byte, with no unpacking.
 
 `structures.simulate` draws in fixed blocks: draw 0 picks the state and draw
 1 the empirical distribution, each as the first item whose cumulative weight
-w satisfies u < ceil(w * 2**64) for the 64-bit draw u.
+w satisfies u < ceil(w * 2**64) for the 64-bit draw u. Most picks are read
+from the draw's top byte alone (see `structures._guide_table`).
 """
 
 from __future__ import annotations
@@ -62,12 +66,6 @@ def pack_lanes(values) -> int:
     return int.from_bytes(struct.pack(f"<{len(lanes)}Q", *lanes), "little")
 
 
-def unpack_lanes(z: int, count: int) -> tuple[int, ...]:
-    """The low halves of the first `count` lanes of z; the inverse of `pack_lanes`."""
-    # each lane's low word, then its high word skipped as pad bytes
-    return struct.unpack("<" + "Q8x" * count, z.to_bytes(LANE_BYTES * count, "little"))
-
-
 @lru_cache(maxsize=2)  # one full block of `structures.simulate` and one shorter tail
 def lane_constants(count: int) -> tuple[int, int, int, int]:
     """The seed-free ints of a `count`-lane block: repunit, low, PHI * lane index, PHI * repunit."""
@@ -75,10 +73,12 @@ def lane_constants(count: int) -> tuple[int, int, int, int]:
     return repunit, repunit * MASK64, PHI * pack_lanes(range(count)), PHI * repunit
 
 
-def substream_draws(seed: int, start: int, stop: int, draws: int) -> list[tuple[int, ...]]:
+def substream_draws(seed: int, start: int, stop: int, draws: int) -> list[bytes]:
     """Draws 0 to draws - 1 of every sample index in [start, stop), under the rule above.
 
-    Entry j of the result holds draw j of each index, in index order.
+    Entry j of the result holds draw j of each index as little-endian 128-bit
+    lanes, in index order: bytes 16k to 16k + 7 are index start + k's value
+    and the next 8 are zero.
     """
     count = stop - start
     repunit, low, offsets, step = lane_constants(count)
@@ -86,6 +86,6 @@ def substream_draws(seed: int, start: int, stop: int, draws: int) -> list[tuple[
     first = (seed + (start + 1) * PHI) & MASK64
     base = mix_lanes((first * repunit + offsets) & low, low)
     return [
-        unpack_lanes(mix_lanes((base + j * step) & low, low), count)
+        mix_lanes((base + j * step) & low, low).to_bytes(LANE_BYTES * count, "little")
         for j in range(1, draws + 1)
     ]

@@ -28,6 +28,8 @@ expansion would explode.
 from __future__ import annotations
 
 import os
+import re
+import struct
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -35,7 +37,6 @@ from fractions import Fraction
 from functools import cached_property, partial
 from itertools import combinations, product
 from math import isqrt, lcm
-from operator import add
 from typing import Hashable, Iterable, NamedTuple
 
 from .errors import InvariantError, ResourceLimitError
@@ -50,7 +51,7 @@ from .measures import (
 )
 from .mps import SpreadDecomposition, verify_decomposition
 from .rationals import over_common_denominator, parse_rational, require_int, shown
-from .rng import TWO64, substream_draws
+from .rng import LANE_BYTES, TWO64, substream_draws
 
 ZERO = Fraction(0)
 
@@ -343,6 +344,11 @@ def expand_scheme(scheme: SymmetricScheme) -> InformationStructure:
 
 
 SIMULATE_BLOCK = 1 << 14  # sample indices drawn per `substream_draws` call
+GUIDE_SHIFT = 56  # a 64-bit draw's top byte, the index into a guide table
+GUIDED = 254  # items 0 to 253 have guide values 1 to 254; 0 is left for "another state"
+MARKER = 255  # a guide value that the draw's full 64 bits must resolve
+_MARKED = re.compile(bytes([MARKER]))
+_LANE = struct.Struct("<Q")  # a lane's low 8 bytes, its draw
 
 
 def simulate(
@@ -357,31 +363,65 @@ def simulate(
     but changes neither the draws nor the work: the indices are drawn in
     blocks of SIMULATE_BLOCK, whatever the shard count. The seed must lie in
     [0, 2**64).
+
+    Each pick is the rule's "first item with u < cutoff", made per block
+    from the draws' top bytes, one byte per draw (`lanes[7::16]`, see
+    `rng`). The prior's guide table (`_guide_table`) translates every state
+    draw's top byte into 1 + its state, or MARKER. For each state, its own
+    guide translates the distribution draws' top bytes into 1 + their item,
+    an AND with the samples whose state byte is 1 + that state zeroes the
+    others, and `bytes.count` tallies each item. Why this is exact: the
+    draws with top byte t are the u in [t * 2**56, (t + 1) * 2**56), and if
+    no cutoff lies strictly inside that range they all pick one item, the
+    one the guide holds. Every other byte, and every item or state past
+    index GUIDED - 1 (whose 1 + index would not fit below MARKER), reads
+    MARKER, and only those draws are resolved by `bisect_right` on their
+    full 64 bits. Guide values 1 to 254 never collide with MARKER or with
+    the 0 of another state, so every count is the rule's, for any number of
+    atoms or states.
     """
     require_int(samples, "sample count")
     require_int(shards, "shard count")
     require_int(seed, "seed", low=0, high=TWO64)
     _, state_cutoffs = _selection_table(list(enumerate(scheme.prior.coords)))
-    pick_state = partial(bisect_right, state_cutoffs)
-    # atom offset[s] + k is item k of state s; every state's last cutoff is
-    # exactly 2**64, so bisect_right over its own cutoffs stays in its atoms
-    empiricals = []
+    state_guide = _guide_table(state_cutoffs)
+    empiricals = []  # per state, its items
     cutoffs_of = []
-    offset_of = []
-    for law in scheme.state_laws:
+    guided = []  # (state, guide, state-byte mask, guided items) of each state in the prior's guide
+    for s, law in enumerate(scheme.state_laws):
         items, cutoffs = _selection_table(law.atoms)
-        offset_of.append(len(empiricals))
-        empiricals += items
+        empiricals.append(items)
         cutoffs_of.append(cutoffs)
-    atom_counts: Counter[int] = Counter()
+        if s < GUIDED and s + 1 in state_guide:
+            guide = _guide_table(cutoffs)
+            mask = bytearray(256)
+            mask[s + 1] = 0xFF  # translate: 0xFF where a sample's state byte is s + 1, else 0
+            counted = [k for k in range(min(len(items), GUIDED)) if k + 1 in guide]
+            guided.append((s, guide, bytes(mask), counted))
+    tallies: list[Counter[int]] = [Counter() for _ in cutoffs_of]
     for start in range(0, samples, SIMULATE_BLOCK):
-        u_state, u_emp = substream_draws(seed, start, min(start + SIMULATE_BLOCK, samples), 2)
-        states = list(map(pick_state, u_state))
-        picks = map(bisect_right, map(cutoffs_of.__getitem__, states), u_emp)
-        atom_counts.update(map(add, picks, map(offset_of.__getitem__, states)))
+        count = min(SIMULATE_BLOCK, samples - start)
+        u_state, u_emp = substream_draws(seed, start, start + count, 2)
+        # byte 7 of each little-endian lane is its draw's top byte
+        states = u_state[7::LANE_BYTES].translate(state_guide)
+        emp_top = u_emp[7::LANE_BYTES]
+        for s, guide, mask, counted in guided:
+            in_state = int.from_bytes(states.translate(mask), "little")
+            own = int.from_bytes(emp_top.translate(guide), "little") & in_state
+            picks = own.to_bytes(count, "little")
+            tally = tallies[s]
+            for k in counted:
+                tally[k] += picks.count(k + 1)
+            tally.update(map(partial(bisect_right, cutoffs_of[s]), _marked_draws(picks, u_emp)))
+        # samples whose state byte is MARKER: both picks by bisect
+        for u_s, u_e in zip(_marked_draws(states, u_state), _marked_draws(states, u_emp)):
+            s = bisect_right(state_cutoffs, u_s)
+            tallies[s][bisect_right(cutoffs_of[s], u_e)] += 1
     counts: Counter[EmpiricalDistribution] = Counter()
-    for atom, c in atom_counts.items():
-        counts[empiricals[atom]] += c  # states may share a distribution
+    for items, tally in zip(empiricals, tallies):
+        for k, c in tally.items():
+            if c:
+                counts[items[k]] += c  # states may share a distribution
     # distinct distributions in ascending order of one scheme's n and state
     # space, positive counts summing to samples
     return _trusted(
@@ -389,6 +429,11 @@ def simulate(
         n=scheme.n,
         atoms=tuple([(e, Fraction(c, samples)) for e, c in sorted(counts.items())]),
     )
+
+
+def _marked_draws(picks: bytes, lanes: bytes) -> list[int]:
+    """The 64-bit draws in `substream_draws`' lanes of the samples whose pick is MARKER."""
+    return [_LANE.unpack_from(lanes, LANE_BYTES * m.start())[0] for m in _MARKED.finditer(picks)]
 
 
 def _selection_table(atoms):
@@ -407,6 +452,25 @@ def _selection_table(atoms):
         items.append(item)
         cutoffs.append(-(-(acc << 64) // den))
     return items, cutoffs
+
+
+def _guide_table(cutoffs) -> bytes:
+    """A selection's 256-byte guide table, indexed by a draw's top byte t.
+
+    Entry t is 1 + the item that every draw in [t * 2**56, (t + 1) * 2**56)
+    picks when no cutoff lies strictly inside that range, and MARKER otherwise
+    or when that item's index is GUIDED or more. The cutoffs ascend to 2**64,
+    so each item fills, in one extend, the bytes below its cutoff's byte that
+    earlier items left; a cutoff strictly inside its byte then marks that byte.
+    """
+    guide = bytearray()
+    for k, cutoff in enumerate(cutoffs[:GUIDED]):
+        top = cutoff >> GUIDE_SHIFT
+        guide += bytes([k + 1]) * (top - len(guide))
+        if len(guide) == top and top << GUIDE_SHIFT < cutoff:
+            guide.append(MARKER)
+    # the bytes still open belong to items past the cap, or straddle a cutoff
+    return bytes(guide.ljust(256, bytes([MARKER])))
 
 
 def enumerate_grid_structures(

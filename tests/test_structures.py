@@ -1,13 +1,15 @@
 import itertools
 import math
 import random
+import struct
 import time
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _lawgen import (
@@ -38,10 +40,11 @@ from poplaw import (
     synthesize,
 )
 from poplaw import jsonio, structures
-from poplaw.rng import mix_lanes, pack_lanes, substream_draws, unpack_lanes
+from poplaw.rng import substream_draws
 from poplaw.structures import (
     SIMULATE_BLOCK,
     _distinct_assignments,
+    _guide_table,
     _selection_table,
     capped_multinomial,
 )
@@ -537,26 +540,34 @@ def mix64(z):
     return z ^ (z >> 31)
 
 
+PHI = 0x9E3779B97F4A7C15  # SplitMix64's increment, restated for the references below
+
+
+def lane_values(lanes):
+    """The 64-bit values in `substream_draws`' little-endian lanes; each lane's high half is zero."""
+    words = struct.unpack(f"<{len(lanes) // 8}Q", lanes)
+    assert not any(words[1::2])
+    return words[::2]
+
+
 def test_splitmix64_reference_outputs():
     # the published SplitMix64 stream for seed 0: state advances by PHI, output is mix64
-    state, outputs, states = 0, [], []
+    state, outputs = 0, []
     for _ in range(3):
-        state = (state + 0x9E3779B97F4A7C15) % 2**64
-        states.append(state)
+        state = (state + PHI) % 2**64
         outputs.append(mix64(state))
     published = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
     assert outputs == published
-    # the lane finalizer gives the same stream, each state in its own lane
-    low = pack_lanes([2**64 - 1] * 3)
-    mixed = mix_lanes(pack_lanes(states), low)
-    assert mixed & ~low == 0  # every lane's high half stays zero
-    assert list(unpack_lanes(mixed, 3)) == published
+    # under the seed 2**64 - PHI, index 0's base is mix64(0) = 0, so its draw j is
+    # mix64((j + 1) * PHI): the batch function gives the published stream
+    draws = substream_draws(2**64 - PHI, 0, 1, 3)
+    assert [v for lanes in draws for v in lane_values(lanes)] == published
+    assert reference_draws(2**64 - PHI, 0, 1, 3) == [(v,) for v in published]
 
 
 def reference_draws(seed, start, stop, draws):
-    phi = 0x9E3779B97F4A7C15
     return [
-        tuple(mix64(mix64(seed + (i + 1) * phi) + (j + 1) * phi) for i in range(start, stop))
+        tuple(mix64(mix64(seed + (i + 1) * PHI) + (j + 1) * PHI) for i in range(start, stop))
         for j in range(draws)
     ]
 
@@ -576,7 +587,8 @@ def reference_draws(seed, start, stop, draws):
 )
 def test_substream_draws_match_the_scalar_rule(seed, start, length, draws):
     stop = start + length
-    assert substream_draws(seed, start, stop, draws) == reference_draws(seed, start, stop, draws)
+    lanes = substream_draws(seed, start, stop, draws)
+    assert [lane_values(d) for d in lanes] == reference_draws(seed, start, stop, draws)
 
 
 def test_substream_draws_keep_each_block_length_apart():
@@ -584,7 +596,8 @@ def test_substream_draws_keep_each_block_length_apart():
     for k, length in enumerate([SIMULATE_BLOCK, 4000, 3, SIMULATE_BLOCK, 4000]):
         seed, start = 2**64 - 1 - k, k * SIMULATE_BLOCK + 5
         stop = start + length
-        assert substream_draws(seed, start, stop, 2) == reference_draws(seed, start, stop, 2)
+        lanes = substream_draws(seed, start, stop, 2)
+        assert [lane_values(d) for d in lanes] == reference_draws(seed, start, stop, 2)
 
 
 @pytest.mark.parametrize("shards", [1, 8, "samples"])
@@ -649,8 +662,7 @@ def assert_simulate_follows_the_substream_rule(scheme, distinct):
     seed, samples = 20240917, 400
 
     def draw(i, j):
-        phi = 0x9E3779B97F4A7C15
-        return mix64((mix64((seed + (i + 1) * phi) % 2**64) + (j + 1) * phi) % 2**64)
+        return mix64((mix64((seed + (i + 1) * PHI) % 2**64) + (j + 1) * PHI) % 2**64)
 
     def pick(atoms, u):
         acc = F(0)
@@ -679,6 +691,105 @@ def test_selection_cutoffs_are_ceilings_of_cumulative_weights(measure):
     assert items == [belief for belief, _ in measure.atoms]
     cumulative = itertools.accumulate(weight for _, weight in measure.atoms)
     assert cutoffs == [math.ceil(w * 2**64) for w in cumulative]
+
+
+def reference_simulate(scheme, samples, seed):
+    """Simulate per sample: draws from `mix64`, each pick a bisect over ceil(w * 2**64)."""
+
+    def cutoffs(weights):
+        return [math.ceil(w * 2**64) for w in itertools.accumulate(weights)]
+
+    state_cutoffs = cutoffs(scheme.prior.coords)
+    laws = [([e for e, _ in law.atoms], cutoffs(w for _, w in law.atoms)) for law in scheme.state_laws]
+    counts = Counter()
+    for u_state, u_emp in zip(*reference_draws(seed, 0, samples, 2)):
+        items, item_cutoffs = laws[bisect_right(state_cutoffs, u_state)]
+        counts[items[bisect_right(item_cutoffs, u_emp)]] += 1
+    return PopulationLaw(scheme.n, [(e, F(c, samples)) for e, c in counts.items()])
+
+
+def two_agent_distributions(dimension):
+    """325 distinct two-agent empirical distributions over 25 beliefs of the given dimension."""
+    pool = [Belief([1 - F(k, 100), F(k, 100)] + [0] * (dimension - 2)) for k in range(25)]
+    pairs = itertools.combinations_with_replacement(pool, 2)
+    return [EmpiricalDistribution(2, Counter(pair).items()) for pair in pairs]
+
+
+@st.composite
+def weight_vectors(draw, size):
+    """`size` positive weights summing to 1: random integers over their sum, or dyadic."""
+    rnd = draw(st.randoms(use_true_random=False))
+    bits = draw(st.sampled_from([0, 8, 16, 60]))
+    if bits and size <= 2**bits:
+        # multiples of 2**-8 put every cutoff on a byte boundary
+        cuts = sorted(rnd.sample(range(1, 2**bits), size - 1))
+        return [F(b - a, 2**bits) for a, b in zip([0] + cuts, cuts + [2**bits])]
+    raw = [rnd.randint(1, 10**6) for _ in range(size)]
+    return [F(w, sum(raw)) for w in raw]
+
+
+ATOM_COUNTS = st.one_of(st.integers(1, 12), st.integers(240, 300))  # the guide holds 254 items
+
+
+@st.composite
+def simulation_schemes(draw):
+    """Two to four states, each law with 1 to 12 or 240 to 300 atoms."""
+    dimension = draw(st.integers(2, 4))
+    dists = two_agent_distributions(dimension)
+    laws = []
+    for _ in range(dimension):
+        size = draw(ATOM_COUNTS)
+        offset = draw(st.integers(0, len(dists) - 1))
+        chosen = (dists[offset:] + dists[:offset])[:size]
+        laws.append(PopulationLaw(2, zip(chosen, draw(weight_vectors(size)))))
+    return SymmetricScheme(Prior(draw(weight_vectors(dimension))), laws)
+
+
+@settings(max_examples=60, deadline=None)
+@given(simulation_schemes(), st.integers(1, 3000), st.integers(0, 2**64 - 1))
+def test_simulate_matches_the_per_sample_reference(scheme, samples, seed):
+    assert simulate(scheme, samples, seed) == reference_simulate(scheme, samples, seed)
+
+
+def edge_scheme(name):
+    dists = two_agent_distributions(2)
+    if name == "dyadic":
+        # cumulative weights 1/256, 1/4, 3/4, 255/256, 1 and 1/256, 1: every cutoff on a byte boundary
+        dyadic = [F(1, 256), F(1, 4) - F(1, 256), F(1, 2), F(255, 256) - F(3, 4), F(1, 256)]
+        prior, laws = [F(1, 4), F(3, 4)], [zip(dists, dyadic), zip(dists[5:], [F(1, 256), F(255, 256)])]
+    elif name == "300 atoms":
+        raw = [k % 7 + 1 for k in range(300)]
+        many = [F(w, sum(raw)) for w in raw]
+        prior, laws = [F(1, 2), F(1, 2)], [zip(dists, many), [(dists[-1], 1)]]
+    else:  # "prior 1/3": the state cutoff ceil(2**64 / 3) lies inside byte 85
+        prior, laws = [F(1, 3), F(2, 3)], [zip(dists, [F(1, 3)] * 3), zip(dists[3:], [F(1, 10), F(9, 10)])]
+    return SymmetricScheme(Prior(prior), [PopulationLaw(2, atoms) for atoms in laws])
+
+
+@pytest.mark.parametrize("samples", [1, SIMULATE_BLOCK, SIMULATE_BLOCK + 1])
+@pytest.mark.parametrize("name", ["dyadic", "300 atoms", "prior 1/3"])
+def test_simulate_matches_the_reference_on_edge_schemes(name, samples):
+    scheme = edge_scheme(name)
+    seed = 2**64 - 1 - samples
+    assert simulate(scheme, samples, seed) == reference_simulate(scheme, samples, seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ATOM_COUNTS.flatmap(weight_vectors))
+@example([F(1, 4), F(3, 4)])
+@example([F(1, 256), F(255, 256)])
+@example([F(1, 3), F(2, 3)])
+@example([F(1)])
+@example([F(1, 300)] * 300)
+def test_guide_table_agrees_with_bisect_at_each_bytes_ends(weights):
+    """Entry t is 1 + the item of byte t's lowest and highest draw when they agree, else 255."""
+    cutoffs = [math.ceil(w * 2**64) for w in itertools.accumulate(weights)]
+    guide = _guide_table(cutoffs)
+    assert len(guide) == 256
+    for t in range(256):
+        lowest = bisect_right(cutoffs, t << 56)
+        highest = bisect_right(cutoffs, ((t + 1) << 56) - 1)
+        assert guide[t] == (lowest + 1 if lowest == highest and lowest < 254 else 255)
 
 
 def test_simulate_converges_to_law():
