@@ -27,8 +27,8 @@ and, for laws, one n. Never pass it outside input. It is used, each time with
 a one-line comment saying why the fields are canonical, by `barycenter`,
 `law_expected_measure` and the quantile slices here; by `feasibility.base_law`
 for its tilts and its target, `product.multinomial_law`, and in `mps` by
-`_two_point` and `_restrict`; by the structure builders `expand_scheme`,
-`bayes_posterior` and `induced_population_law`; and by `structures.simulate`.
+`_restrict`; by the structure builders `expand_scheme`, `bayes_posterior` and
+`induced_population_law`; and by `structures.simulate`.
 `tests/test_trusted.py` rebuilds every such value through the public
 constructors.
 """

@@ -15,14 +15,14 @@ belief measures by one chain; each step decides the target or passes it on:
 
 `_integers` states a problem once, in integers: the beliefs, each law atom's
 agent counts, and the weights and masses over their least common denominators.
-Every step reads it, and both verifiers check `_canonical_lp`'s integer columns
-A and rhs b: `verify_decomposition` A x = b for a decomposition x > 0,
-`verify_certificate` y.b > 0 and y.A <= 0 for a Farkas vector y (the shortcut's
-certificates in `Fraction`s, through `_two_point`). `simplex.solve_equalities`
-takes those same columns, rhs and row multipliers, and `_bounded_lp` states its
-LP in that form too, so pivots, solutions and Farkas vectors are those of the
-`Fraction` systems (the canonical one is `decomposition_lp`), every Farkas
-vector over the canonical rows.
+Every step and both verifiers read it: `verify_decomposition` checks A x = b
+for a decomposition x > 0 on `_canonical_lp`'s integer columns A and rhs b,
+and `verify_certificate` y.b > 0 and y.A <= 0 for a Farkas vector y, and the
+shortcut's certificates on the same integers and lower slice (`_slices`).
+`simplex.solve_equalities` takes those same columns, rhs and row multipliers,
+and `_bounded_lp` states its LP in that form too, so pivots, solutions and
+Farkas vectors are those of the `Fraction` systems (the canonical one is
+`decomposition_lp`), every Farkas vector over the canonical rows.
 """
 
 from __future__ import annotations
@@ -206,33 +206,27 @@ def _positions(target: SpreadTarget, stated: _Statement):
     return positions, grouped
 
 
-def _two_point(law: PopulationLaw, target: SpreadTarget, stated: _Statement):
-    """Read a law and target on exactly two beliefs as scalars (mass at the high one).
-
-    Returns None on any other support; otherwise the scalar law and the target
-    weight at each distinct position, in `Fraction`s: `verify_certificate`'s
-    reading, apart from the shortcut's.
-    """
-    if len(stated.beliefs) != 2:
-        return None
-    values = [Fraction(count, law.n) for count in stated.table[1]]
-    # distinct empirical distributions on two beliefs have distinct values
-    scalar_law = _trusted(
-        ScalarMeasure, atoms=tuple(sorted(zip(values, (w for _, w in law.atoms))))
-    )
-    return scalar_law, _positions(target, stated)[1]
+def _slices(P: list[int], K: list[int], A: int, B: int, D: int):
+    """The lower and upper alpha-slices, alpha = A / B, of weights P_j / D in units of 1 / (B * D):
+    A * D units each, up to P_j * B per atom j, by K_j ascending (lower) or descending (upper)."""
+    order = sorted(range(len(P)), key=K.__getitem__)
+    slices = [[0] * len(P), [0] * len(P)]
+    for part, atoms in zip(slices, (order, order[::-1])):
+        left = A * D
+        for j in atoms:
+            part[j] = min(P[j] * B, left)
+            left -= part[j]
+    return slices
 
 
 def _two_belief_shortcut(law: PopulationLaw, target: SpreadTarget, stated: _Statement):
     """The two-belief shortcut in integers; None passes the target on to the LPs.
 
-    Positions are the components' masses at the high belief. With p_j = P_j /
-    D, k_j atom j's count there (`table`'s row 1) and the low position a of
-    weight alpha = A / B, the lower alpha-slice takes t_j units of 1 / (B * D)
-    from each atom in ascending k, out of A * D, and the upper one u_j in
-    descending k. The law spreads the target iff the means agree and the lower
-    slice's mean S_L / (n * D * A), S_L = sum k_j * t_j, is at most a; the low
-    part then mixes the slices by lam = N / M, and the high part is the rest.
+    With k_j atom j's count at the high belief and the low position a of
+    weight alpha = A / B, `_slices` gives the lower alpha-slice t and the upper
+    one u. The law spreads the target iff the means agree and the lower slice's
+    mean S_L / (n * D * A), S_L = sum k_j * t_j, is at most a; the low part
+    then mixes the slices by lam = N / M, and the high part is the rest.
     """
     if len(stated.beliefs) != 2:
         return None
@@ -255,13 +249,7 @@ def _two_belief_shortcut(law: PopulationLaw, target: SpreadTarget, stated: _Stat
         base_den = B * a_den * b.denominator
         if total * base_den != base * nD:
             return MeanMismatch(Fraction(total, nD), Fraction(base, base_den))
-        order = sorted(range(len(P)), key=K.__getitem__)
-        t, u = [0] * len(P), [0] * len(P)
-        for part, atoms in ((t, order), (u, order[::-1])):
-            left = A * D
-            for j in atoms:
-                part[j] = min(P[j] * B, left)
-                left -= part[j]
+        t, u = _slices(P, K, A, B, D)
         s_low = sum(map(operator.mul, K, t))
         if s_low * a_den > a_num * nD * A:
             return QuantileViolation(alpha, Fraction(s_low, nD * A), a)
@@ -309,7 +297,10 @@ def _canonical_lp(law: PopulationLaw, stated: _Statement):
 
 
 def decomposition_lp(law: PopulationLaw, target: SpreadTarget):
-    """The canonical LP as dense `Fraction` rows and rhs: each integer row over its multiplier."""
+    """The canonical LP as dense `Fraction` rows and rhs: each integer row over its multiplier.
+
+    No library caller: `bench/tracer.py` wraps it by name; CI's traced bench-smoke fails without it.
+    """
     columns, rhs, mults = _canonical_lp(law, _integers(law, target))
     rows = [[ZERO] * len(columns) for _ in rhs]
     for col, column in enumerate(columns):
@@ -430,21 +421,23 @@ def _restrict(law: PopulationLaw, weights) -> PopulationLaw:
     )
 
 
-def verify_decomposition(
-    law: PopulationLaw, target: SpreadTarget, decomposition: SpreadDecomposition
-) -> bool:
-    """Exact re-check: the decomposition is a point x > 0 of `_canonical_lp`, A x = b.
+def verify_decomposition(law: PopulationLaw, target: SpreadTarget, decomposition) -> bool:
+    """True iff `decomposition` is a `SpreadDecomposition` whose x > 0 solves `_canonical_lp`.
 
-    x[c*J + j] is component c's weight on law atom j, refused off the law's
-    support, at another n or <= 0; the moment rows make each component total 1.
+    x[c*J + j] is component c's weight on law atom j, refused off the law's support, <= 0,
+    or in a component that is no law of the same n; the moment rows make each total 1.
     """
+    if not isinstance(decomposition, SpreadDecomposition):
+        return False
     if [w for w, _ in decomposition.components] != [w for w, _ in target.components]:
         return False
     J, index = len(law.atoms), {empirical: j for j, empirical in enumerate(law.support())}
     x = [ZERO] * (len(target.components) * J)
     for c, (_, q) in enumerate(decomposition.components):
+        if not isinstance(q, PopulationLaw) or q.n != law.n:
+            return False
         for empirical, w in q.atoms:
-            if q.n != law.n or empirical not in index or w <= 0:
+            if empirical not in index or w <= 0:
                 return False
             x[c * J + index[empirical]] += w
     X, den = over_common_denominator(x)
@@ -457,11 +450,16 @@ def verify_decomposition(
 
 
 def verify_certificate(law: PopulationLaw, target: SpreadTarget, certificate) -> bool:
-    """Re-check a refutation from scratch; True only if it genuinely refutes."""
+    """True iff a certificate refutes, checked on `_integers`' statement; malformed ones get False.
+
+    A Farkas vector of exact entries must price `_canonical_lp`'s columns. On two beliefs, a
+    `MeanMismatch` must restate unequal means, and a `QuantileViolation` (two positions) the low
+    one, its weight alpha and the lower alpha-slice's mean (`_slices`) above it.
+    """
     stated = _integers(law, target)
     if isinstance(certificate, FarkasCertificate):
-        y = certificate.y
-        # only exact entries price the rows
+        # only a sequence of exact entries prices the rows
+        y = certificate.y if isinstance(certificate.y, (tuple, list)) else ()
         if not all(isinstance(v, (int, Fraction)) and not isinstance(v, bool) for v in y):
             return False
         columns, rhs, mults = _canonical_lp(law, stated)
@@ -470,15 +468,16 @@ def verify_certificate(law: PopulationLaw, target: SpreadTarget, certificate) ->
         return len(y) == len(rhs) and sum(map(operator.mul, Y, rhs)) > 0 and all(
             sum(Y[i] * v for i, v in column) <= 0 for column in columns
         )
-    two_point = _two_point(law, target, stated)
-    if two_point is None:
+    if len(stated.beliefs) != 2:
         return False
-    scalar_law, grouped = two_point
+    P, K, nD = stated.P, stated.table[1], law.n * stated.D
+    mean, grouped = Fraction(sum(map(operator.mul, P, K)), nD), _positions(target, stated)[1]
     if isinstance(certificate, MeanMismatch):
-        mean, base_mean = scalar_law.mean(), sum((pos * w for pos, w in grouped.items()), ZERO)
+        base_mean = sum((pos * w for pos, w in grouped.items()), ZERO)
         return certificate == MeanMismatch(mean, base_mean) and mean != base_mean
     if isinstance(certificate, QuantileViolation) and len(grouped) == 2:
         (low, alpha), _ = sorted(grouped.items())
-        qmean = quantile_distribution(scalar_law, alpha).mean()
+        t, _ = _slices(P, K, alpha.numerator, alpha.denominator, stated.D)
+        qmean = Fraction(sum(map(operator.mul, K, t)), nD * alpha.numerator)
         return certificate == QuantileViolation(alpha, qmean, low) and qmean > low
     return False

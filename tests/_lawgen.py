@@ -10,9 +10,11 @@ with `fraction_columns` and `solve_fraction_rows` to put `Fraction` rows
 through the solver, a brute-force kernel scan for information structures, the
 full pair scan of the polarization grid search over its margin groups, the
 Jensen bound that prunes its pairs, per structure and per pair of margin
-groups, the two-belief shortcut and `verify_decomposition` in `Fraction`s, and
-the plain `Fraction` formulas for the multinomial law and the binomial
-quantile mean. `wide_product_problem` is the family of wide, short LPs.
+groups, the two-belief shortcut and both verifiers in `Fraction`s (the
+shortcut and `reference_verify_certificate` read a two-belief problem as
+scalars through `two_point_reading`), and the plain `Fraction` formulas for
+the multinomial law and the binomial quantile mean. `wide_product_problem` is
+the family of wide, short LPs.
 """
 
 import math
@@ -28,9 +30,11 @@ from poplaw import (
     BinaryBase,
     DiscreteMeasure,
     EmpiricalDistribution,
+    FarkasCertificate,
     MeanMismatch,
     PopulationLaw,
     Prior,
+    QuantileViolation,
     ScalarMeasure,
     SpreadDecomposition,
     SpreadTarget,
@@ -45,7 +49,7 @@ from poplaw import (
     quantile_distribution,
     upper_quantile_distribution,
 )
-from poplaw.mps import _integers, _restrict, _two_point
+from poplaw.mps import _restrict
 from poplaw.rationals import over_common_denominator
 from poplaw.simplex import FeasibilityResult, solve_equalities
 from poplaw.structures import InformationStructure, compositions, grid_kernel, weight_grid
@@ -737,6 +741,31 @@ def reference_binomial_quantile_expectation(n, p, alpha):
     return ScalarMeasure(quantile_distribution(binomial, alpha).atoms).mean()
 
 
+def two_point_reading(law, target):
+    """A law and target on exactly two beliefs, read as scalars: the share at the high belief.
+
+    None on any other support; otherwise the two beliefs, ascending, the scalar
+    law (each atom's share of agents at the high belief) and the target's weight
+    at each distinct position (a component's mass at the high belief), in
+    `Fraction`s.
+    """
+    beliefs = sorted(
+        {belief for empirical, _ in law.atoms for belief in empirical.support()}
+        | {belief for _, measure in target.components for belief in measure.support()}
+    )
+    if len(beliefs) != 2:
+        return None
+    high = beliefs[1]
+    scalar_law = ScalarMeasure(
+        (Fraction(dict(empirical.counts).get(high, 0), law.n), w) for empirical, w in law.atoms
+    )
+    grouped = {}
+    for weight, measure in target.components:
+        pos = measure.mass(high)
+        grouped[pos] = grouped.get(pos, Fraction(0)) + weight
+    return beliefs, scalar_law, grouped
+
+
 def reference_two_point(law, target):
     """The two-belief shortcut in `Fraction`s, the reference for route "auto"'s first step.
 
@@ -745,17 +774,15 @@ def reference_two_point(law, target):
     Otherwise a `MeanMismatch`, a `QuantileViolation` from `is_mps_binary_base`,
     or the decomposition that `_reference_scalar_split` gives.
     """
-    stated = _integers(law, target)
-    beliefs = stated.beliefs
-    two_point = _two_point(law, target, stated)
-    if two_point is None:
+    reading = two_point_reading(law, target)
+    if reading is None:
         return None
-    scalar_law, grouped = two_point
+    (_, high), scalar_law, grouped = reading
     index_of = {
-        Fraction(dict(empirical.counts).get(beliefs[1], 0), law.n): j
+        Fraction(dict(empirical.counts).get(high, 0), law.n): j
         for j, (empirical, _) in enumerate(law.atoms)
     }
-    positions = [measure.mass(beliefs[1]) for _, measure in target.components]
+    positions = [measure.mass(high) for _, measure in target.components]
     if len(grouped) == 1:
         (pos,) = grouped
         if scalar_law.mean() != pos:
@@ -778,19 +805,50 @@ def reference_two_point(law, target):
     )
 
 
+def reference_verify_certificate(law, target, certificate):
+    """`verify_certificate` in `Fraction` value types, the reference for its integer checks.
+
+    A Farkas vector of exact entries must refute `reference_decomposition_lp`'s
+    dense rows (`farkas_refutes`). The shortcut's certificates need a law and
+    target on two beliefs, read as scalars: a mean mismatch must restate the
+    scalar law's mean and the target's, which differ; a quantile violation, for
+    two positions, the low one's weight alpha, the mean of the scalar law's
+    lower alpha-slice (`quantile_distribution`) and the low position, which
+    that mean exceeds. Anything else refutes nothing.
+    """
+    if isinstance(certificate, FarkasCertificate):
+        y = certificate.y
+        exact = isinstance(y, (tuple, list)) and all(
+            isinstance(v, (int, Fraction)) and not isinstance(v, bool) for v in y
+        )
+        return exact and farkas_refutes(*reference_decomposition_lp(law, target), y)
+    reading = two_point_reading(law, target)
+    if reading is None:
+        return False
+    _, scalar_law, grouped = reading
+    if isinstance(certificate, MeanMismatch):
+        mean, base_mean = scalar_law.mean(), sum(pos * w for pos, w in grouped.items())
+        return certificate == MeanMismatch(mean, base_mean) and mean != base_mean
+    if isinstance(certificate, QuantileViolation) and len(grouped) == 2:
+        (low, alpha), _ = sorted(grouped.items())
+        qmean = quantile_distribution(scalar_law, alpha).mean()
+        return certificate == QuantileViolation(alpha, qmean, low) and qmean > low
+    return False
+
+
 def reference_verify_decomposition(law, target, decomposition):
     """`verify_decomposition` in `Fraction` value types, the reference for its integer check.
 
-    Each component must carry the target's weight, the law's n and positive
-    weights on the law's support, and have the target's measure as its
-    expected measure; the components must mix back to the law.
+    Each component must be a law that carries the target's weight, the law's n
+    and positive weights on the law's support, and have the target's measure as
+    its expected measure; the components must mix back to the law.
     """
     comps = decomposition.components
     if len(comps) != len(target.components):
         return False
     support = set(law.support())
     for (weight, q), (t_weight, measure) in zip(comps, target.components):
-        if weight != t_weight or q.n != law.n:
+        if weight != t_weight or not isinstance(q, PopulationLaw) or q.n != law.n:
             return False
         if not set(q.support()) <= support or any(w <= 0 for _, w in q.atoms):
             return False

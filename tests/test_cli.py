@@ -2,6 +2,7 @@ import io
 import json
 import os
 import shlex
+import signal
 import subprocess
 import sys
 import time
@@ -17,6 +18,7 @@ DATA = _goldens.DATA
 GOLDENS = list(_goldens.entries())
 # each id is its manifest line, golden and command, so adding a line renames no other test
 GOLDEN_IDS = [f"{golden}: {' | '.join(map(shlex.join, stages))}" for golden, stages in GOLDENS]
+REFUSALS = list(_goldens.refusals())
 
 
 def run(capsys, *argv):
@@ -37,6 +39,26 @@ def test_golden(capsys, monkeypatch, golden, stages):
         return out
 
     assert _goldens.output(stages, poplaw) == _goldens.expected(golden)
+
+
+@pytest.mark.parametrize(
+    "want, argv", REFUSALS, ids=[f"exit {want}: {shlex.join(argv)}" for want, argv in REFUSALS]
+)
+def test_refusal(capsys, monkeypatch, want, argv):
+    """Refused within `_goldens.TIMEOUT` seconds, as through the installed script."""
+    monkeypatch.chdir(DATA)
+
+    def too_slow(signum, frame):
+        pytest.fail(f"still running after {_goldens.TIMEOUT} s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(_goldens.TIMEOUT)
+    try:
+        result = run(capsys, *argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert _goldens.refusal_fault(want, *result) is None
 
 
 def test_every_golden_is_in_the_manifest():

@@ -22,9 +22,11 @@ from _lawgen import (
     reference_decomposition_lp,
     reference_starting_rows,
     reference_two_point,
+    reference_verify_certificate,
     reference_verify_decomposition,
     solve_fraction_rows,
     two_belief_spreads,
+    two_point_reading,
     wide_product_problem,
 )
 from poplaw import (
@@ -44,6 +46,7 @@ from poplaw import (
     check_feasible,
     is_mps_binary_base,
     mps_decompose,
+    quantile_distribution,
     verify_certificate,
     verify_decomposition,
 )
@@ -267,6 +270,7 @@ def tampered_decompositions(law, target, decomposition, rng):
         for weight, measure in target.components
     )
     halves = [*before, (e, w / 2), (e, w / 2), *after]
+    not_laws = {"junk": "junk", "a measure": target.components[c][1]}
     cases = {
         "split an atom in halves": component(halves, genuine=True),
         "drop an atom": component(before + after),
@@ -277,6 +281,10 @@ def tampered_decompositions(law, target, decomposition, rng):
         "negative weight": component(atoms + [(e, -w), (e, w)]),
         "another state space": ((law, lifted, decomposition), False),
     }
+    for name, part in not_laws.items():
+        forged = comps.copy()
+        forged[c] = (comps[c][0], part)
+        cases[f"{name} for a component law"] = ((law, target, SpreadDecomposition(forged)), False)
     if len(atoms) > 1:
         k = rng.choice([k for k in range(len(atoms)) if k != i])
         shifted = atoms.copy()
@@ -341,6 +349,12 @@ def test_verify_certificate_rejects_fabrications():
     mean = barycenter(law_expected_measure(wide)).coordinate(1)
     assert not verify_certificate(wide, wide_target, MeanMismatch(mean, F(1, 2)))
     assert not verify_certificate(wide, wide_target, QuantileViolation(F(13, 24), F(1, 2), F(1, 4)))
+    # malformed evidence gets False, never an exception
+    assert not verify_certificate(law, target, FarkasCertificate(None))
+    assert not verify_decomposition(law, target, None)
+    for part in ("junk", target.components[0][1]):
+        forged = SpreadDecomposition((w, part) for w, _ in target.components)
+        assert not verify_decomposition(law, target, forged)
 
 
 def test_verify_certificate_accepts_a_quantile_violation_whose_means_differ():
@@ -497,14 +511,62 @@ def test_two_belief_route_on_hand_built_targets(instance):
 # shortcut in `_lawgen` pins its evidence, and the LP whatever it passes on
 
 
+def forged_certificates(law, target, result):
+    """(`verify_certificate`'s arguments, its answer or None) from an `mps_decompose` result.
+
+    A certificate refutes. On two beliefs, the scalar law's mean and the
+    target's make a mean mismatch, and for two positions the low one, its
+    weight and the lower slice's mean a quantile violation; each refutes iff
+    its numbers break the criterion, so after a decomposition neither does. A
+    shortcut certificate with one field nudged by 1/7, or a mean mismatch with
+    its sides swapped, refutes nothing; a quantile violation still refutes once
+    the high position moves, though the means then differ. A Farkas vector
+    forged by `_forged_farkas` may go either way (None).
+    """
+    if not isinstance(result, SpreadDecomposition):
+        yield (law, target, result), True
+    if isinstance(result, FarkasCertificate):
+        for y in _forged_farkas(result.y):
+            yield (law, target, FarkasCertificate(y)), None
+    reading = two_point_reading(law, target)
+    if reading is None:
+        return
+    (low, high), scalar_law, grouped = reading
+    mean, base_mean = scalar_law.mean(), sum(p * w for p, w in grouped.items())
+    yield (law, target, MeanMismatch(mean, base_mean)), mean != base_mean
+    if len(grouped) == 2:
+        (low_pos, alpha), (high_pos, _) = sorted(grouped.items())
+        qmean = quantile_distribution(scalar_law, alpha).mean()
+        yield (law, target, QuantileViolation(alpha, qmean, low_pos)), qmean > low_pos
+    if isinstance(result, (MeanMismatch, QuantileViolation)):
+        for forged in _perturbed(result):
+            yield (law, target, forged), False
+    if isinstance(result, MeanMismatch):
+        yield (law, target, MeanMismatch(result.right, result.left)), False
+    elif isinstance(result, QuantileViolation):
+        moved = (high_pos + 1) / 2 if high_pos < 1 else (low_pos + 1) / 2
+        moved_part = DiscreteMeasure([(low, 1 - moved), (high, moved)])
+        moved_target = SpreadTarget(
+            (w, moved_part if m.mass(high) == high_pos else m) for w, m in target.components
+        )
+        yield (law, moved_target, result), True
+
+
 def assert_shortcut_matches_the_reference(law, target):
-    """The same decomposition or certificate, with the same number types; returns it."""
+    """The same decomposition or certificate, with the same number types; returns it.
+
+    `verify_certificate` and `reference_verify_certificate` give one answer on
+    each of the result's `forged_certificates`.
+    """
     expected = reference_two_point(law, target)
     if expected is None:
         expected = mps_decompose(law, target, route="lp")
     result = mps_decompose(law, target)
     assert result == expected
     assert repr(result) == repr(expected)
+    for args, answer in forged_certificates(law, target, result):
+        assert verify_certificate(*args) is reference_verify_certificate(*args)
+        assert answer is None or verify_certificate(*args) is answer
     return result
 
 
@@ -542,6 +604,8 @@ SHORTCUT_CASES = {
     "one-atom-carries-the-slice": ([3, 1, 1], [(HALF, F(1, 10)), (HALF, HALF)], DECOMPOSED),
     "positions-0-and-1-refuted": ([2, 1, 1, 2], [(HALF, 0), (HALF, 1)], REFUTED),
     "positions-0-and-1-spread": ([2, 0, 0, 1], [(F(2, 3), 0), (F(1, 3), 1)], DECOMPOSED),
+    # the low position (in the beliefs' order) weighs alpha = 3/5, a numerator other than 1
+    "refuted-at-alpha-three-fifths": ([1, 1, 1], [(F(2, 5), 0), (F(3, 5), F(5, 6))], REFUTED),
     # one agent: every target with the law's mean is spread, down to the criterion's equality
     "n1-extremes": ([1, 2], [(F(1, 3), 0), (F(2, 3), 1)], DECOMPOSED),
     "n1-interior": ([1, 1], [(HALF, F(1, 4)), (HALF, F(3, 4))], DECOMPOSED),
