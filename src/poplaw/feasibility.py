@@ -68,10 +68,10 @@ def _check_prior(measure: DiscreteMeasure, prior: Prior) -> None:
 def _tilt_atoms(measure: DiscreteMeasure, prior: Prior, state: int) -> tuple:
     mu = prior.coordinate(state)
     mu_num, mu_den = mu.numerator, mu.denominator
-    return tuple(  # w * c / mu as one Fraction
-        (x, Fraction(w.numerator * c.numerator * mu_den, w.denominator * c.denominator * mu_num))
+    return tuple(  # w * (c / x._den) / mu as one Fraction
+        (x, Fraction(w.numerator * c * mu_den, w.denominator * x._den * mu_num))
         for x, w in measure.atoms
-        if (c := x.coords[state])
+        if (c := x._nums[state])
     )
 
 

@@ -14,29 +14,37 @@ and no operation in this module ever rounds. The types are
 
 All types are immutable values with structural equality; measures and laws
 canonicalize their atoms (merge duplicates, drop zero weights, sort) so that
-equal distributions compare equal. `Belief` and `EmpiricalDistribution`, the
-dict keys of every enumeration, keep their hash after its first use.
+equal distributions compare equal. A `Belief` also holds its canonical integer
+form: `_nums` over `_den`, the coordinates' least common denominator, so the
+numerators have gcd 1 and sum to `_den`. Equality and the order, which is
+lexicographic in the coordinates, compare those integers; `coords` is their
+`Fraction` view. `Belief` and `EmpiricalDistribution`, the dict keys of every
+enumeration, keep their hash after its first use.
 
 The public constructors check everything, and every value built from outside
 input (JSON, CLI arguments, callers of the library) goes through them. Values
 the library derives from canonical values may instead go through `_trusted`,
-which sets the fields and checks nothing. Use it only where the code at hand
-proves the fields canonical: atoms merged, weights (or counts) positive, atoms
-sorted ascending, weights summing to exactly 1 (counts to n), one state space
-and, for laws, one n. Never pass it outside input. It is used, each time with
-a one-line comment saying why the fields are canonical, by `barycenter`,
-`law_expected_measure` and the quantile slices here; by `feasibility.base_law`
-for its tilts and its target, `product.multinomial_law`, and in `mps` by
-`_restrict`; by the structure builders `expand_scheme`, `bayes_posterior` and
-`induced_population_law`; and by `structures.simulate`.
-`tests/test_trusted.py` rebuilds every such value through the public
-constructors.
+which sets the fields and checks nothing, or through `_belief`, which reduces
+nonnegative numerators summing to their denominator and checks nothing. Use
+them only where the code at hand proves the fields canonical: atoms merged,
+weights (or counts) positive, atoms sorted ascending, weights summing to
+exactly 1 (counts to n), one state space and, for laws, one n. Never pass them
+outside input. Each use has a one-line comment saying why the fields are
+canonical. `_belief` is used by `barycenter` and `structures.bayes_posterior`;
+`_trusted` by `_belief`, `law_expected_measure` and the quantile slices here;
+by `feasibility.base_law` for its tilts and its target,
+`product.multinomial_law`, and in `mps` by `_restrict`; by the structure
+builders `expand_scheme` and `induced_population_law`; and by
+`structures.simulate`. `tests/test_trusted.py` rebuilds every such value
+through the public constructors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import InvariantError
@@ -46,9 +54,10 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
+@dataclass(frozen=True)
 class Belief:
-    """A probability vector over the m >= 2 states."""
+    """A probability vector over the m >= 2 states, also held as `_nums` over `_den`."""
 
     coords: tuple[Fraction, ...]
 
@@ -56,11 +65,14 @@ class Belief:
         coords = tuple(parse_rational(c) for c in coords)
         if len(coords) < 2:
             raise InvariantError("a belief needs at least two states")
-        if any(c < 0 or c > 1 for c in coords):
+        nums, den = over_common_denominator(coords)
+        if any(c < 0 or c > den for c in nums):
             raise InvariantError(f"belief coordinates must lie in [0, 1]: {shown(coords)}")
-        if sum(coords) != 1:
+        if sum(nums) != den:
             raise InvariantError(f"belief coordinates must sum to 1: {shown(coords)}")
         object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "_nums", tuple(nums))
+        object.__setattr__(self, "_den", den)
 
     @classmethod
     def binary(cls, high) -> "Belief":
@@ -78,6 +90,20 @@ class Belief:
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Belief:
+            return NotImplemented
+        # the numerators sum to the denominator, so equal numerators mean equal values
+        return self._nums == other._nums
+
+    def __lt__(self, other) -> bool:
+        # lexicographic in the coordinates: over one denominator, or cross-multiplied
+        if other.__class__ is not Belief:
+            return NotImplemented
+        if self._den == other._den:
+            return self._nums < other._nums
+        return [a * other._den for a in self._nums] < [b * self._den for b in other._nums]
+
     def __hash__(self) -> int:
         # the dataclass hash, kept after first use: each Fraction hash is a modular pow
         try:
@@ -86,6 +112,14 @@ class Belief:
             value = hash((self.coords,))
             object.__setattr__(self, "_hash", value)
             return value
+
+
+def _belief(nums, den: int) -> Belief:
+    """The belief nums / den, nonnegative integers summing to den, reduced by their gcd; checks nothing."""
+    g = gcd(*nums)
+    nums = tuple([c // g for c in nums])
+    den //= g
+    return _trusted(Belief, coords=tuple([Fraction(c, den) for c in nums]), _nums=nums, _den=den)
 
 
 @dataclass(frozen=True)
@@ -132,14 +166,16 @@ def _merge_atoms(pairs, kind: str):
     merged: dict = {}
     for point, weight in pairs:
         weight = parse_rational(weight)
-        if weight < 0:
-            raise InvariantError(f"negative weight {shown(weight, str)} in {kind}")
-        if weight == 0:
+        if weight.numerator <= 0:
+            if weight.numerator:
+                raise InvariantError(f"negative weight {shown(weight, str)} in {kind}")
             continue
-        merged[point] = merged.get(point, ZERO) + weight
+        before = merged.get(point)
+        merged[point] = weight if before is None else before + weight
     if not merged:
         raise InvariantError(f"{kind} needs at least one atom with positive weight")
-    if sum(merged.values()) != 1:
+    weights, den = over_common_denominator(list(merged.values()))
+    if sum(weights) != den:
         raise InvariantError(f"{kind} weights must sum to exactly 1")
     return tuple(sorted(merged.items()))
 
@@ -276,18 +312,17 @@ class PopulationLaw:
 
 def barycenter(measure: DiscreteMeasure) -> Belief:
     """The mean belief of a measure over beliefs, coordinate by coordinate."""
-    # summed in integers over the common denominators of the weights and of the
-    # coordinates; a convex combination of beliefs is a belief
+    # summed in integers over the weights' common denominator times the lcm of
+    # the beliefs' denominators; a convex combination of beliefs is a belief
     atoms = measure.atoms
-    m = measure.dimension
     weights, weight_den = over_common_denominator([w for _, w in atoms])
-    coords, coord_den = over_common_denominator([c for belief, _ in atoms for c in belief.coords])
-    totals = [0] * m
-    for k, scaled in enumerate(weights):
-        for i, c in enumerate(coords[k * m : (k + 1) * m]):
+    den = lcm(*[belief._den for belief, _ in atoms])
+    totals = [0] * measure.dimension
+    for (belief, _), scaled in zip(atoms, weights):
+        scaled *= den // belief._den
+        for i, c in enumerate(belief._nums):
             totals[i] += scaled * c
-    den = weight_den * coord_den
-    return _trusted(Belief, coords=tuple(Fraction(t, den) for t in totals))
+    return _belief(totals, weight_den * den)
 
 
 def empirical_to_measure(empirical: EmpiricalDistribution) -> DiscreteMeasure:

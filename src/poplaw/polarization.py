@@ -25,7 +25,7 @@ from operator import getitem, mul
 
 from .errors import InvariantError
 from .measures import EmpiricalDistribution, PopulationLaw, Prior
-from .rationals import over_common_denominator, require_int
+from .rationals import require_int
 from .structures import InformationStructure, grid_kernel, require_within_bound, weight_grid
 
 ZERO = Fraction(0)
@@ -211,7 +211,7 @@ def search_max_polarization(
     if prior.dimension != 2:
         raise InvariantError("grid search is implemented for two states")
     signal_set, profiles, vectors = weight_grid(n, signals_per_agent, denominator)
-    (w0, w1), q = over_common_denominator(prior.coords)
+    (w0, w1), q = prior.belief._nums, prior.belief._den
     # each agent's flat (agent, signal) slot index in every profile
     columns = [
         [agent * signals_per_agent + profile[agent] for profile in profiles]

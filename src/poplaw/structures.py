@@ -11,7 +11,8 @@ and `induced_population_law` read it, look labels up by hash, and sum in integer
 
 The three builders of the oracle (`expand_scheme`, `bayes_posterior` and
 `induced_population_law`) and `simulate` set their values' fields through
-`measures._trusted`, without the public constructors' checks: their own
+`measures._trusted`, or build a posterior from its integers through
+`measures._belief`, without the public constructors' checks: their own
 construction proves the fields canonical, as a comment at each use says.
 Outside input, such as a structure decoded from JSON, still goes through the
 public `InformationStructure` constructor, which sorts each state's profiles
@@ -46,6 +47,7 @@ from .measures import (
     EmpiricalDistribution,
     PopulationLaw,
     Prior,
+    _belief,
     _trusted,
     mix_laws,
 )
@@ -171,7 +173,8 @@ class InformationStructure:
                     if row is None:
                         row = marginals[key] = [0] * self.m
                     row[state] += weight
-        return _KernelTable(marginals, kernel, den, *over_common_denominator(self.prior.coords))
+        prior = self.prior.belief
+        return _KernelTable(marginals, kernel, den, prior._nums, prior._den)
 
 
 class _KernelTable(NamedTuple):
@@ -180,7 +183,7 @@ class _KernelTable(NamedTuple):
     marginals: dict[tuple[int, SignalLabel], list[int]]
     kernel: list[list[int]]
     den: int
-    prior: list[int]
+    prior: tuple[int, ...]
     prior_den: int
 
 
@@ -201,9 +204,8 @@ def bayes_posterior(structure: InformationStructure, agent: int, label: SignalLa
     if row is None:
         raise InvariantError(f"signal {shown(label)} has zero probability for agent {agent}")
     weighted = [mu * w for mu, w in zip(table.prior, row)]
-    total = sum(weighted)
-    # nonnegative integers over their positive sum: coordinates in [0, 1] summing to 1
-    return _trusted(Belief, coords=tuple([Fraction(w, total) for w in weighted]))
+    # nonnegative integers over their positive sum
+    return _belief(weighted, sum(weighted))
 
 
 def induced_population_law(structure: InformationStructure) -> PopulationLaw:

@@ -14,7 +14,9 @@ groups, the two-belief shortcut and both verifiers in `Fraction`s (the
 shortcut and `reference_verify_certificate` read a two-belief problem as
 scalars through `two_point_reading`), and the plain `Fraction` formulas for
 the multinomial law and the binomial quantile mean. `wide_product_problem` is
-the family of wide, short LPs.
+the family of wide, short LPs. `belief_key` and `empirical_key` read the value
+types' order in `Fraction` coordinates, and `beliefs_by_routes` builds each
+belief by every public route that reaches it.
 """
 
 import math
@@ -41,6 +43,7 @@ from poplaw import (
     SymmetricProduct,
     barycenter,
     base_law,
+    bayes_posterior,
     conditional_tilt,
     is_mps_binary_base,
     law_expected_measure,
@@ -50,7 +53,7 @@ from poplaw import (
     upper_quantile_distribution,
 )
 from poplaw.mps import _restrict
-from poplaw.rationals import over_common_denominator
+from poplaw.rationals import format_decimal, over_common_denominator
 from poplaw.simplex import FeasibilityResult, solve_equalities
 from poplaw.structures import InformationStructure, compositions, grid_kernel, weight_grid
 
@@ -234,6 +237,61 @@ def two_belief_spreads(draw):
         (w, DiscreteMeasure([(lo, 1 - p), (hi, p)])) for w, p in ((alpha, low), (1 - alpha, high))
     )
     return law, target
+
+
+def belief_key(belief):
+    """The reference reading of a belief's equality and order: its `Fraction` coordinates."""
+    return belief.coords
+
+
+def empirical_key(empirical):
+    """The reference order of empirical distributions: (n, counts), each belief as its coordinates."""
+    return empirical.n, tuple((belief.coords, count) for belief, count in empirical.counts)
+
+
+def _decimal(value):
+    """`value` as an exact decimal string, or None when its expansion does not end within 6 places."""
+    text = format_decimal(value, 6)
+    return text if Fraction(text) == value else None
+
+
+def _routes(coords, prior):
+    """The belief `coords` built by every public route that can reach it."""
+    yield Belief(coords)
+    yield Belief([f"{3 * c.numerator}/{3 * c.denominator}" for c in coords])
+    decimals = [_decimal(c) for c in coords]
+    if None not in decimals:
+        yield Belief(decimals)
+    if len(coords) == 2:
+        yield Belief.binary(coords[1])
+    # two beliefs that move t between the two largest coordinates, either way, average to coords
+    i, j = sorted(range(len(coords)), key=coords.__getitem__)[-2:]
+    t = min(coords[i], coords[j]) / 3
+    apart = [list(coords), list(coords)]
+    for side, sign in zip(apart, (1, -1)):
+        side[i] -= sign * t
+        side[j] += sign * t
+    yield barycenter(DiscreteMeasure([(Belief(a), Fraction(1, 2)) for a in apart]))
+    # one agent whose signal "x" has likelihood proportional to coords / prior: posterior coords
+    ratios = [c / p for c, p in zip(coords, prior)]
+    top = max(ratios)
+    kernel = [[(("x",), r / top), (("y",), 1 - r / top)] for r in ratios]
+    structure = InformationStructure(1, Prior(prior), [("x", "y")], kernel)
+    yield bayes_posterior(structure, 0, "x")
+
+
+@st.composite
+def beliefs_by_routes(draw):
+    """Beliefs on two to four states with unlike denominators, each built by every route of
+    `_routes`, so that equal values built apart occur in every draw."""
+    out = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        m = draw(st.integers(min_value=2, max_value=4))
+        nums = draw(st.lists(st.integers(min_value=0, max_value=6), min_size=m, max_size=m).filter(any))
+        prior = draw(st.lists(st.integers(min_value=1, max_value=6), min_size=m, max_size=m))
+        coords = [Fraction(c, sum(nums)) for c in nums]
+        out.extend(_routes(coords, [Fraction(c, sum(prior)) for c in prior]))
+    return draw(st.permutations(out))
 
 
 def random_binary_posterior_law(rng: random.Random, max_n: int = 6, max_denominator: int = 12):

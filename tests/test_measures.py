@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import pickle
 import random
 from fractions import Fraction as F
@@ -7,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _lawgen import marginals, random_feasible_instance, scalar_measures
+from _lawgen import (
+    belief_key,
+    beliefs_by_routes,
+    empirical_key,
+    marginals,
+    random_feasible_instance,
+    scalar_measures,
+)
 from poplaw import (
     Belief,
     DiscreteMeasure,
@@ -210,6 +218,36 @@ def test_equal_values_built_apart_hash_alike():
     assert len({a, b, c, d}) == 1 and len({e1, e2}) == 1
     copy = pickle.loads(pickle.dumps(e1))
     assert copy == e1 and hash(copy) == hash(e1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(beliefs_by_routes(), st.randoms(use_true_random=False))
+def test_integer_order_is_the_fraction_order(beliefs, rng):
+    for a in beliefs:
+        assert math.gcd(*a._nums) == 1 and a.coords == tuple(F(c, a._den) for c in a._nums)
+        assert hash(a) == hash((belief_key(a),))
+        for b in beliefs:
+            x, y = belief_key(a), belief_key(b)
+            assert (a == b, a != b, a < b, a <= b, a > b, a >= b) == (
+                x == y, x != y, x < y, x <= y, x > y, x >= y
+            )
+            assert a != b or hash(a) == hash(b)
+    by_dimension = {}
+    for belief in beliefs:
+        by_dimension.setdefault(belief.dimension, []).append(belief)
+    for same in by_dimension.values():
+        empiricals = []
+        for _ in range(6):
+            counts = [(b, rng.randint(0, 2)) for b in same] + [(rng.choice(same), 1)]
+            empiricals.append(EmpiricalDistribution(sum(c for _, c in counts), counts))
+        assert [empirical_key(e) for e in sorted(empiricals)] == sorted(map(empirical_key, empiricals))
+        distinct = list({belief_key(b): b for b in same}.values())
+        atoms = [(b, F(rng.randint(1, 4), 1)) for b in distinct]
+        total = sum(w for _, w in atoms)
+        atoms = [(b, w / total) for b, w in atoms]
+        reference = sorted((belief_key(b), w) for b, w in atoms)
+        assert [(belief_key(b), w) for b, w in sorted(atoms)] == reference
+        assert [(belief_key(b), w) for b, w in DiscreteMeasure(atoms).atoms] == reference
 
 
 def test_cached_hash_leaves_fields_repr_and_order_alone():
